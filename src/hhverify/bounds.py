@@ -30,6 +30,10 @@ __all__ = [
     "Q_BRANCH_EPS",
     "S_BRANCH_EPS",
     "case_bound_from_values",
+    "case_result",
+    "check_branch",
+    "deviation_params",
+    "derivative_values",
     "eval_case",
     "midpoint_envelope",
 ]
@@ -120,23 +124,34 @@ def midpoint_envelope(s: float, qa: float, qb: float) -> float:
     return 2.0 ** (-s) * (qa + qb)
 
 
-def _require_q1(case: BoundCase, q: float) -> None:
-    if q >= 1.0 + Q_BRANCH_EPS:
-        raise WrongBranchError(f"{case.value} is a q = 1 branch, got q={q!r}")
+_Q1_CASES = frozenset(
+    {BoundCase.T33_q1, BoundCase.T34_q1_tier1, BoundCase.T34_q1_tier2}
+)
+_QGT1_CASES = frozenset(
+    {BoundCase.T33_qgt1, BoundCase.T34_qgt1_tier1, BoundCase.T34_qgt1_tier2}
+)
 
 
-def _require_qgt1(case: BoundCase, q: float) -> None:
-    if q < 1.0 + Q_BRANCH_EPS:
-        raise WrongBranchError(f"{case.value} needs q >= 1 + 1e-9, got q={q!r}")
+def check_branch(case: BoundCase, s: float, q: float) -> None:
+    """Raise WrongBranchError unless (s, q) lie on the branch of `case`.
 
-
-def _require_s_regular(case: BoundCase, s: float) -> None:
+    The branch depends on (s, q) alone, so a sweep can settle it once per
+    (s, q) instead of once per row.
+    """
+    if case is BoundCase.T31_s_minus1:
+        if s != -1.0:
+            raise WrongBranchError(f"T31_s_minus1 needs s = -1 exactly, got {s!r}")
+        return
     if s < -1.0 + S_BRANCH_EPS:
         raise WrongBranchError(
             f"{case.value} needs s > -1 + 1e-6, got s={s!r}; s = -1 is T31_s_minus1 only"
         )
     if s > 1.0:
         raise WrongBranchError(f"{case.value} needs s <= 1, got s={s!r}")
+    if case in _Q1_CASES and q >= 1.0 + Q_BRANCH_EPS:
+        raise WrongBranchError(f"{case.value} is a q = 1 branch, got q={q!r}")
+    if case in _QGT1_CASES and q < 1.0 + Q_BRANCH_EPS:
+        raise WrongBranchError(f"{case.value} needs q >= 1 + 1e-9, got q={q!r}")
 
 
 def case_bound_from_values(
@@ -160,18 +175,15 @@ def case_bound_from_values(
     width = b - a
     if width == 0.0:
         return 0.0, "degenerate interval"
+    check_branch(case, s, q)
     rho = 1.0 - 1.0 / q
     m_lam = kernel_mass(lam)
     m_mu = kernel_mass(mu)
 
     if case is BoundCase.T31_s_minus1:
-        if s != -1.0:
-            raise WrongBranchError(f"T31_s_minus1 needs s = -1 exactly, got {s!r}")
         c = TWO_LN2_MINUS_1
         brackets = (c * qa + qb) ** (1.0 / q) + (qa + c * qb) ** (1.0 / q)
         return width / 2.0 ** (3.0 - 2.0 / q) * brackets, "s=-1 harmonic display"
-
-    _require_s_regular(case, s)
 
     if case is BoundCase.T31_general:
         lam_block = (
@@ -205,7 +217,6 @@ def case_bound_from_values(
         return bound, note
 
     if case is BoundCase.T33_q1:
-        _require_q1(case, q)
         w = 2.0 ** (s + 1.0) - 1.0
         bound = (
             width
@@ -215,7 +226,6 @@ def case_bound_from_values(
         return bound, "q=1 product display, corrected prefactor 2^(s+1)"
 
     if case is BoundCase.T33_qgt1:
-        _require_qgt1(case, q)
         w = 2.0 ** (s + 1.0) - 1.0
         h_lam = holder_weight_integral(1.0 - lam, q)
         h_mu = holder_weight_integral(mu, q)
@@ -231,7 +241,6 @@ def case_bound_from_values(
         return bound, "conjugate-exponent display"
 
     if case in (BoundCase.T34_q1_tier1, BoundCase.T34_q1_tier2):
-        _require_q1(case, q)
         if case is BoundCase.T34_q1_tier1:
             bound = (
                 width
@@ -248,7 +257,6 @@ def case_bound_from_values(
         return bound, "q=1 tier2 via midpoint envelope (known-defective tier1)"
 
     if case in (BoundCase.T34_qgt1_tier1, BoundCase.T34_qgt1_tier2):
-        _require_qgt1(case, q)
         h_lam = holder_weight_integral(1.0 - lam, q)
         h_mu = holder_weight_integral(mu, q)
         inv_s1 = (1.0 / (s + 1.0)) ** (1.0 / q)
@@ -288,6 +296,40 @@ def derivative_values(f: FunctionSpec, p: BoundParams) -> tuple[float, float, fl
     return qa, qb, qm
 
 
+def deviation_params(case: BoundCase, p: BoundParams) -> BoundParams:
+    """Parameters of the deviation a case controls.
+
+    T31_s_minus1 bounds the midpoint deviation, the lhs at λ = μ = 0; every
+    other case bounds the lhs at the row's own weights.
+    """
+    if case is BoundCase.T31_s_minus1:
+        return BoundParams(p.a, p.b, 0.0, 0.0, p.s, p.q)
+    return p
+
+
+def case_result(
+    case: BoundCase,
+    p: BoundParams,
+    lhs: float,
+    qa: float,
+    qb: float,
+    qm: float,
+    certificate: str = "unchecked",
+) -> BoundResult:
+    """One case row from precomputed values.
+
+    lhs is |hh_lhs| at `deviation_params(case, p)`; qa, qb, qm are
+    |f'|^q at a, b and the midpoint.  Raises WrongBranchError when (s, q)
+    belong to another case.
+    """
+    bound, note = case_bound_from_values(
+        case, p.a, p.b, p.lam, p.mu, p.s, p.q, qa, qb, qm
+    )
+    return BoundResult(
+        lhs, bound, bound - lhs, case.value, params_dict(p), certificate, note
+    )
+
+
 def eval_case(
     case: BoundCase | str,
     f: FunctionSpec,
@@ -306,25 +348,9 @@ def eval_case(
             0.0, 0.0, 0.0, case.value, params_dict(p),
             _cert_status(certificate), "degenerate interval",
         )
-    if case is BoundCase.T31_s_minus1:
-        # Midpoint-deviation form; the display does not involve lambda, mu.
-        lhs_params = BoundParams(p.a, p.b, 0.0, 0.0, p.s, p.q)
-        lhs = abs(hh_lhs(f, lhs_params, tol))
-    else:
-        lhs = abs(hh_lhs(f, p, tol))
+    lhs = abs(hh_lhs(f, deviation_params(case, p), tol))
     qa, qb, qm = derivative_values(f, p)
-    bound, note = case_bound_from_values(
-        case, p.a, p.b, p.lam, p.mu, p.s, p.q, qa, qb, qm
-    )
-    return BoundResult(
-        lhs=lhs,
-        bound=bound,
-        slack=bound - lhs,
-        case=case.value,
-        params=params_dict(p),
-        certificate=_cert_status(certificate),
-        branch_notes=note,
-    )
+    return case_result(case, p, lhs, qa, qb, qm, _cert_status(certificate))
 
 
 def _cert_status(certificate: ConvexityCertificate | None) -> str:

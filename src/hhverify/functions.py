@@ -5,9 +5,11 @@ A function g is extended s-convex on an interval, for s in [-1, 1], when
     g(λx + (1-λ)y) <= λ^s g(x) + (1-λ)^s g(y)    for all x, y, λ in (0, 1).
 
 s = 1 is ordinary convexity, s = 0 allows the P-convex doubling bound, and
-s = -1 is the Godunova-Levin class.  Certification is analytic only for the
-power family (see `certify_power_extended_s`); everything else can merely be
-sampled, so a sampling check reports not-falsified, never certified.
+s = -1 is the Godunova-Levin class.  Two analytic rules certify |f'|^q for
+registry functions: the power rule (`certify_power_extended_s`) and the
+convexity rule (`certify_convex_envelope`), which covers every nonnegative
+convex envelope.  Anything neither rule covers can merely be sampled, so a
+sampling check reports not-falsified, never certified.
 """
 
 from __future__ import annotations
@@ -26,9 +28,11 @@ __all__ = [
     "make_power",
     "make_exp",
     "make_const",
+    "parse_id",
     "from_id",
     "derivative_q_envelope",
     "certify_power_extended_s",
+    "certify_convex_envelope",
     "check_extended_s_convex",
     "derivative_consistency",
 ]
@@ -57,7 +61,8 @@ class ConvexityCertificate:
     """Claim about extended s-convexity of a target function.
 
     status is one of:
-      - "certified-analytic": backed by the power-family rule;
+      - "certified-analytic": backed by an analytic rule, the power rule or
+        the convexity rule, for every order up to `s`;
       - "not-falsified": sampling found no violation (not a proof);
       - "falsified": `witness` is a triple (x, y, lam) violating the
         defining inequality by more than tolerance.
@@ -103,15 +108,34 @@ def make_const(c: float, lo: float, hi: float) -> FunctionSpec:
     return FunctionSpec(f"const:{c:g}", float(lo), float(hi), lambda x: c, lambda x: 0.0)
 
 
+def parse_id(fid: str) -> tuple[str, Optional[float]]:
+    """Split a family id into ("pow", p), ("const", c) or ("exp", None).
+
+    Raises FunctionDomainError for an unknown family or a parameter that is
+    not a finite number.
+    """
+    if fid == "exp":
+        return "exp", None
+    family, _, raw = fid.partition(":")
+    if family not in ("pow", "const"):
+        raise FunctionDomainError(f"unknown function id {fid!r}")
+    try:
+        value = float(raw)
+    except ValueError:
+        raise FunctionDomainError(f"{fid!r}: parameter is not a number") from None
+    if not math.isfinite(value):
+        raise FunctionDomainError(f"{fid!r}: parameter must be finite")
+    return family, value
+
+
 def from_id(fid: str, lo: float, hi: float) -> FunctionSpec:
     """Resolve a family id ("pow:<p>", "exp", "const:<c>") on [lo, hi]."""
-    if fid == "exp":
+    family, value = parse_id(fid)
+    if family == "exp":
         return make_exp(lo, hi)
-    if fid.startswith("pow:"):
-        return make_power(float(fid[4:]), lo, hi)
-    if fid.startswith("const:"):
-        return make_const(float(fid[6:]), lo, hi)
-    raise FunctionDomainError(f"unknown function id {fid!r}")
+    if family == "pow":
+        return make_power(value, lo, hi)
+    return make_const(value, lo, hi)
 
 
 def derivative_q_envelope(f: FunctionSpec, q: float) -> FunctionSpec:
@@ -154,6 +178,33 @@ def certify_power_extended_s(p: float, q: float) -> ConvexityCertificate:
         target=f"|d(pow:{p:g})|^{q:g}",
         status="not-falsified",
         note=f"power rule inapplicable: (p-1)q={gamma:g} outside (-1, 1]",
+    )
+
+
+def certify_convex_envelope(fid: str, lo: float, q: float) -> Optional[ConvexityCertificate]:
+    """Analytic certificate for |f'|^q of a registry id on an interval from lo.
+
+    A nonnegative convex g is extended s-convex for every s in [-1, 1]:
+    λ^s >= λ on (0, 1) when s <= 1, so the convex inequality implies the
+    extended one (the nesting of s-convex classes, Hudzik & Maligranda,
+    Aequationes Math. 48, 1994).  |f'|^q is nonnegative and convex for
+    exp (e^(qx)), for const (identically 0) and for pow:p when
+    γ = (p-1)q >= 1 (|x|^γ is convex on the whole line), γ = 0 (a constant),
+    or γ < 0 with lo > 0.  Returns None when the rule does not apply.
+    """
+    if q < 1.0:
+        raise FunctionDomainError(f"need q >= 1, got {q!r}")
+    family, p = parse_id(fid)
+    if family == "pow":
+        gamma = (p - 1.0) * q
+        if not (gamma >= 1.0 or gamma == 0.0 or (gamma < 0.0 and lo > 0.0)):
+            return None
+    return ConvexityCertificate(
+        s=1.0,
+        q=q,
+        target=f"|d({fid})|^{q:g}",
+        status="certified-analytic",
+        note="convexity rule",
     )
 
 

@@ -6,11 +6,8 @@ import csv
 import io
 import json
 import math
-import os
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -18,16 +15,27 @@ from .bounds import (
     BoundCase,
     BoundResult,
     case_bound_from_values,
-    params_dict,
+    case_result,
+    check_branch,
+    derivative_values,
+    deviation_params,
 )
-from .errors import ConfigError, PresetMismatchError, WrongBranchError
+from .errors import (
+    ConfigError,
+    FunctionDomainError,
+    HHVerifyError,
+    PresetMismatchError,
+    WrongBranchError,
+)
 from .functions import (
+    certify_convex_envelope,
     certify_power_extended_s,
     check_extended_s_convex,
     derivative_q_envelope,
     from_id,
+    parse_id,
 )
-from .identity import BoundParams
+from .identity import BoundParams, hh_lhs
 from .means import MEAN_THEOREMS, MeanParams, eval_mean_bound
 from .moments import (
     MOMENT_CASES,
@@ -38,24 +46,18 @@ from .moments import (
     moment_harmonic,
     moment_oracle,
 )
-from .presets import PRESETS, VERBATIM_DISPLAYS, preset_bound_from_values
+from .presets import (
+    PRESETS,
+    VERBATIM_DISPLAYS,
+    PresetSpec,
+    preset_bound_from_values,
+    preset_result,
+)
 from .quadrature import mean_integral
 
-__all__ = ["SuiteConfig", "Report", "run_suite", "erratum_scan", "worker_count"]
+__all__ = ["SuiteConfig", "Report", "run_suite", "erratum_scan"]
 
 ALL_CASES = tuple(c.value for c in BoundCase)
-
-
-def worker_count() -> int:
-    """Worker cap from HH_VERIFY_THREADS; 0 or unset means auto (serial)."""
-    raw = os.environ.get("HH_VERIFY_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"HH_VERIFY_THREADS={raw!r} is not an integer") from exc
-    if n < 0:
-        raise ConfigError(f"HH_VERIFY_THREADS must be >= 0, got {n}")
-    return n
 
 
 def _expect(cond: bool, path: str, msg: str) -> None:
@@ -116,7 +118,13 @@ class SuiteConfig:
         families = raw.get("families", [])
         _expect(isinstance(families, list), "config.families", "must be a list")
         for i, fid in enumerate(families):
-            _expect(isinstance(fid, str), f"config.families[{i}]", "must be a string")
+            path = f"config.families[{i}]"
+            _expect(isinstance(fid, str), path, "must be a string")
+            try:
+                family, param = parse_id(fid)
+            except FunctionDomainError as exc:
+                raise ConfigError(f"{path}: {exc}") from None
+            _expect(family != "pow" or param > 0.0, path, f"{fid!r}: power p must be positive")
         grid = raw.get("grid", {}) or {}
         _expect(isinstance(grid, dict), "config.grid", "must be an object")
         for key in grid:
@@ -226,15 +234,17 @@ class Report:
         }
         return self
 
-    def to_json(self) -> str:
-        doc = {
+    def _doc(self) -> dict:
+        return {
             "records": self.records,
             "violations": self.violations,
             "errata": self.errata,
             "summary": self.summary,
             "oracle_residuals": self.oracle_residuals,
         }
-        return json.dumps(doc, indent=2)
+
+    def to_json(self) -> str:
+        return json.dumps(self._doc(), indent=2)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -273,7 +283,9 @@ class Report:
             if fmt == "csv":
                 self.write_csv(handle)
             else:
-                handle.write(self.to_json())
+                # Streamed: the same bytes as to_json() without holding the
+                # whole document as one string.
+                json.dump(self._doc(), handle, indent=2)
                 handle.write("\n")
 
 
@@ -285,67 +297,55 @@ def _record(family: str, result: BoundResult) -> dict:
 
 
 def _sort_key(rec: dict) -> tuple:
-    p = rec["params"]
+    p = rec["params"].get
     return (
         rec["case"],
         rec["preset"] or "",
         rec["family"],
-        tuple(p.get(k, 0.0) for k in ("a", "b", "lambda", "mu", "s", "q")),
+        p("a", 0.0), p("b", 0.0), p("lambda", 0.0), p("mu", 0.0), p("s", 0.0), p("q", 0.0),
     )
 
 
-class _CertificateCache:
-    """Analytic certificates for the power family, sampling elsewhere."""
+def _certificate(fid: str, a: float, b: float, s: float, q: float, samples: int, seed: int) -> str:
+    """Provenance of the claim that |f'|^q is extended s-convex on [a, b].
 
-    def __init__(self, samples: int, seed: int):
-        self.samples = samples
-        self.seed = seed
-        self._memo: dict = {}
-
-    def status(self, fid: str, a: float, b: float, s: float, q: float) -> str:
-        key = (fid, round(a, 12), round(b, 12), round(s, 12), round(q, 12))
-        if key in self._memo:
-            return self._memo[key]
-        status = self._compute(fid, a, b, s, q)
-        self._memo[key] = status
-        return status
-
-    def _compute(self, fid: str, a: float, b: float, s: float, q: float) -> str:
-        if fid.startswith("pow:"):
-            p = float(fid[4:])
-            # The power rule needs a positive interval unless the envelope
-            # exponent is nonnegative, in which case a = 0 is harmless.
-            domain_ok = a > 0.0 or (a == 0.0 and p >= 1.0 and (p - 1.0) * q >= 0.0)
-            if domain_ok and p > 0.0 and q >= 1.0:
-                cert = certify_power_extended_s(p, q)
-                if cert.status == "certified-analytic" and cert.s is not None:
-                    # Any certificate at order s' covers every order s <= s'.
-                    if s <= cert.s + 1e-12:
-                        return "certified-analytic"
-        try:
-            f = from_id(fid, a, b)
-            envelope = derivative_q_envelope(f, q)
-            cert = check_extended_s_convex(
-                envelope, a, b, max(s, -1.0), samples=self.samples, seed=self.seed
-            )
+    The power rule, then the convexity rule, certify analytically; only an
+    id neither covers is sampled, which can falsify but never certify.
+    """
+    certs = []
+    family, p = parse_id(fid)
+    if family == "pow" and p > 0.0:
+        # The power rule needs a positive interval unless the envelope
+        # exponent is nonnegative, in which case a = 0 is harmless.
+        if a > 0.0 or (a == 0.0 and p >= 1.0 and (p - 1.0) * q >= 0.0):
+            certs.append(certify_power_extended_s(p, q))
+    certs.append(certify_convex_envelope(fid, a, q))
+    for cert in certs:
+        # Any certificate at order s' covers every order s <= s'.
+        if cert is not None and cert.status == "certified-analytic" and s <= cert.s + 1e-12:
             return cert.status
-        except Exception:
-            return "unchecked"
+    try:
+        envelope = derivative_q_envelope(from_id(fid, a, b), q)
+        return check_extended_s_convex(envelope, a, b, s, samples=samples, seed=seed).status
+    except HHVerifyError:
+        return "unchecked"
 
 
-def _bound_tuples(cfg: SuiteConfig) -> list[tuple[float, float, float, float]]:
-    """Deterministic (a, b, lam, mu) tuples: grid product plus seeded draws.
+def _bound_intervals(cfg: SuiteConfig) -> dict[tuple[float, float], list[tuple[float, float]]]:
+    """Deterministic intervals (a, b), each with its (lam, mu) pairs: grid
+    product plus seeded draws.
 
     An omitted mu grid pairs mu with lambda; an explicit one is crossed.
     """
-    tuples = []
+    intervals: dict[tuple[float, float], list[tuple[float, float]]] = {}
     for a in cfg.a_values:
         for b in cfg.b_values:
             if b <= a:
                 continue
+            pairs = intervals.setdefault((a, b), [])
             for lam in cfg.lam_values:
                 for mu in cfg.mu_values or (lam,):
-                    tuples.append((a, b, lam, mu))
+                    pairs.append((lam, mu))
     if cfg.draws > 0:
         rng = np.random.default_rng(cfg.seed)
         for _ in range(cfg.draws):
@@ -353,104 +353,100 @@ def _bound_tuples(cfg: SuiteConfig) -> list[tuple[float, float, float, float]]:
             b = a + rng.uniform(*cfg.width_range)
             lam = rng.uniform()
             mu = rng.uniform()
-            tuples.append((float(a), float(b), float(lam), float(mu)))
-    return tuples
+            intervals.setdefault((float(a), float(b)), []).append((float(lam), float(mu)))
+    return intervals
 
 
 def _family_s_values(fid: str, cfg: SuiteConfig) -> tuple[float, ...]:
     if cfg.s_values:
         return cfg.s_values
-    if fid.startswith("pow:"):
-        return (float(fid[4:]) - 1.0,)
+    family, p = parse_id(fid)
+    if family == "pow":
+        return (p - 1.0,)
     return (1.0,)
 
 
-def _eval_bound_row(task) -> Optional[dict]:
-    fid, a, b, lam, mu, s, q, case_or_preset, is_preset, tol, cert_status, mean = task
+def _branches(
+    fid: str, cfg: SuiteConfig, cases: list[BoundCase]
+) -> list[tuple[float, float, list[BoundCase]]]:
+    """Each (s, q) a family runs at, with the cases whose branch admits it."""
+    branches = []
+    for q in cfg.q_values:
+        for s in _family_s_values(fid, cfg):
+            admitted = []
+            for case in cases:
+                try:
+                    check_branch(case, s, q)
+                except WrongBranchError:
+                    continue
+                admitted.append(case)
+            branches.append((s, q, admitted))
+    return branches
+
+
+def _sweep_interval(
+    records: list[dict],
+    cfg: SuiteConfig,
+    fid: str,
+    a: float,
+    b: float,
+    pairs: list[tuple[float, float]],
+    branches: list[tuple[float, float, list[BoundCase]]],
+    specs: list[PresetSpec],
+) -> None:
+    """Append every admissible case and preset row of one family on [a, b].
+
+    The mean quadrature is shared by every row of the interval, each lhs by
+    every row of its weight pair, and |f'|^q and the certificate by every
+    row of their (s, q).
+    """
     try:
         f = from_id(fid, a, b)
-        params = BoundParams(a, b, lam, mu, s, q)
-    except Exception:
-        return None
-    try:
-        if is_preset:
-            spec = PRESETS[case_or_preset]
-            spec.validate(params)
-            if spec.parent is BoundCase.T31_s_minus1:
-                lhs = abs(_lhs_from_mean(f, BoundParams(a, b, 0.0, 0.0, s, q), mean))
-            else:
-                lhs = abs(_lhs_from_mean(f, params, mean))
-            qa = abs(f.deriv(a)) ** q
-            qb = abs(f.deriv(b)) ** q
-            qm = abs(f.deriv(0.5 * (a + b))) ** q
-            bound = spec.display(a, b, lam, mu, s, q, qa, qb, qm)
-            result = BoundResult(
-                lhs, bound, bound - lhs, spec.parent.value, params_dict(params),
-                cert_status, spec.note or spec.kind, preset=case_or_preset,
-            )
-        else:
-            case = BoundCase(case_or_preset)
-            if case is BoundCase.T31_s_minus1:
-                lhs = abs(_lhs_from_mean(f, BoundParams(a, b, 0.0, 0.0, s, q), mean))
-            else:
-                lhs = abs(_lhs_from_mean(f, params, mean))
-            qa = abs(f.deriv(a)) ** q
-            qb = abs(f.deriv(b)) ** q
-            qm = abs(f.deriv(0.5 * (a + b))) ** q
-            bound, note = case_bound_from_values(case, a, b, lam, mu, s, q, qa, qb, qm)
-            result = BoundResult(
-                lhs, bound, bound - lhs, case.value, params_dict(params),
-                cert_status, note,
-            )
-    except (WrongBranchError, PresetMismatchError):
-        return None
-    return _record(fid, result)
+        mean = mean_integral(f, a, b, cfg.tol)
+    except HHVerifyError:
+        return
+    lhs_at: dict[tuple[float, float], float] = {}
 
+    def lhs(parent: BoundCase, p: BoundParams) -> float:
+        w = deviation_params(parent, p)
+        key = (w.lam, w.mu)
+        if key not in lhs_at:
+            lhs_at[key] = abs(hh_lhs(f, w, cfg.tol, mean))
+        return lhs_at[key]
 
-def _lhs_from_mean(f, p: BoundParams, mean: float) -> float:
-    m = p.midpoint()
-    return (
-        0.5 * p.lam * f.eval(p.a)
-        + 0.5 * p.mu * f.eval(p.b)
-        + 0.5 * (2.0 - p.lam - p.mu) * f.eval(m)
-        - mean
-    )
+    for s, q, cases in branches:
+        try:
+            base = BoundParams(a, b, 0.0, 0.0, s, q)
+        except WrongBranchError:
+            continue
+        qa, qb, qm = derivative_values(f, base)
+        cert = _certificate(fid, a, b, s, q, cfg.convexity_samples, cfg.seed)
+        for lam, mu in pairs:
+            try:
+                p = BoundParams(a, b, lam, mu, s, q)
+            except WrongBranchError:
+                continue
+            for case in cases:
+                result = case_result(case, p, lhs(case, p), qa, qb, qm, cert)
+                records.append(_record(fid, result))
+            for spec in specs:
+                try:
+                    result = preset_result(spec, p, lhs(spec.parent, p), qa, qb, qm, cert)
+                except PresetMismatchError:
+                    continue
+                records.append(_record(fid, result))
 
 
 def run_suite(cfg: SuiteConfig) -> Report:
     """Evaluate the configured cases/presets/theorems over the grid."""
     report = Report()
-    tuples = _bound_tuples(cfg)
-    certs = _CertificateCache(cfg.convexity_samples, cfg.seed)
-
-    # Mean integrals are the expensive part; compute once per (family, a, b).
-    means: dict = {}
-    tasks = []
+    intervals = _bound_intervals(cfg)
+    cases = [BoundCase(c) for c in cfg.cases]
+    specs = [PRESETS[pid] for pid in cfg.presets]
     for fid in cfg.families:
-        for s in _family_s_values(fid, cfg):
-            for q in cfg.q_values:
-                for (a, b, lam, mu) in tuples:
-                    key = (fid, a, b)
-                    if key not in means:
-                        try:
-                            means[key] = mean_integral(from_id(fid, a, b), a, b, cfg.tol)
-                        except Exception:
-                            means[key] = None
-                    if means[key] is None:
-                        continue
-                    cert_status = certs.status(fid, a, b, s, q)
-                    for case in cfg.cases:
-                        tasks.append((fid, a, b, lam, mu, s, q, case, False, cfg.tol, cert_status, means[key]))
-                    for pid in cfg.presets:
-                        tasks.append((fid, a, b, lam, mu, s, q, pid, True, cfg.tol, cert_status, means[key]))
-
-    n_workers = worker_count()
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            rows = list(pool.map(_eval_bound_row, tasks))
-    else:
-        rows = [_eval_bound_row(t) for t in tasks]
-    report.records.extend(r for r in rows if r is not None)
+        branches = _branches(fid, cfg, cases)
+        for (a, b), pairs in intervals.items():
+            _sweep_interval(report.records, cfg, fid, a, b, pairs, branches, specs)
 
     # Mean-inequality sweep.
     mean_tuples = []

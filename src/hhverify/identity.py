@@ -45,8 +45,18 @@ class BoundParams:
         return 0.5 * (self.a + self.b)
 
 
-def hh_lhs(f: FunctionSpec, p: BoundParams, tol: float = DEFAULT_TOL) -> float:
-    """Signed left-hand quantity; zero for a = b by continuous extension."""
+def hh_lhs(
+    f: FunctionSpec,
+    p: BoundParams,
+    tol: float = DEFAULT_TOL,
+    mean: float | None = None,
+) -> float:
+    """Signed left-hand quantity; zero for a = b by continuous extension.
+
+    `mean` is (1/(b-a))∫f when the caller already has it (a sweep shares
+    one quadrature across every weight pair of an interval); otherwise it
+    is computed here to relative tolerance `tol`.
+    """
     if p.a == p.b:
         return 0.0
     m = p.midpoint()
@@ -55,7 +65,9 @@ def hh_lhs(f: FunctionSpec, p: BoundParams, tol: float = DEFAULT_TOL) -> float:
         + 0.5 * p.mu * f.eval(p.b)
         + 0.5 * (2.0 - p.lam - p.mu) * f.eval(m)
     )
-    return weighted - mean_integral(f, p.a, p.b, tol)
+    if mean is None:
+        mean = mean_integral(f, p.a, p.b, tol)
+    return weighted - mean
 
 
 def identity_rhs(f: FunctionSpec, p: BoundParams, tol: float = DEFAULT_TOL) -> float:

@@ -24,6 +24,7 @@ from .bounds import (
     Q_BRANCH_EPS,
     case_bound_from_values,
     derivative_values,
+    deviation_params,
     params_dict,
 )
 from .errors import PresetMismatchError
@@ -37,6 +38,7 @@ __all__ = [
     "PRESETS",
     "VERBATIM_DISPLAYS",
     "preset_bound_from_values",
+    "preset_result",
     "eval_preset",
     "check_specialization",
 ]
@@ -641,6 +643,28 @@ def preset_bound_from_values(
     return display(a, b, lam, mu, s, q, qa, qb, qm)
 
 
+def preset_result(
+    spec: PresetSpec,
+    p: BoundParams,
+    lhs: float,
+    qa: float,
+    qb: float,
+    qm: float,
+    certificate: str = "unchecked",
+) -> BoundResult:
+    """One preset row from precomputed values, as `case_result` for a case.
+
+    lhs is |hh_lhs| at `deviation_params(spec.parent, p)`.  Raises
+    PresetMismatchError when p contradicts the preset's pinned values.
+    """
+    spec.validate(p)
+    bound = spec.display(p.a, p.b, p.lam, p.mu, p.s, p.q, qa, qb, qm)
+    return BoundResult(
+        lhs, bound, bound - lhs, spec.parent.value, params_dict(p), certificate,
+        spec.note or spec.kind, preset=spec.pid,
+    )
+
+
 def eval_preset(
     pid: str,
     f: FunctionSpec,
@@ -652,23 +676,10 @@ def eval_preset(
     if pid not in PRESETS:
         raise PresetMismatchError(f"unknown preset {pid!r}")
     spec = PRESETS[pid]
-    spec.validate(p)
-    if spec.parent is BoundCase.T31_s_minus1:
-        lhs = abs(hh_lhs(f, BoundParams(p.a, p.b, 0.0, 0.0, p.s, p.q), tol))
-    else:
-        lhs = abs(hh_lhs(f, p, tol))
+    lhs = abs(hh_lhs(f, deviation_params(spec.parent, p), tol))
     qa, qb, qm = derivative_values(f, p)
-    bound = spec.display(p.a, p.b, p.lam, p.mu, p.s, p.q, qa, qb, qm)
-    return BoundResult(
-        lhs=lhs,
-        bound=bound,
-        slack=bound - lhs,
-        case=spec.parent.value,
-        params=params_dict(p),
-        certificate=certificate.status if certificate else "unchecked",
-        branch_notes=spec.note or f"{spec.kind} of {spec.parent.value}",
-        preset=pid,
-    )
+    status = certificate.status if certificate else "unchecked"
+    return preset_result(spec, p, lhs, qa, qb, qm, status)
 
 
 def check_specialization(

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hhverify.errors import FunctionDomainError
 from hhverify.functions import (
     FunctionSpec,
+    certify_convex_envelope,
     certify_power_extended_s,
     check_extended_s_convex,
     derivative_consistency,
@@ -15,6 +16,7 @@ from hhverify.functions import (
     make_const,
     make_exp,
     make_power,
+    parse_id,
 )
 
 
@@ -138,3 +140,49 @@ def test_from_id_registry():
     assert from_id("const:4", 0, 1).eval(0.3) == 4.0
     with pytest.raises(FunctionDomainError):
         from_id("sin", 0, 1)
+
+
+@pytest.mark.parametrize(
+    "fid, q, lo",
+    [
+        ("exp", 1.0, -1.0),
+        ("exp", 2.0, 0.5),
+        ("const:3", 1.0, 0.0),
+        ("pow:2", 1.0, 0.0),   # γ = 1
+        ("pow:2", 2.0, 0.0),   # γ = 2, outside the power rule
+        ("pow:3", 1.0, -1.0),  # γ = 2 on an interval through 0
+        ("pow:1", 3.0, 0.0),   # γ = 0
+        ("pow:0.5", 1.0, 0.2),  # γ = -0.5 with lo > 0
+        ("pow:0.5", 3.0, 0.2),  # γ = -1.5, outside the power rule
+    ],
+)
+def test_convexity_rule_never_falsified(fid, q, lo):
+    cert = certify_convex_envelope(fid, lo, q)
+    assert cert is not None and cert.status == "certified-analytic" and cert.s == 1.0
+    hi = lo + 2.5
+    envelope = derivative_q_envelope(from_id(fid, lo, hi), q)
+    for s in (-1.0, 0.0, 1.0):
+        check = check_extended_s_convex(envelope, lo, hi, s, samples=100, seed=5)
+        assert check.status == "not-falsified"
+
+
+def test_convexity_rule_needs_positive_interval_for_negative_gamma():
+    assert certify_convex_envelope("pow:0.5", 0.0, 1.0) is None
+    assert certify_convex_envelope("pow:0.5", 0.1, 1.0) is not None
+
+
+def test_convexity_rule_leaves_concave_envelopes_to_the_sampler():
+    # pow:1.5 at q = 1 has envelope 1.5·x^0.5 (γ = 0.5): concave, so no rule
+    # covers order s = 1 and the sampler falsifies it.
+    assert certify_convex_envelope("pow:1.5", 0.5, 1.0) is None
+    envelope = derivative_q_envelope(make_power(1.5, 0.5, 2.0), 1.0)
+    assert check_extended_s_convex(envelope, 0.5, 2.0, 1.0, samples=64).status == "falsified"
+
+
+def test_parse_id():
+    assert parse_id("exp") == ("exp", None)
+    assert parse_id("pow:2.5") == ("pow", 2.5)
+    assert parse_id("const:-1") == ("const", -1.0)
+    for bad in ("foo", "pow:abc", "pow:nan", "const:inf", "exp:1"):
+        with pytest.raises(FunctionDomainError):
+            parse_id(bad)

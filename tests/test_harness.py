@@ -2,8 +2,13 @@ import json
 
 import pytest
 
-from hhverify.errors import ConfigError
-from hhverify.harness import SuiteConfig, erratum_scan, run_suite, worker_count
+import hhverify.harness as harness
+from hhverify.bounds import BoundCase, eval_case
+from hhverify.errors import ConfigError, PresetMismatchError, WrongBranchError
+from hhverify.functions import from_id
+from hhverify.harness import SuiteConfig, erratum_scan, run_suite
+from hhverify.identity import BoundParams
+from hhverify.presets import PRESETS, eval_preset
 
 
 def paired_x2_config():
@@ -89,6 +94,12 @@ def test_config_validation_paths():
         SuiteConfig.from_dict({"unknown": 1})
 
 
+@pytest.mark.parametrize("fid", ["foo", "pow:abc", "pow:nan", "pow:0", "pow:-1"])
+def test_config_rejects_bad_family_ids(fid):
+    with pytest.raises(ConfigError, match=r"config.families\[1\]"):
+        SuiteConfig.from_dict({"families": ["exp", fid]})
+
+
 def test_config_from_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"families": ["exp"], "grid": {"a": [0.0], "b": [1.0], "s": [1.0]}}))
@@ -158,20 +169,74 @@ def test_erratum_scan_classifications():
     assert report.violations == []
 
 
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("HH_VERIFY_THREADS", raising=False)
-    assert worker_count() == 0
-    monkeypatch.setenv("HH_VERIFY_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("HH_VERIFY_THREADS", "nope")
-    with pytest.raises(ConfigError):
-        worker_count()
+def test_write_streams_the_to_json_bytes(tmp_path):
+    report = run_suite(paired_x2_config())
+    path = tmp_path / "r.json"
+    report.write(str(path), "json")
+    assert path.read_bytes() == (report.to_json() + "\n").encode("utf-8")
 
 
-def test_threaded_run_matches_serial(monkeypatch):
-    cfg = paired_x2_config()
-    monkeypatch.setenv("HH_VERIFY_THREADS", "1")
-    serial = run_suite(cfg).to_json()
-    monkeypatch.setenv("HH_VERIFY_THREADS", "4")
-    threaded = run_suite(cfg).to_json()
-    assert serial == threaded
+def test_convex_envelopes_skip_the_sampler(monkeypatch):
+    def sampler(*args, **kwargs):
+        raise AssertionError("sampler called for an analytically certified id")
+
+    monkeypatch.setattr(harness, "check_extended_s_convex", sampler)
+    cfg = SuiteConfig.from_dict(
+        {
+            "families": ["exp", "pow:2", "const:3"],
+            "grid": {"a": [0.0, 1.0], "b": [2.0], "lambda": [0.0, 1.0], "q": [1.0, 2.0]},
+            "cases": ["T31_general"],
+        }
+    )
+    report = run_suite(cfg)
+    assert {r["family"] for r in report.records} == {"exp", "pow:2", "const:3"}
+    assert all(r["certified"] == "certified-analytic" for r in report.records)
+
+
+def test_sweep_rows_match_the_scalar_path():
+    # Every case and every preset is admitted somewhere on this grid; the
+    # sweep must emit exactly the rows eval_case/eval_preset admit, with the
+    # same numbers and notes.  Only the certificate differs: the scalar path
+    # is given none.
+    pinned = [0.0, 1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0]
+    cfg = SuiteConfig.from_dict(
+        {
+            "families": ["pow:2", "exp"],
+            "grid": {"a": [1.0], "b": [2.0], "lambda": pinned, "s": [-1.0, 1.0], "q": [1.0, 2.0]},
+            "cases": "all",
+            "presets": sorted(PRESETS),
+        }
+    )
+    report = run_suite(cfg)
+    swept = {
+        (r["family"], r["case"], r["preset"], tuple(r["params"].values())): r
+        for r in report.records
+    }
+    expected = {}
+    for fid in cfg.families:
+        f = from_id(fid, 1.0, 2.0)
+        for lam in pinned:
+            for s in (-1.0, 1.0):
+                for q in (1.0, 2.0):
+                    p = BoundParams(1.0, 2.0, lam, lam, s, q)
+                    key = (1.0, 2.0, lam, lam, s, q)
+                    for case in BoundCase:
+                        try:
+                            res = eval_case(case, f, p, cfg.tol)
+                        except WrongBranchError:
+                            continue
+                        expected[(fid, res.case, None, key)] = res
+                    for pid in PRESETS:
+                        try:
+                            res = eval_preset(pid, f, p, cfg.tol)
+                        except (WrongBranchError, PresetMismatchError):
+                            continue
+                        expected[(fid, res.case, pid, key)] = res
+    assert {k[1] for k in expected} == {c.value for c in BoundCase}
+    assert {k[2] for k in expected} - {None} == set(PRESETS)
+    assert swept.keys() == expected.keys()
+    for key, res in expected.items():
+        rec = swept[key]
+        assert (rec["lhs"], rec["bound"], rec["slack"], rec["branch_notes"]) == (
+            res.lhs, res.bound, res.slack, res.branch_notes
+        ), key
