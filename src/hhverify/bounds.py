@@ -5,9 +5,10 @@ is extended s-convex.  Formulas are assembled from the moment closed forms
 (the derivation path); `branch_notes` records which display produced the
 number.  Two q = 1 product-form displays are known to be misprinted at the
 source: T33_q1 ships with the corrected prefactor 2^(s+1) (the as-printed
-2^(s+2) version is numerically falsifiable and is kept for the erratum
-scan), while T34_q1 ships as printed because its spot values are pinned
-that way; the validity sweep exposes its defect honestly.
+2^(s+2) version is numerically falsifiable; it is
+`presets.VERBATIM_DISPLAYS["T33_q1"]`, which the erratum scan compares with
+this case), while T34_q1 ships as printed because its spot values are
+pinned that way; the validity sweep exposes its defect honestly.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 verification failure (a violation or an oracle
-mismatch was found), 2 usage or parameter error.
+Exit codes: 0 success, 1 verification failure (a violation, an oracle
+mismatch, or a shipped display that no longer matches its parent), 2 usage
+or parameter error.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import sys
 
 from .bounds import BoundCase, eval_case
 from .errors import HHVerifyError
-from .functions import certify_power_extended_s, from_id
+from .functions import certify_power_extended_s, from_id, parse_id
 from .harness import Report, SuiteConfig, erratum_scan, run_suite
 from .identity import BoundParams, check_identity, hh_lhs, identity_rhs
 from .means import MEAN_THEOREMS, MeanParams, eval_mean_bound
@@ -111,7 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("errata", help="transcription-vs-derivation scan of every display")
     p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    # The scan's items have no CSV form.
+    p.add_argument("--format", choices=("json",), default="json")
 
     return parser
 
@@ -189,10 +191,11 @@ def _dispatch(args) -> int:
         return 1 if result.violated else 0
 
     if args.command == "certify":
-        if not args.f.startswith("pow:"):
+        family, power = parse_id(args.f)
+        if family != "pow":
             print("error: certify supports only pow:<p> ids", file=sys.stderr)
             return 2
-        cert = certify_power_extended_s(float(args.f[4:]), args.q)
+        cert = certify_power_extended_s(power, args.q)
         print(
             json.dumps(
                 {
@@ -217,7 +220,13 @@ def _dispatch(args) -> int:
     if args.command == "errata":
         report = erratum_scan()
         _emit_report(report, args.format, args.out)
-        return 1 if report.violations else 0
+        # Flagged displays are expected to deviate; any other confirmed
+        # item is a shipped display that disagrees with its parent.
+        failing = [
+            e for e in report.errata
+            if e["kind"] != "flagged-display" and e["classification"] == "erratum-confirmed"
+        ]
+        return 1 if failing else 0
 
     raise AssertionError(f"unhandled command {args.command!r}")
 

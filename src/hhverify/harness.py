@@ -36,23 +36,16 @@ from .functions import (
     parse_id,
 )
 from .identity import BoundParams, hh_lhs
-from .means import MEAN_THEOREMS, MeanParams, eval_mean_bound
+from .means import MEAN_THEOREMS, MeanParams, eval_mean_bound, t42_verbatim_gap
 from .moments import (
     MOMENT_CASES,
     MomentSpec,
-    kernel_mass,
     moment_case,
     moment_general,
     moment_harmonic,
     moment_oracle,
 )
-from .presets import (
-    PRESETS,
-    VERBATIM_DISPLAYS,
-    PresetSpec,
-    preset_bound_from_values,
-    preset_result,
-)
+from .presets import PRESETS, VERBATIM_DISPLAYS, PresetSpec, preset_result
 from .quadrature import mean_integral
 
 __all__ = ["SuiteConfig", "Report", "run_suite", "erratum_scan"]
@@ -515,10 +508,12 @@ def _oracle_suite(draws: int, seed: int, tol: float) -> dict:
 # Erratum scan ---------------------------------------------------------------
 
 _SCAN_TOL = 1e-12
-
-
-def _scan_grid_s() -> list[float]:
-    return [-0.9 + 1.9 * k / 24.0 for k in range(25)]
+_SCAN_XI = [k / 24.0 for k in range(25)]
+_SCAN_S = [-0.9 + 1.9 * k / 24.0 for k in range(25)]
+_SCAN_LAM = [0.0, 0.2, 0.5, 0.8, 1.0]
+_SCAN_Q = {"1": [1.0], ">1": [1.5, 3.0], None: [1.0, 2.0]}
+_SCAN_S_BY_RANGE = {(-1.0 + 1e-6, 1.0): [-0.9, -0.5, 0.0, 0.5, 1.0], (1e-12, 1.0): [0.1, 0.5, 1.0]}
+_SCAN_SYNTH = [(0.7, 2.3, 1.1), (0.0, 2.0, 1.0), (3.0, 0.5, 1.75), (1.0, 4.0, 2.0)]
 
 
 def _scan_item(item: str, kind: str, deviation: float, note: str = "") -> dict:
@@ -531,59 +526,45 @@ def _scan_item(item: str, kind: str, deviation: float, note: str = "") -> dict:
     }
 
 
-def _t32_tier2_verbatim(a, b, lam, mu, s, q, qa, qb, qm) -> float:
-    """Theorem-level tier-2 display as printed: the b-block carries 2μ^(s+1)."""
-    rho = 1.0 - 1.0 / q
-    s2 = (s + 1.0) * (s + 2.0)
+def _max_gap(pairs, one_sided: bool = False) -> float:
+    """Max of (shown vs derived) / (1 + |derived|) over (shown, derived) pairs.
 
-    def ea(x: float, power: float) -> float:
-        return (
-            (1.0 - x) ** (s + 2.0) * 2.0 ** (s + 1.0)
-            + 2.0 * x**power
-            + ((s + 2.0) * x - 1.0) * 2.0**s
-            - (s + 2.0) * x
-            + s
-            + 1.0
-        )
-
-    def da(x: float) -> float:
-        return 2.0 * x ** (s + 2.0) - (s + 2.0) * x + s + 1.0
-
-    return (
-        (b - a)
-        / 2.0 ** (s / q + 2.0)
-        * (1.0 / s2) ** (1.0 / q)
-        * (
-            kernel_mass(lam) ** rho
-            * (ea(lam, s + 2.0) * qa + da(lam) * qb) ** (1.0 / q)
-            + kernel_mass(mu) ** rho
-            * (da(mu) * qa + ea(mu, s + 1.0) * qb) ** (1.0 / q)
-        )
-    )
-
-
-def _t33_q1_verbatim(a, b, lam, mu, s, q, qa, qb, qm) -> float:
-    """q = 1 display as printed: prefactor 2^(s+2) and swapped brackets."""
-    w = 2.0 ** (s + 1.0) - 1.0
-    return (
-        (b - a)
-        / (2.0 ** (s + 2.0) * (s + 1.0))
-        * (kernel_mass(lam) * (qa + w * qb) + kernel_mass(mu) * (w * qa + qb))
-    )
-
-
-def _t42_verbatim_gap() -> float:
-    """Deviation of the general-q midpoint-pair display printing 2λ^(s+2)."""
+    Two-sided measures |shown - derived|; one-sided only how far shown
+    falls below derived (a weakening must dominate its parent).
+    """
     worst = 0.0
-    for s in (0.3, 0.8, 1.3, 1.7, 2.0):
-        for q in (1.0, 1.5, 2.0):
-            if not -1.0 < (s - 1.0) * q <= 1.0:
-                continue
-            for lam in (0.1, 0.25, 0.5, 0.75, 0.9):
-                da = 2.0 * lam ** (s + 1.0) - (s + 1.0) * lam + s
-                da_verbatim = 2.0 * lam ** (s + 2.0) - (s + 1.0) * lam + s
-                worst = max(worst, abs(da - da_verbatim))
+    for shown, derived in pairs:
+        gap = derived - shown if one_sided else abs(shown - derived)
+        worst = max(worst, gap / (1.0 + abs(derived)))
     return worst
+
+
+def _moment_pairs(case: tuple[float, float], verbatim: bool = False):
+    """(special-case display, general closed form) over the (ξ, s) grid."""
+    for xi in _SCAN_XI:
+        for s in _SCAN_S:
+            general = moment_general(MomentSpec(xi, case[0], case[1], s))
+            yield moment_case(case, xi, s, verbatim=verbatim), general
+
+
+def _display_pairs(spec: PresetSpec, s_list, q_list):
+    """(display, parent case) values on [0, 1] over the spec's pinned grid."""
+    lam_list = [spec.pin_lam] if spec.pin_lam is not None else _SCAN_LAM
+    for s in s_list:
+        for q in q_list:
+            for lam in lam_list:
+                if spec.pin_mu == "lam":
+                    mu_list = [lam]
+                elif spec.pin_mu is not None:
+                    mu_list = [spec.pin_mu]
+                else:
+                    mu_list = _SCAN_LAM
+                for mu in mu_list:
+                    for qa, qb, qm in _SCAN_SYNTH:
+                        derived, _ = case_bound_from_values(
+                            spec.parent, 0.0, 1.0, lam, mu, s, q, qa, qb, qm
+                        )
+                        yield spec.display(0.0, 1.0, lam, mu, s, q, qa, qb, qm), derived
 
 
 def erratum_scan() -> Report:
@@ -594,148 +575,57 @@ def erratum_scan() -> Report:
     """
     report = Report()
     errata = report.errata
-    xi_grid = [k / 24.0 for k in range(25)]
-    s_grid = _scan_grid_s()
 
     # Moment special-case displays vs the general closed form.
     for case in MOMENT_CASES:
-        worst = 0.0
-        for xi in xi_grid:
-            for s in s_grid:
-                general = moment_general(MomentSpec(xi, case[0], case[1], s))
-                shown = moment_case(case, xi, s)
-                worst = max(worst, abs(shown - general) / (1.0 + abs(general)))
-        errata.append(
-            _scan_item(f"moment_case({case[0]:g},{case[1]:g})", "moment-display", worst)
-        )
-    worst = 0.0
-    for xi in xi_grid:
-        for s in s_grid:
-            general = moment_general(MomentSpec(xi, -1.0, 2.0, s))
-            shown = moment_case((-1, 2), xi, s, verbatim=True)
-            worst = max(worst, abs(shown - general) / (1.0 + abs(general)))
+        name = f"moment_case({case[0]:g},{case[1]:g})"
+        errata.append(_scan_item(name, "moment-display", _max_gap(_moment_pairs(case))))
     errata.append(
         _scan_item(
             "moment_case(-1,2) verbatim",
             "flagged-display",
-            worst,
+            _max_gap(_moment_pairs((-1.0, 2.0), verbatim=True)),
             "final bracket printed as (s+2)η; substitution gives (s+2)ξ",
         )
     )
 
-    # Flagged theorem-level displays vs the mechanical derivation path.
-    synth = [(0.7, 2.3, 1.1), (0.0, 2.0, 1.0), (3.0, 0.5, 1.75), (1.0, 4.0, 2.0)]
-    lam_grid = [0.0, 0.2, 0.5, 0.8, 1.0]
-    worst = 0.0
-    for s in (-0.5, 0.0, 0.5, 1.0):
-        for q in (1.0, 2.0):
-            for lam in lam_grid:
-                for mu in lam_grid:
-                    for qa, qb, qm in synth:
-                        shown = _t32_tier2_verbatim(0.0, 1.0, lam, mu, s, q, qa, qb, qm)
-                        derived, _ = case_bound_from_values(
-                            BoundCase.T32_tier2, 0.0, 1.0, lam, mu, s, q, qa, qb, qm
-                        )
-                        worst = max(worst, abs(shown - derived) / (1.0 + abs(derived)))
-    errata.append(
-        _scan_item(
-            "T32_tier2 verbatim",
-            "flagged-display",
-            worst,
-            "second-tier display prints 2μ^(s+1); the midpoint substitution gives 2μ^(s+2)",
-        )
-    )
-    worst = 0.0
-    for s in (-0.5, 0.0, 0.5, 1.0):
-        for lam in lam_grid:
-            for mu in lam_grid:
-                for qa, qb, qm in synth:
-                    shown = _t33_q1_verbatim(0.0, 1.0, lam, mu, s, 1.0, qa, qb, qm)
-                    derived, _ = case_bound_from_values(
-                        BoundCase.T33_q1, 0.0, 1.0, lam, mu, s, 1.0, qa, qb, qm
-                    )
-                    worst = max(worst, abs(shown - derived) / (1.0 + abs(derived)))
-    errata.append(
-        _scan_item(
-            "T33_q1 verbatim",
-            "flagged-display",
-            worst,
-            "printed prefactor 1/2^(s+2) is numerically falsifiable; 1/2^(s+1) "
-            "restores agreement with the pinned special case",
-        )
-    )
+    # As-printed displays vs their parent cases: theorem-level ones first,
+    # then every shipped preset, then the as-printed preset variants.
+    def verbatim_item(name: str, spec: PresetSpec) -> dict:
+        s_list = [spec.pin_s] if spec.pin_s is not None else [-0.5, 0.0, 0.5, 1.0]
+        gap = _max_gap(_display_pairs(spec, s_list, _SCAN_Q[spec.pin_q]))
+        return _scan_item(name, "flagged-display", gap, spec.note)
+
+    verbatim = sorted(VERBATIM_DISPLAYS.items())
+    for key, spec in verbatim:
+        if key not in PRESETS:
+            errata.append(verbatim_item(f"{key} verbatim", spec))
     errata.append(
         _scan_item(
             "T42 general-q verbatim",
             "flagged-display",
-            _t42_verbatim_gap(),
+            t42_verbatim_gap(),
             "one bracket prints 2λ^(s+2); the q = 1 display of the same theorem has 2λ^(s+1)",
         )
     )
-
-    # Preset transcriptions vs their parents (shipped displays).
-    s_by_range = {
-        (-1.0 + 1e-6, 1.0): [-0.9, -0.5, 0.0, 0.5, 1.0],
-        (1e-12, 1.0): [0.1, 0.5, 1.0],
-    }
     for pid, spec in sorted(PRESETS.items()):
-        worst = 0.0
-        s_list = [spec.pin_s] if spec.pin_s is not None else s_by_range.get(spec.s_range, [0.5])
-        q_list = [1.0] if spec.pin_q == "1" else ([1.5, 3.0] if spec.pin_q == ">1" else [1.0, 2.0])
-        lam_list = [spec.pin_lam] if spec.pin_lam is not None else lam_grid
+        s_list = [spec.pin_s] if spec.pin_s is not None else _SCAN_S_BY_RANGE.get(spec.s_range, [0.5])
         is_weakening = spec.kind == "weakening"
-        for s in s_list:
-            for q in q_list:
-                for lam in lam_list:
-                    if spec.pin_mu == "lam":
-                        mu_list = [lam]
-                    elif spec.pin_mu is not None:
-                        mu_list = [spec.pin_mu]
-                    else:
-                        mu_list = lam_grid
-                    for mu in mu_list:
-                        for qa, qb, qm in synth:
-                            shown = spec.display(0.0, 1.0, lam, mu, s, q, qa, qb, qm)
-                            derived, _ = case_bound_from_values(
-                                spec.parent, 0.0, 1.0, lam, mu, s, q, qa, qb, qm
-                            )
-                            if is_weakening:
-                                gap = (derived - shown) / (1.0 + abs(derived))
-                            else:
-                                gap = abs(shown - derived) / (1.0 + abs(derived))
-                            worst = max(worst, gap)
+        gap = _max_gap(_display_pairs(spec, s_list, _SCAN_Q[spec.pin_q]), one_sided=is_weakening)
         note = "display must dominate the parent" if is_weakening else ""
-        errata.append(_scan_item(f"preset {pid}", "preset", max(worst, 0.0), note))
-
-    # Verbatim preset printings (scan-only variants of corrected displays).
-    for pid, display in sorted(VERBATIM_DISPLAYS.items()):
-        spec = PRESETS[pid]
-        worst = 0.0
-        s_list = [spec.pin_s] if spec.pin_s is not None else [-0.5, 0.0, 0.5, 1.0]
-        q_list = [1.0] if spec.pin_q == "1" else [1.0, 2.0]
-        for s in s_list:
-            for q in q_list:
-                for lam in lam_grid:
-                    mu_list = [lam] if spec.pin_mu == "lam" else lam_grid
-                    for mu in mu_list:
-                        for qa, qb, qm in synth:
-                            shown = display(0.0, 1.0, lam, mu, s, q, qa, qb, qm)
-                            derived, _ = case_bound_from_values(
-                                spec.parent, 0.0, 1.0, lam, mu, s, q, qa, qb, qm
-                            )
-                            worst = max(worst, abs(shown - derived) / (1.0 + abs(derived)))
-        errata.append(
-            _scan_item(f"preset {pid} verbatim", "flagged-display", worst, "as-printed variant")
-        )
+        errata.append(_scan_item(f"preset {pid}", "preset", gap, note))
+    for key, spec in verbatim:
+        if key in PRESETS:
+            errata.append(verbatim_item(f"preset {key} verbatim", spec))
 
     # The classical three-point display must coincide with the trapezoid preset.
-    worst = 0.0
-    for s in (0.1, 0.5, 1.0):
-        for q in (1.0, 2.0):
-            for qa, qb, qm in synth:
-                e19 = preset_bound_from_values("E19", 0.0, 1.0, 1.0, 1.0, s, q, qa, qb, qm)
-                trap = preset_bound_from_values("C32_trapezoid", 0.0, 1.0, 1.0, 1.0, s, q, qa, qb, qm)
-                worst = max(worst, abs(e19 - trap) / (1.0 + abs(trap)))
-    errata.append(_scan_item("E19 == C32_trapezoid", "identity", worst))
+    e19, trap = PRESETS["E19"].display, PRESETS["C32_trapezoid"].display
+    pairs = (
+        (e19(0.0, 1.0, 1.0, 1.0, s, q, *t), trap(0.0, 1.0, 1.0, 1.0, s, q, *t))
+        for s in (0.1, 0.5, 1.0)
+        for q in (1.0, 2.0)
+        for t in _SCAN_SYNTH
+    )
+    errata.append(_scan_item("E19 == C32_trapezoid", "identity", _max_gap(pairs)))
 
     return report.finalize()

@@ -199,6 +199,21 @@ def mean_bound_from_values(
     return bound, "conjugate-exponent midpoint display"
 
 
+def t42_verbatim_gap() -> float:
+    """Deviation of the general-q T42 bracket as printed (2λ^(s+2)) from the
+    2λ^(s+1) of its q = 1 display, over a fixed (s, q, λ) grid."""
+    worst = 0.0
+    for s in (0.3, 0.8, 1.3, 1.7, 2.0):
+        for q in (1.0, 1.5, 2.0):
+            if not -1.0 < (s - 1.0) * q <= 1.0:
+                continue
+            for lam in (0.1, 0.25, 0.5, 0.75, 0.9):
+                da = 2.0 * lam ** (s + 1.0) - (s + 1.0) * lam + s
+                da_verbatim = 2.0 * lam ** (s + 2.0) - (s + 1.0) * lam + s
+                worst = max(worst, abs(da - da_verbatim))
+    return worst
+
+
 def eval_mean_bound(theorem: str, mp: MeanParams) -> BoundResult:
     """lhs = mean_lhs, bound per the theorem display, packaged as BoundResult."""
     lhs = mean_lhs(mp)

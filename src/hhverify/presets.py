@@ -8,14 +8,17 @@ value by design and only validity, not equality, can be checked.
 
 Displays shipped here are corrected where the printed version demonstrably
 contradicts its own derivation (a sign slip, one wrong exponent, and the
-q = 1 prefactor family); every corrected entry keeps the verbatim printing
-in VERBATIM_DISPLAYS so the erratum scan can quantify the discrepancy.
+q = 1 prefactor family).  VERBATIM_DISPLAYS is the one table of as-printed
+displays: the verbatim printing of every corrected preset, plus the
+theorem-level T32_tier2 and T33_q1 printings whose shipped form is the
+parent case itself.  Each entry is a PresetSpec (parent, pins, display)
+whose note is its erratum-scan note; the scan compares it with its parent.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .bounds import (
@@ -37,7 +40,6 @@ __all__ = [
     "PresetSpec",
     "PRESETS",
     "VERBATIM_DISPLAYS",
-    "preset_bound_from_values",
     "preset_result",
     "eval_preset",
     "check_specialization",
@@ -507,6 +509,32 @@ def _d_c34x_qgt1_s1_tier2(a, b, lam, mu, s, q, qa, qb, qm):
     )
 
 
+def _d_t32_tier2_verbatim(a, b, lam, mu, s, q, qa, qb, qm):
+    # Theorem-level tier-2 display as printed: the μ-block carries 2μ^(s+1).
+    ea = _c32x_lm_tier2_coef(lam, s)
+    da, db = _p_inner(lam, s), _p_inner(mu, s)
+    eb = _c32x_lm_tier2_coef(mu, s, verbatim=True)
+    return (
+        (b - a)
+        / 2.0 ** (s / q + 2.0)
+        * (1.0 / _s2(s)) ** (1.0 / q)
+        * (
+            kernel_mass(lam) ** _rho(q) * (ea * qa + da * qb) ** (1.0 / q)
+            + kernel_mass(mu) ** _rho(q) * (db * qa + eb * qb) ** (1.0 / q)
+        )
+    )
+
+
+def _d_t33_q1_verbatim(a, b, lam, mu, s, q, qa, qb, qm):
+    # q = 1 display as printed: prefactor 2^(s+2) and swapped brackets.
+    w = 2.0 ** (s + 1.0) - 1.0
+    return (
+        (b - a)
+        / (2.0 ** (s + 2.0) * (s + 1.0))
+        * (kernel_mass(lam) * (qa + w * qb) + kernel_mass(mu) * (w * qa + qb))
+    )
+
+
 # Catalog -------------------------------------------------------------------
 
 Display = Callable[..., float]
@@ -620,27 +648,34 @@ PRESETS: dict[str, PresetSpec] = {
     ]
 }
 
-# As-printed variants of displays whose shipped form is corrected, plus the
-# two flagged theorem-level displays handled in bounds/moments.  Scan items.
-VERBATIM_DISPLAYS: dict[str, Display] = {
-    "C33_s1_q1": _d_c33_s1_q1_verbatim,
-    "C32x_lambda_mu_tier2": _d_c32x_lambda_mu_tier2_verbatim,
-    "C32x_s1_tier1": _d_c32x_s1_tier1_verbatim,
-    "C33x_s1_q1": _d_c33x_s1_q1_verbatim,
+# As-printed displays, each compared with its parent case by the erratum
+# scan.  Keys are preset ids, or a case name for a theorem-level display
+# whose shipped form is the case itself; each spec's note is its scan note.
+VERBATIM_DISPLAYS: dict[str, PresetSpec] = {
+    "T32_tier2": _P(
+        "T32_tier2",
+        BoundCase.T32_tier2,
+        _d_t32_tier2_verbatim,
+        note="second-tier display prints 2μ^(s+1); the midpoint substitution gives 2μ^(s+2)",
+    ),
+    "T33_q1": _P(
+        "T33_q1",
+        BoundCase.T33_q1,
+        _d_t33_q1_verbatim,
+        pin_q="1",
+        note="printed prefactor 1/2^(s+2) is numerically falsifiable; 1/2^(s+1) "
+        "restores agreement with the pinned special case",
+    ),
+    **{
+        pid: replace(PRESETS[pid], display=display, note="as-printed variant")
+        for pid, display in [
+            ("C33_s1_q1", _d_c33_s1_q1_verbatim),
+            ("C32x_lambda_mu_tier2", _d_c32x_lambda_mu_tier2_verbatim),
+            ("C32x_s1_tier1", _d_c32x_s1_tier1_verbatim),
+            ("C33x_s1_q1", _d_c33x_s1_q1_verbatim),
+        ]
+    },
 }
-
-
-def preset_bound_from_values(
-    pid: str, a, b, lam, mu, s, q, qa, qb, qm, verbatim: bool = False
-) -> float:
-    """Transcription-path bound value for a preset display."""
-    if verbatim:
-        display = VERBATIM_DISPLAYS.get(pid)
-        if display is None:
-            raise PresetMismatchError(f"{pid} has no verbatim variant")
-    else:
-        display = PRESETS[pid].display
-    return display(a, b, lam, mu, s, q, qa, qb, qm)
 
 
 def preset_result(

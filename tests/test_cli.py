@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import io
 import json
 
 import pytest
 
 from hhverify.cli import main
+from hhverify.presets import PRESETS
 
 
 def run_cli(capsys, *argv):
@@ -78,6 +80,12 @@ def test_certify_command(capsys):
 def test_certify_rejects_non_power(capsys):
     code, _, err = run_cli(capsys, "certify", "--f", "exp", "--q", "1")
     assert code == 2 and "pow:<p>" in err
+
+
+@pytest.mark.parametrize("fid", ["pow:abc", "pow:nan", "pow:inf"])
+def test_certify_rejects_bad_power_id(capsys, fid):
+    code, out, err = run_cli(capsys, "certify", "--f", fid, "--q", "1")
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_preset_command_csv(capsys):
@@ -158,3 +166,22 @@ def test_errata_command(capsys):
     assert code == 0
     confirmed = [e for e in doc["errata"] if e["classification"] == "erratum-confirmed"]
     assert any(e["item"] == "moment_case(-1,2) verbatim" for e in confirmed)
+
+
+def test_errata_has_no_csv_form(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["errata", "--format", "csv"])
+    assert exc.value.code == 2
+
+
+def test_errata_fails_on_a_drifted_shipped_display(capsys, monkeypatch):
+    shipped = PRESETS["E15"]
+
+    def drifted(*args):
+        return 2.0 * shipped.display(*args)
+
+    monkeypatch.setitem(PRESETS, "E15", dataclasses.replace(shipped, display=drifted))
+    code, out, _ = run_cli(capsys, "errata")
+    assert code == 1
+    by_item = {e["item"]: e for e in json.loads(out)["errata"]}
+    assert by_item["preset E15"]["classification"] == "erratum-confirmed"

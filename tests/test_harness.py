@@ -1,3 +1,4 @@
+import collections
 import json
 
 import pytest
@@ -167,6 +168,39 @@ def test_erratum_scan_classifications():
     assert by_item["E19 == C32_trapezoid"]["classification"] == "consistent"
     # scan itself reports no inequality violations
     assert report.violations == []
+
+
+SCAN_PRESETS = [
+    "C31_q1", "C31_s_minus1_q1", "C32_lambda_eq_mu", "C32_q1", "C32_trapezoid",
+    "C32x_lambda_mu_tier1", "C32x_lambda_mu_tier2", "C32x_q1_tier1", "C32x_q1_tier2",
+    "C32x_s1_tier1", "C32x_s1_tier2", "C33_s1", "C33_s1_lambda_mu", "C33_s1_q1",
+    "C33_s1_q1_lambda_mu", "C33x_lambda_mu_qgt1", "C33x_midpoint_qgt1", "C33x_s1_q1",
+    "C33x_s1_q1_lambda_mu", "C33x_s1_qgt1", "C33x_s1_qgt1_lambda_mu", "C33x_trapezoid_qgt1",
+    "C34x_q1_lambda_mu_tier1", "C34x_q1_lambda_mu_tier2", "C34x_q1_s1_tier1", "C34x_q1_s1_tier2",
+    "C34x_qgt1_lambda_mu_tier1", "C34x_qgt1_lambda_mu_tier2", "C34x_qgt1_s1_tier1",
+    "C34x_qgt1_s1_tier2", "C35_half", "C35_simpson", "C35_third", "E112", "E15", "E19",
+]
+
+
+def test_erratum_scan_items_in_order():
+    expected = (
+        ["moment_case(1,0)", "moment_case(1,1)", "moment_case(-1,1)", "moment_case(-1,2)",
+         "moment_case(-1,2) verbatim", "T32_tier2 verbatim", "T33_q1 verbatim",
+         "T42 general-q verbatim"]
+        + [f"preset {pid}" for pid in SCAN_PRESETS]
+        + [f"preset {pid} verbatim"
+           for pid in ("C32x_lambda_mu_tier2", "C32x_s1_tier1", "C33_s1_q1", "C33x_s1_q1")]
+        + ["E19 == C32_trapezoid"]
+    )
+    report = erratum_scan()
+    assert [e["item"] for e in report.errata] == expected
+    tally = collections.Counter((e["kind"], e["classification"]) for e in report.errata)
+    assert tally == {
+        ("flagged-display", "erratum-confirmed"): 8,
+        ("identity", "consistent"): 1,
+        ("moment-display", "consistent"): 4,
+        ("preset", "consistent"): 36,
+    }
 
 
 def test_write_streams_the_to_json_bytes(tmp_path):

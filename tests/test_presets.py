@@ -113,16 +113,21 @@ def test_c35_displays_pin_to_lambda_values():
 
 
 def test_verbatim_variants_deviate():
-    for pid, display in VERBATIM_DISPLAYS.items():
-        spec = PRESETS[pid]
+    # Each as-printed display deviates from what ships: the corrected preset
+    # display, or for a theorem-level entry the parent case itself.
+    assert {"T32_tier2", "T33_q1"} <= set(VERBATIM_DISPLAYS)
+    for pid, spec in VERBATIM_DISPLAYS.items():
         s = spec.pin_s if spec.pin_s is not None else 0.5
         q = 1.0 if spec.pin_q == "1" else 2.0
         lam = 0.3
         mu = lam if spec.pin_mu == "lam" else 0.8
         worst = 0.0
         for qa, qb, qm in SYNTH:
-            shown = display(0, 1, lam, mu, s, q, qa, qb, qm)
-            shipped = spec.display(0, 1, lam, mu, s, q, qa, qb, qm)
+            shown = spec.display(0, 1, lam, mu, s, q, qa, qb, qm)
+            if pid in PRESETS:
+                shipped = PRESETS[pid].display(0, 1, lam, mu, s, q, qa, qb, qm)
+            else:
+                shipped, _ = case_bound_from_values(spec.parent, 0, 1, lam, mu, s, q, qa, qb, qm)
             worst = max(worst, abs(shown - shipped))
         assert worst > 1e-6, pid
 
