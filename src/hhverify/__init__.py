@@ -21,7 +21,7 @@ from .moments import (
 )
 from .identity import BoundParams, check_identity, hh_lhs, identity_rhs
 from .bounds import BoundCase, BoundResult, eval_case
-from .presets import PRESETS, check_specialization, eval_preset
+from .presets import PRESETS, eval_preset
 from .means import (
     MeanParams,
     arithmetic_mean,

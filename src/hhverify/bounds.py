@@ -31,6 +31,7 @@ __all__ = [
     "Q_BRANCH_EPS",
     "S_BRANCH_EPS",
     "case_bound_from_values",
+    "case_formula",
     "case_result",
     "check_branch",
     "deviation_params",
@@ -170,13 +171,20 @@ def case_bound_from_values(
     """Bound value from the derivative-envelope samples.
 
     qa, qb, qm are |f'(a)|^q, |f'(b)|^q, |f'((a+b)/2)|^q.  Returns the bound
-    together with a note naming the display used.
+    together with a note naming the display used.  Raises WrongBranchError
+    when (s, q) belong to another case.
     """
     case = BoundCase(case)
-    width = b - a
-    if width == 0.0:
+    if b - a == 0.0:
         return 0.0, "degenerate interval"
     check_branch(case, s, q)
+    return case_formula(case, a, b, lam, mu, s, q, qa, qb, qm)
+
+
+def case_formula(case: BoundCase, a, b, lam, mu, s, q, qa, qb, qm) -> tuple[float, str]:
+    """`case_bound_from_values` without its branch check, for a caller that
+    settles the branch itself (the mean theorems, whose order may pass it)."""
+    width = b - a
     rho = 1.0 - 1.0 / q
     m_lam = kernel_mass(lam)
     m_mu = kernel_mass(mu)

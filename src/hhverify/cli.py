@@ -161,8 +161,8 @@ def _dispatch(args) -> int:
         return 0 if residual <= 1e-9 else 1
 
     if args.command == "identity":
-        f = from_id(args.f, min(args.a, args.b), max(args.a, args.b))
         params = BoundParams(args.a, args.b, args.lam, args.mu, 1.0, 1.0)
+        f = from_id(args.f, params.a, params.b)
         lhs = hh_lhs(f, params, args.tol)
         rhs = identity_rhs(f, params, args.tol)
         residual = check_identity(f, params, args.tol)
@@ -170,8 +170,8 @@ def _dispatch(args) -> int:
         return 0 if residual <= 10.0 * args.tol + 1e-15 else 1
 
     if args.command == "bound":
-        f = from_id(args.f, min(args.a, args.b), max(args.a, args.b))
         params = BoundParams(args.a, args.b, args.lam, args.mu, args.s, args.q)
+        f = from_id(args.f, params.a, params.b)
         result = eval_case(args.case, f, params, args.tol)
         _print_result(result, args.format)
         return 1 if result.violated else 0
@@ -179,8 +179,8 @@ def _dispatch(args) -> int:
     if args.command == "preset":
         spec = PRESETS[args.preset]
         lam, mu, s, q = _fill_preset_params(spec, args.lam, args.mu, args.s, args.q)
-        f = from_id(args.f, min(args.a, args.b), max(args.a, args.b))
         params = BoundParams(args.a, args.b, lam, mu, s, q)
+        f = from_id(args.f, params.a, params.b)
         result = eval_preset(args.preset, f, params, args.tol)
         _print_result(result, args.format)
         return 1 if result.violated else 0

@@ -159,10 +159,10 @@ def certify_power_extended_s(p: float, q: float) -> ConvexityCertificate:
     power rule applies: -1 < (p-1)q <= 1 (which for q >= 1 also forces
     -1 < p-1 <= 1).  Outside that range nothing is claimed.
     """
-    if p <= 0.0:
-        raise FunctionDomainError(f"need p > 0, got {p!r}")
-    if q < 1.0:
-        raise FunctionDomainError(f"need q >= 1, got {q!r}")
+    if not 0.0 < p < math.inf:
+        raise FunctionDomainError(f"need finite p > 0, got {p!r}")
+    if not 1.0 <= q < math.inf:
+        raise FunctionDomainError(f"need finite q >= 1, got {q!r}")
     gamma = (p - 1.0) * q
     if -1.0 < gamma <= 1.0 and -1.0 < p - 1.0 <= 1.0:
         return ConvexityCertificate(

@@ -11,6 +11,7 @@ the catalog controls; it is kept signed here, callers take absolute values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import WrongBranchError
@@ -30,6 +31,8 @@ class BoundParams:
     q: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise WrongBranchError(f"need finite a, b, got a={self.a!r} b={self.b!r}")
         if not self.a <= self.b:
             raise WrongBranchError(f"need a <= b, got a={self.a!r} b={self.b!r}")
         if not 0.0 <= self.lam <= 1.0:
@@ -38,8 +41,8 @@ class BoundParams:
             raise WrongBranchError(f"need mu in [0, 1], got {self.mu!r}")
         if not -1.0 <= self.s <= 1.0:
             raise WrongBranchError(f"need s in [-1, 1], got {self.s!r}")
-        if not self.q >= 1.0:
-            raise WrongBranchError(f"need q >= 1, got {self.q!r}")
+        if not 1.0 <= self.q < math.inf:
+            raise WrongBranchError(f"need finite q >= 1, got {self.q!r}")
 
     def midpoint(self) -> float:
         return 0.5 * (self.a + self.b)

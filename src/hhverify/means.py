@@ -2,28 +2,39 @@
 
 L_s is the power-family mean with the logarithmic mean at s = -1 and the
 identric mean at s = 0; L_1 is the arithmetic mean.  The bounds control
-
-    | λ A(a^s, b^s) + (1-λ) A(a,b)^s - L_s(a,b)^s |
-
-which is the trapezoid-midpoint deviation of x ↦ x^s, whose derivative
-envelope is extended (s-1)-convex by the power rule.  The six theorem
-variants are transcribed from their published displays; the two q = 1
-product-form displays (T43_q1, T44_q1) inherit the same defect as their
-parent and can be violated in corners, which the validity sweep reports
-honestly.
+| λ A(a^s, b^s) + (1-λ) A(a,b)^s - L_s(a,b)^s |, which is |hh_lhs| of
+f(x) = x^s at μ = λ.  Each theorem applies a Section 3 display to that f
+(as Dragomir & Agarwal, Appl. Math. Lett. 11, 1998) at the case order s'
+that `MEAN_SPECS` names: T41 -> T31_general and T42 -> T32_tier1 at
+s' = s - 1, certified by the power rule; T43_q1 -> the as-printed T33_q1,
+T44_q1 -> T34_q1_tier1 and T44_qgt1 -> T34_qgt1_tier1 at s' = s, certified
+by the convexity rule.  T43_qgt1 matches no case (its weight fits order
+s - 1, its prefactors order s) and is the one display written out here.
+A row at s' = s > 1 lies past its parent's s' <= 1 branch: it is evaluated
+but `unchecked`, and that is where the violations T43_q1 and T44_q1
+inherit from their parents lie.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Optional
 
+from .bounds import BoundCase, BoundResult, Q_BRANCH_EPS, case_formula, check_branch
 from .errors import FunctionDomainError, WrongBranchError
-from .bounds import BoundResult, Q_BRANCH_EPS
-from .moments import holder_weight_integral, kernel_mass
+from .functions import (
+    ConvexityCertificate,
+    certify_convex_envelope,
+    certify_power_extended_s,
+)
+from .moments import holder_weight_integral
+from .presets import VERBATIM_DISPLAYS, Display
 
 __all__ = [
     "MeanParams",
+    "MeanSpec",
+    "MEAN_SPECS",
     "MEAN_THEOREMS",
     "arithmetic_mean",
     "generalized_log_mean",
@@ -31,8 +42,6 @@ __all__ = [
     "mean_bound_from_values",
     "eval_mean_bound",
 ]
-
-MEAN_THEOREMS = ("T41", "T42", "T43_q1", "T43_qgt1", "T44_q1", "T44_qgt1")
 
 _S_IDENTRIC_EPS = 1e-8
 _S_LOG_EPS = 1e-8
@@ -48,12 +57,12 @@ class MeanParams:
     lam: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.a > 0.0 and self.b > 0.0):
-            raise FunctionDomainError(f"need a, b > 0, got a={self.a!r} b={self.b!r}")
-        if not self.s > 0.0:
-            raise WrongBranchError(f"need s > 0, got {self.s!r}")
-        if not self.q >= 1.0:
-            raise WrongBranchError(f"need q >= 1, got {self.q!r}")
+        if not 0.0 < self.a <= self.b < math.inf:
+            raise FunctionDomainError(f"need finite 0 < a <= b, got a={self.a!r} b={self.b!r}")
+        if not 0.0 < self.s < math.inf:
+            raise WrongBranchError(f"need finite s > 0, got {self.s!r}")
+        if not 1.0 <= self.q < math.inf:
+            raise WrongBranchError(f"need finite q >= 1, got {self.q!r}")
         if not 0.0 <= self.lam <= 1.0:
             raise WrongBranchError(f"need lambda in [0, 1], got {self.lam!r}")
 
@@ -89,114 +98,102 @@ def mean_lhs(mp: MeanParams) -> float:
     return abs(value)
 
 
-def _require_power_rule(theorem: str, s: float, q: float) -> None:
-    gamma = (s - 1.0) * q
-    if not -1.0 < gamma <= 1.0:
-        raise WrongBranchError(
-            f"{theorem} needs -1 < (s-1)q <= 1, got (s-1)q={gamma!r}"
-        )
+def _power_rule(s: float, q: float, a: float) -> ConvexityCertificate:
+    return certify_power_extended_s(s, q)
+
+
+def _convexity_rule(s: float, q: float, a: float) -> Optional[ConvexityCertificate]:
+    return certify_convex_envelope(f"pow:{s!r}", a, q)
+
+
+def _case_display(case: BoundCase) -> Display:
+    return lambda *args: case_formula(case, *args)[0]
+
+
+def _d_t43_qgt1(a, b, lam, mu, s, q, qa, qb, qm):
+    # As printed; no case has this weight and these prefactors together.
+    w = 2.0**s - 1.0
+    return (
+        (b - a)
+        / 2.0 ** (s / q + 2.0)
+        * (1.0 / (s + 1.0)) ** (1.0 / q)
+        * holder_weight_integral(lam, q) ** (1.0 - 1.0 / q)
+        * ((w * qa + qb) ** (1.0 / q) + (qa + w * qb) ** (1.0 / q))
+    )
+
+
+@dataclass(frozen=True)
+class MeanSpec:
+    """A mean theorem as `display` for f(x) = x^s at μ = λ and order
+    s' = s + s_shift.  `parent` (None for T43_qgt1) settles the (s', q)
+    branch; `rule` certifies |f'|^q, at order s' where there is a parent;
+    a `power_rule` theorem is stated only where the power rule holds."""
+
+    theorem: str
+    parent: Optional[BoundCase]
+    display: Display
+    s_shift: float
+    rule: Callable[[float, float, float], Optional[ConvexityCertificate]]
+    note: str
+    power_rule: bool = False
+
+    def outside_parent(self, s: float) -> bool:
+        """True when the order s' lies past the parent's s' <= 1 branch."""
+        return self.parent is not None and s + self.s_shift > 1.0
+
+
+_M = MeanSpec
+_T33_Q1_PRINTED = VERBATIM_DISPLAYS["T33_q1"]
+
+MEAN_SPECS: dict[str, MeanSpec] = {
+    m.theorem: m
+    for m in [
+        _M("T41", BoundCase.T31_general, _case_display(BoundCase.T31_general), -1.0,
+           _power_rule, "endpoint-pair display", power_rule=True),
+        _M("T42", BoundCase.T32_tier1, _case_display(BoundCase.T32_tier1), -1.0,
+           _power_rule, "midpoint-pair display, corrected 2λ^(s+1)", power_rule=True),
+        _M("T43_q1", _T33_Q1_PRINTED.parent, _T33_Q1_PRINTED.display, 0.0,
+           _convexity_rule, "q=1 product display as printed (known-defective corners)"),
+        _M("T43_qgt1", None, _d_t43_qgt1, 0.0,
+           _power_rule, "conjugate-exponent display as printed"),
+        _M("T44_q1", BoundCase.T34_q1_tier1, _case_display(BoundCase.T34_q1_tier1), 0.0,
+           _convexity_rule, "q=1 product display as printed (known-defective corners)"),
+        _M("T44_qgt1", BoundCase.T34_qgt1_tier1, _case_display(BoundCase.T34_qgt1_tier1), 0.0,
+           _convexity_rule, "conjugate-exponent midpoint display", power_rule=True),
+    ]
+}
+
+MEAN_THEOREMS = tuple(MEAN_SPECS)
 
 
 def mean_bound_from_values(
     theorem: str, a: float, b: float, s: float, q: float, lam: float
 ) -> tuple[float, str]:
     """Bound value for one theorem variant; returns (bound, display note)."""
-    if theorem not in MEAN_THEOREMS:
+    spec = MEAN_SPECS.get(theorem)
+    if spec is None:
         raise WrongBranchError(f"unknown mean theorem {theorem!r}")
     if not 0.0 < s <= 2.0:
         raise WrongBranchError(f"mean bounds need 0 < s <= 2, got {s!r}")
-    width = b - a
-    if width == 0.0:
+    if b - a == 0.0:
         return 0.0, "degenerate interval"
-    rho = 1.0 - 1.0 / q
-    m_lam = kernel_mass(lam)
-    asq = a ** ((s - 1.0) * q)
-    bsq = b ** ((s - 1.0) * q)
-    amid = arithmetic_mean(a, b) ** ((s - 1.0) * q)
-
-    if theorem == "T41":
-        _require_power_rule(theorem, s, q)
-        ka = (
-            2.0 * (2.0 - lam) ** (s + 1.0)
-            + 2.0**s * ((s + 1.0) * lam - 2.0)
-            + (s + 1.0) * lam
-            - s
-            - 2.0
-        )
-        kb = 2.0 * lam ** (s + 1.0) + s - (s + 1.0) * lam
-        bound = (
-            width
-            * s
-            / 2.0 ** ((s - 1.0) / q + 2.0)
-            * (1.0 / (s * (s + 1.0))) ** (1.0 / q)
-            * m_lam**rho
-            * ((ka * asq + kb * bsq) ** (1.0 / q) + (kb * asq + ka * bsq) ** (1.0 / q))
-        )
-        return bound, "endpoint-pair display"
-
-    if theorem == "T42":
-        _require_power_rule(theorem, s, q)
-        ca = 2.0 * (1.0 - lam) ** (s + 1.0) + (s + 1.0) * lam - 1.0
-        # Second bracket term is 2λ^(s+1); the published general-q display
-        # prints 2λ^(s+2) once, contradicting its own q = 1 display.
-        da = 2.0 * lam ** (s + 1.0) - (s + 1.0) * lam + s
-        bound = (
-            width
-            * s
-            / 4.0
-            * (1.0 / (s * (s + 1.0))) ** (1.0 / q)
-            * m_lam**rho
-            * ((ca * asq + da * amid) ** (1.0 / q) + (da * amid + ca * bsq) ** (1.0 / q))
-        )
-        return bound, "midpoint-pair display, corrected 2λ^(s+1)"
-
-    if theorem == "T43_q1":
-        if q >= 1.0 + Q_BRANCH_EPS:
-            raise WrongBranchError(f"T43_q1 is a q = 1 branch, got q={q!r}")
-        bound = width * s / (s + 1.0) * m_lam * arithmetic_mean(a ** (s - 1.0), b ** (s - 1.0))
-        return bound, "q=1 product display as printed (known-defective corners)"
-
-    if theorem == "T43_qgt1":
+    s_case = s + spec.s_shift
+    if spec.parent is None:
         if q < 1.0 + Q_BRANCH_EPS:
-            raise WrongBranchError(f"T43_qgt1 needs q > 1, got q={q!r}")
-        h = holder_weight_integral(lam, q)
-        w = 2.0**s - 1.0
-        bound = (
-            width
-            * s
-            / 2.0 ** (s / q + 2.0)
-            * (1.0 / (s + 1.0)) ** (1.0 / q)
-            * h**rho
-            * ((w * asq + bsq) ** (1.0 / q) + (asq + w * bsq) ** (1.0 / q))
-        )
-        return bound, "conjugate-exponent display as printed"
-
-    if theorem == "T44_q1":
-        if q >= 1.0 + Q_BRANCH_EPS:
-            raise WrongBranchError(f"T44_q1 is a q = 1 branch, got q={q!r}")
-        bound = (
-            width
-            * s
-            / (2.0 * (s + 1.0))
-            * m_lam
-            * (arithmetic_mean(a ** (s - 1.0), b ** (s - 1.0)) + arithmetic_mean(a, b) ** (s - 1.0))
-        )
-        return bound, "q=1 product display as printed (known-defective corners)"
-
-    # T44_qgt1
-    if q < 1.0 + Q_BRANCH_EPS:
-        raise WrongBranchError(f"T44_qgt1 needs q > 1, got q={q!r}")
-    _require_power_rule(theorem, s, q)
-    h = holder_weight_integral(lam, q)
-    bound = (
-        width
-        * s
-        / 4.0
-        * (1.0 / (s + 1.0)) ** (1.0 / q)
-        * h**rho
-        * ((asq + amid) ** (1.0 / q) + (amid + bsq) ** (1.0 / q))
-    )
-    return bound, "conjugate-exponent midpoint display"
+            raise WrongBranchError(f"{theorem} needs q > 1, got q={q!r}")
+    else:
+        # The parent's branch check, short of s' <= 1: rows past it are
+        # evaluated and labelled rather than dropped.
+        check_branch(spec.parent, min(s_case, 1.0), q)
+    gamma = (s - 1.0) * q
+    if spec.power_rule and not -1.0 < gamma <= 1.0:
+        raise WrongBranchError(f"{theorem} needs -1 < (s-1)q <= 1, got (s-1)q={gamma!r}")
+    # |f'|^q of f(x) = x^s at a, b and the midpoint.
+    qa, qb, qm = [(s * x ** (s - 1.0)) ** q for x in (a, b, arithmetic_mean(a, b))]
+    bound = spec.display(a, b, lam, lam, s_case, q, qa, qb, qm)
+    if spec.outside_parent(s):
+        return bound, f"{spec.note}; parent {spec.parent.value} at s' = s > 1 is outside its branch"
+    return bound, spec.note
 
 
 def t42_verbatim_gap() -> float:
@@ -215,17 +212,21 @@ def t42_verbatim_gap() -> float:
 
 
 def eval_mean_bound(theorem: str, mp: MeanParams) -> BoundResult:
-    """lhs = mean_lhs, bound per the theorem display, packaged as BoundResult."""
-    lhs = mean_lhs(mp)
+    """lhs = mean_lhs, bound per the theorem's spec, packaged as BoundResult.
+
+    `certified` comes from the theorem's analytic rule at the order s';
+    a row outside its parent's branch is `unchecked`.
+    """
     bound, note = mean_bound_from_values(theorem, mp.a, mp.b, mp.s, mp.q, mp.lam)
-    gamma = (mp.s - 1.0) * mp.q
-    status = "certified-analytic" if -1.0 < gamma <= 1.0 else "not-falsified"
+    lhs = mean_lhs(mp)
+    spec = MEAN_SPECS[theorem]
+    cert = None if spec.outside_parent(mp.s) else spec.rule(mp.s, mp.q, mp.a)
     return BoundResult(
         lhs=lhs,
         bound=bound,
         slack=bound - lhs,
         case=theorem,
         params={"a": mp.a, "b": mp.b, "s": mp.s, "q": mp.q, "lambda": mp.lam},
-        certificate=status,
+        certificate=cert.status if cert is not None else "unchecked",
         branch_notes=note,
     )

@@ -25,7 +25,6 @@ from .bounds import (
     BoundCase,
     BoundResult,
     Q_BRANCH_EPS,
-    case_bound_from_values,
     derivative_values,
     deviation_params,
     params_dict,
@@ -42,7 +41,6 @@ __all__ = [
     "VERBATIM_DISPLAYS",
     "preset_result",
     "eval_preset",
-    "check_specialization",
 ]
 
 LN2 = math.log(2.0)
@@ -716,32 +714,3 @@ def eval_preset(
     status = certificate.status if certificate else "unchecked"
     return preset_result(spec, p, lhs, qa, qb, qm, status)
 
-
-def check_specialization(
-    pid: str,
-    grid: list[BoundParams],
-    f_family: Optional[list[FunctionSpec]] = None,
-) -> float:
-    """Max normalized gap |preset display - parent case| over the grid.
-
-    For specialization presets the contract is <= 1e-12.  The comparison is
-    formula-level: derivative-envelope samples come either from f_family or
-    from synthetic positive triples, and the result is
-    max |Δ| / (1 + |bound|).
-    """
-    spec = PRESETS[pid]
-    worst = 0.0
-    synth = [(0.7, 2.3, 1.1), (0.0, 2.0, 1.0), (3.0, 0.5, 1.75), (1.0, 1.0, 1.0)]
-    for p in grid:
-        spec.validate(p)
-        if f_family:
-            triples = [derivative_values(f, p) for f in f_family]
-        else:
-            triples = synth
-        for qa, qb, qm in triples:
-            pb = spec.display(p.a, p.b, p.lam, p.mu, p.s, p.q, qa, qb, qm)
-            cb, _ = case_bound_from_values(
-                spec.parent, p.a, p.b, p.lam, p.mu, p.s, p.q, qa, qb, qm
-            )
-            worst = max(worst, abs(pb - cb) / (1.0 + abs(cb)))
-    return worst

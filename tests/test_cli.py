@@ -115,6 +115,30 @@ def test_parameter_error_exit_code(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bound", "--case", "T33_qgt1", "--f", "pow:2", "--a", "0", "--b", "1",
+         "--lambda", "0.5", "--mu", "0.5", "--s", "1", "--q", "inf"),
+        ("means", "--theorem", "T43_qgt1", "--a", "1", "--b", "2", "--s", "1", "--q", "inf", "--lambda", "0.5"),
+        ("means", "--theorem", "T43_qgt1", "--a", "1", "--b", "inf", "--s", "0.5", "--q", "2", "--lambda", "0.5"),
+        ("certify", "--f", "pow:2", "--q", "nan"),
+        ("certify", "--f", "pow:2", "--q", "inf"),
+    ],
+    ids=["bound-q-inf", "means-q-inf", "means-b-inf", "certify-q-nan", "certify-q-inf"],
+)
+def test_non_finite_parameters_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_preset_names_a_nan_endpoint(capsys):
+    code, out, err = run_cli(
+        capsys, "preset", "--preset", "E15", "--f", "pow:2", "--a", "0", "--b", "nan", "--q", "1"
+    )
+    assert code == 2 and out == "" and "nan" in err
+
+
 def test_sweep_command_roundtrip(tmp_path, capsys):
     cfg = {
         "families": ["pow:2"],

@@ -7,7 +7,7 @@ from hhverify.bounds import case_bound_from_values
 from hhverify.errors import PresetMismatchError
 from hhverify.functions import make_power
 from hhverify.identity import BoundParams
-from hhverify.presets import PRESETS, VERBATIM_DISPLAYS, check_specialization, eval_preset
+from hhverify.presets import PRESETS, VERBATIM_DISPLAYS, eval_preset
 
 SYNTH = [(0.7, 2.3, 1.1), (0.0, 2.0, 1.0), (3.0, 0.5, 1.75), (1.0, 1.0, 1.0), (0.2, 5.0, 2.4)]
 LAMS = [0.0, 0.2, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.8, 1.0]
@@ -70,22 +70,6 @@ def test_preset_pin_mismatch():
         eval_preset("C33x_lambda_mu_qgt1", x2, BoundParams(0, 1, 1, 1, 1, 1))
     with pytest.raises(PresetMismatchError):
         eval_preset("E112", x2, BoundParams(0, 1, 1.0 / 3.0, 1.0 / 3.0, -0.5, 1))
-
-
-def test_check_specialization_examples():
-    grid = [BoundParams(0, 1, 1, 1, 1, 1), BoundParams(0.5, 2.5, 1, 1, 1, 1)]
-    assert check_specialization("E15", grid) <= 1e-12
-    grid = [
-        BoundParams(0, 1, 1.0 / 3.0, 1.0 / 3.0, s, 1)
-        for s in np.linspace(0.05, 1.0, 20)
-    ]
-    assert check_specialization("E112", grid) <= 1e-12
-
-
-def test_check_specialization_with_function_family():
-    family = [make_power(2, 0.5, 3.0), make_power(1.5, 0.5, 3.0)]
-    grid = [BoundParams(0.5, 3.0, lam, lam, 1.0, 1.0) for lam in (0.0, 0.5, 1.0)]
-    assert check_specialization("C32_q1", grid, family) <= 1e-12
 
 
 def test_e19_equals_trapezoid_preset():
