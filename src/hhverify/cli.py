@@ -32,11 +32,9 @@ def _print_result(result, fmt: str) -> None:
 def _emit_report(report: Report, fmt: str, out: str | None) -> None:
     if out:
         report.write(out, fmt)
-        print(f"wrote {out} ({len(report.records)} records, {len(report.violations)} violations)")
-    elif fmt == "csv":
-        sys.stdout.write(report.to_csv())
+        print(f"wrote {out} ({report.record_count} records, {report.violation_count} violations)")
     else:
-        print(report.to_json())
+        report.dump(sys.stdout, fmt)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -215,7 +213,7 @@ def _dispatch(args) -> int:
         fmt = args.format or cfg.out_format
         report = run_suite(cfg)
         _emit_report(report, fmt, args.out)
-        return 1 if report.violations else 0
+        return 1 if report.violation_count else 0
 
     if args.command == "errata":
         report = erratum_scan()

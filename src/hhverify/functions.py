@@ -140,8 +140,8 @@ def from_id(fid: str, lo: float, hi: float) -> FunctionSpec:
 
 def derivative_q_envelope(f: FunctionSpec, q: float) -> FunctionSpec:
     """|f'|^q as a FunctionSpec; its own derivative is left absent."""
-    if q < 1.0:
-        raise FunctionDomainError(f"need q >= 1, got {q!r}")
+    if not 1.0 <= q < math.inf:
+        raise FunctionDomainError(f"need finite q >= 1, got {q!r}")
     if f.deriv is None:
         raise FunctionDomainError(f"{f.fid} carries no derivative")
     df = f.deriv
@@ -192,8 +192,8 @@ def certify_convex_envelope(fid: str, lo: float, q: float) -> Optional[Convexity
     γ = (p-1)q >= 1 (|x|^γ is convex on the whole line), γ = 0 (a constant),
     or γ < 0 with lo > 0.  Returns None when the rule does not apply.
     """
-    if q < 1.0:
-        raise FunctionDomainError(f"need q >= 1, got {q!r}")
+    if not 1.0 <= q < math.inf:
+        raise FunctionDomainError(f"need finite q >= 1, got {q!r}")
     family, p = parse_id(fid)
     if family == "pow":
         gamma = (p - 1.0) * q

@@ -1,4 +1,11 @@
-"""Grid sweeps, oracle cross-checks, erratum scan, and report generation."""
+"""Grid sweeps, oracle cross-checks, erratum scan, and report generation.
+
+A sweep appends its rows to a `Report`, which holds them column by column
+(floats in one array, labels in one list each) rather than as one dict per
+row.  `Report.records` and `Report.violations` are views built from the
+columns on demand; the report writer reads the columns directly and writes
+the same bytes `json.dumps(indent=2)` or `csv.writer` would.
+"""
 
 from __future__ import annotations
 
@@ -7,26 +14,21 @@ import io
 import json
 import math
 import statistics
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .bounds import (
+    VIOLATION_TOL,
     BoundCase,
-    BoundResult,
     case_bound_from_values,
-    case_result,
     check_branch,
     derivative_values,
     deviation_params,
 )
-from .errors import (
-    ConfigError,
-    FunctionDomainError,
-    HHVerifyError,
-    PresetMismatchError,
-    WrongBranchError,
-)
+from .errors import ConfigError, FunctionDomainError, HHVerifyError, WrongBranchError
 from .functions import (
     certify_convex_envelope,
     certify_power_extended_s,
@@ -45,7 +47,7 @@ from .moments import (
     moment_harmonic,
     moment_oracle,
 )
-from .presets import PRESETS, VERBATIM_DISPLAYS, PresetSpec, preset_result
+from .presets import PRESETS, VERBATIM_DISPLAYS, PresetSpec
 from .quadrature import mean_integral
 
 __all__ = ["SuiteConfig", "Report", "run_suite", "erratum_scan"]
@@ -203,100 +205,307 @@ class SuiteConfig:
         return SuiteConfig.from_dict(raw)
 
 
-@dataclass
+# Report rows are held column by column: nine floats per row in one flat
+# array, in _FLOATS order, and one list per label.
+CASE_KEYS = ("a", "b", "lambda", "mu", "s", "q")
+MEAN_KEYS = ("a", "b", "s", "q", "lambda")
+_FLOATS = CASE_KEYS + ("lhs", "bound", "slack")
+_NF = len(_FLOATS)
+_SLOT = {key: i for i, key in enumerate(_FLOATS)}
+_LHS, _BOUND, _SLACK = _SLOT["lhs"], _SLOT["bound"], _SLOT["slack"]
+# Params repeat across the rows of one tuple and lhs across the rows of one
+# weight pair, so the writer spells each distinct value of these once;
+# bound and slack are spelled row by row.
+_SHARED = (*range(len(CASE_KEYS)), _LHS)
+_CSV_HEADER = ["family", "case", "preset", *CASE_KEYS, "lhs", "bound", "slack", "certified", "branch_notes"]
+# Rows per write: bounds the text held at once, whatever the report size.
+_CHUNK_ROWS = 2048
+# json writes non-finite floats as these JavaScript constants.
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 class Report:
-    records: list[dict] = field(default_factory=list)
-    violations: list[dict] = field(default_factory=list)
-    errata: list[dict] = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
-    oracle_residuals: dict = field(default_factory=dict)
+    """A sweep's rows, held column by column, with the scan and summaries.
+
+    `add` appends one row; `finalize` sorts the rows into report order and
+    summarises their slack per case or preset.  `records` and `violations`
+    are views, lists of dicts in the report schema built on each access;
+    `record_count` and `violation_count` read the columns without building
+    them.
+
+    The JSON report is the bytes `json.dumps(doc, indent=2)` gives for
+    {records, violations, errata, summary, oracle_residuals}, written from one
+    template per params layout in chunks of rows; the CSV report has one line
+    per record.  Both spell floats with `float.__repr__` (JSON spells the
+    non-finite ones NaN, Infinity and -Infinity, as `json` does).
+    """
+
+    def __init__(self) -> None:
+        self._floats = array("d")
+        self._family: list[str] = []
+        self._case: list[str] = []
+        self._preset: list[str | None] = []
+        self._certified: list[str] = []
+        self._notes: list[str] = []
+        self._keys: list[tuple[str, ...]] = []
+        self.errata: list[dict] = []
+        self.summary: dict = {}
+        self.oracle_residuals: dict = {}
+
+    def add(
+        self,
+        family: str,
+        case: str,
+        preset: str | None,
+        keys: tuple[str, ...],
+        params: tuple[float, float, float, float, float, float],
+        lhs: float,
+        bound: float,
+        slack: float,
+        certified: str,
+        branch_notes: str,
+    ) -> None:
+        """Append one row.
+
+        params is (a, b, lambda, mu, s, q); keys names the ones the record
+        shows, in order (`CASE_KEYS` or `MEAN_KEYS`).  A param the record
+        does not show is passed as 0.0, which is where it sorts.
+        """
+        self._floats.extend(params)
+        self._floats.extend((lhs, bound, slack))
+        self._family.append(family)
+        self._case.append(case)
+        self._preset.append(preset)
+        self._certified.append(certified)
+        self._notes.append(branch_notes)
+        self._keys.append(keys)
+
+    def _labels(self) -> dict[str, list]:
+        return {
+            "family": self._family,
+            "case": self._case,
+            "preset": self._preset,
+            "certified": self._certified,
+            "branch_notes": self._notes,
+            "keys": self._keys,
+        }
+
+    @property
+    def record_count(self) -> int:
+        return len(self._case)
+
+    @property
+    def violation_count(self) -> int:
+        return int(np.count_nonzero(_violating(self._matrix())))
+
+    @property
+    def records(self) -> list[dict]:
+        return self._dicts(range(self.record_count))
+
+    @property
+    def violations(self) -> list[dict]:
+        return self._dicts(np.flatnonzero(_violating(self._matrix())).tolist())
+
+    def _matrix(self) -> np.ndarray:
+        # A view: the float array cannot grow while it is alive.
+        return np.frombuffer(self._floats, dtype=np.float64).reshape(-1, _NF)
+
+    def _dicts(self, rows) -> list[dict]:
+        floats = self._matrix()
+        violating = _violating(floats).tolist()
+        values = floats.tolist()
+        out = []
+        for i in rows:
+            row = values[i]
+            out.append({
+                "case": self._case[i],
+                "preset": self._preset[i],
+                "params": {key: row[_SLOT[key]] for key in self._keys[i]},
+                "lhs": row[_LHS],
+                "bound": row[_BOUND],
+                "slack": row[_SLACK],
+                "certified": self._certified[i],
+                "branch_notes": self._notes[i],
+                "family": self._family[i],
+                "violation": violating[i],
+            })
+        return out
 
     def finalize(self) -> "Report":
-        self.violations = [r for r in self.records if r["violation"]]
-        by_case: dict[str, list[float]] = {}
-        for r in self.records:
-            key = r["preset"] or r["case"]
-            by_case.setdefault(key, []).append(r["slack"])
-        self.summary = {
-            key: {
+        """Sort the rows into report order and summarise slack per case/preset.
+
+        The order is (case, preset or "", family, a, b, lambda, mu, s, q),
+        ties kept in insertion order.
+        """
+        floats = self._matrix()
+        sort_keys = [floats[:, _SLOT[k]] for k in reversed(CASE_KEYS)]
+        for column in (self._family, [p or "" for p in self._preset], self._case):
+            sort_keys.append(_codes(column)[0])
+        order = np.lexsort(sort_keys)
+        del sort_keys
+        floats = floats[order]
+        self._floats = array("d")
+        self._floats.frombytes(floats.reshape(-1).view(np.uint8))
+        for column in self._labels().values():
+            column[:] = np.fromiter(column, dtype=object, count=len(column))[order].tolist()
+
+        group, names = _codes([p or c for p, c in zip(self._preset, self._case)])
+        by_group = np.argsort(group, kind="stable")
+        edges = np.searchsorted(group[by_group], np.arange(len(names) + 1)).tolist()
+        slack = floats[:, _SLACK]
+        self.summary = {}
+        for i, name in enumerate(names):
+            slacks = slack[by_group[edges[i]:edges[i + 1]]].tolist()
+            self.summary[name] = {
                 "count": len(slacks),
                 "min_slack": min(slacks),
                 "median_slack": statistics.median(slacks),
             }
-            for key, slacks in sorted(by_case.items())
-        }
         return self
 
-    def _doc(self) -> dict:
-        return {
-            "records": self.records,
-            "violations": self.violations,
-            "errata": self.errata,
-            "summary": self.summary,
-            "oracle_residuals": self.oracle_residuals,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self._doc(), indent=2)
+        buf = io.StringIO()
+        self._dump_json(buf)
+        return buf.getvalue()
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        self.write_csv(buf)
+        self._dump_csv(buf)
         return buf.getvalue()
 
-    def write_csv(self, handle) -> None:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["family", "case", "preset", "a", "b", "lambda", "mu", "s", "q",
-             "lhs", "bound", "slack", "certified", "branch_notes"]
-        )
-        for r in self.records:
-            p = r["params"]
-            writer.writerow(
-                [
-                    r["family"],
-                    r["case"],
-                    r["preset"] or "",
-                    p.get("a", ""),
-                    p.get("b", ""),
-                    p.get("lambda", ""),
-                    p.get("mu", ""),
-                    p.get("s", ""),
-                    p.get("q", ""),
-                    repr(r["lhs"]),
-                    repr(r["bound"]),
-                    repr(r["slack"]),
-                    r["certified"],
-                    r["branch_notes"],
-                ]
-            )
+    def dump(self, handle, fmt: str = "json") -> None:
+        """Write the report to an open text handle as `write` writes a file."""
+        if fmt == "csv":
+            self._dump_csv(handle)
+        else:
+            self._dump_json(handle)
+            handle.write("\n")
 
     def write(self, path: str, fmt: str = "json") -> None:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            if fmt == "csv":
-                self.write_csv(handle)
-            else:
-                # Streamed: the same bytes as to_json() without holding the
-                # whole document as one string.
-                json.dump(self._doc(), handle, indent=2)
-                handle.write("\n")
+            self.dump(handle, fmt)
+
+    def _dump_json(self, handle) -> None:
+        floats = self._matrix()
+        cells = _Cells(self._labels(), floats, "json")
+        handle.write('{\n  "records": ')
+        cells.write(handle, np.arange(len(floats)))
+        handle.write(',\n  "violations": ')
+        cells.write(handle, np.flatnonzero(_violating(floats)))
+        for key in ("errata", "summary", "oracle_residuals"):
+            text = json.dumps(getattr(self, key), indent=2).replace("\n", "\n  ")
+            handle.write(f',\n  "{key}": {text}')
+        handle.write("\n}")
+
+    def _dump_csv(self, handle) -> None:
+        floats = self._matrix()
+        handle.write(",".join(_CSV_HEADER) + "\n")
+        _Cells(self._labels(), floats, "csv").write(handle, np.arange(len(floats)))
 
 
-def _record(family: str, result: BoundResult) -> dict:
-    doc = result.to_json_dict()
-    doc["family"] = family
-    doc["violation"] = result.violated
-    return doc
+def _violating(floats: np.ndarray) -> np.ndarray:
+    """BoundResult.violated for each row of a float matrix."""
+    return floats[:, _SLACK] < -VIOLATION_TOL * (1.0 + np.abs(floats[:, _BOUND]))
 
 
-def _sort_key(rec: dict) -> tuple:
-    p = rec["params"].get
-    return (
-        rec["case"],
-        rec["preset"] or "",
-        rec["family"],
-        p("a", 0.0), p("b", 0.0), p("lambda", 0.0), p("mu", 0.0), p("s", 0.0), p("q", 0.0),
-    )
+def _codes(values: list) -> tuple[np.ndarray, list]:
+    """Each value's rank among the sorted distinct values, and those values."""
+    names = sorted(set(values))
+    rank = {v: i for i, v in enumerate(names)}
+    return np.fromiter(map(rank.__getitem__, values), dtype=np.intp, count=len(values)), names
+
+
+def _spell_floats(values: np.ndarray, fmt: str) -> list[str]:
+    spelled = [repr(x) for x in values.tolist()]
+    if fmt == "json":
+        for i in np.flatnonzero(~np.isfinite(values)).tolist():
+            spelled[i] = _JSON_NONFINITE[spelled[i]]
+    return spelled
+
+
+def _spell_label(value: str | None, fmt: str) -> str:
+    if fmt == "json":
+        return "null" if value is None else encode_basestring_ascii(value)
+    # As csv.writer spells the field inside a row: quoted when it must be.
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([value or "", "x"])
+    return buf.getvalue()[: -len(",x\n")]
+
+
+class _Cells:
+    """A report's cells as one format spells them, for a row template each.
+
+    Labels, and floats of the `_SHARED` columns, are spelled once per
+    distinct value (a float keyed by its bit pattern, so -0.0 keeps its
+    sign); bound and slack are spelled per chunk of rows.
+    """
+
+    def __init__(self, labels: dict[str, list], floats: np.ndarray, fmt: str) -> None:
+        self.fmt = fmt
+        self.floats = floats
+        self.shared = {}
+        bits = floats.view(np.int64)
+        for k in _SHARED:
+            distinct, where = np.unique(bits[:, k], return_inverse=True)
+            spelled = np.array(_spell_floats(distinct.view(np.float64), fmt), dtype=object)
+            self.shared[k] = spelled[where.ravel()]
+        self.labels = {}
+        for name in ("family", "case", "preset", "certified", "branch_notes"):
+            column = labels[name]
+            spelled = {v: _spell_label(v, fmt) for v in set(column)}
+            self.labels[name] = np.array([spelled[v] for v in column], dtype=object)
+        self.labels["violation"] = np.where(_violating(floats), "true", "false").astype(object)
+        self.layout, self.layouts = _codes(labels["keys"])
+
+    def cells(self, field: str, rows: np.ndarray) -> list[str]:
+        if field not in _SLOT:
+            return self.labels[field][rows].tolist()
+        k = _SLOT[field]
+        if k in self.shared:
+            return self.shared[k][rows].tolist()
+        return _spell_floats(self.floats[rows, k], self.fmt)
+
+    def template(self, keys: tuple[str, ...]) -> tuple[str, list[str]]:
+        """The row template of one params layout, one %s per field it lists."""
+        if self.fmt == "csv":
+            params = ["%s" if k in keys else "" for k in CASE_KEYS]
+            template = ",".join(["%s"] * 3 + params + ["%s"] * 5) + "\n"
+            shown = [k for k in CASE_KEYS if k in keys]
+            return template, ["family", "case", "preset", *shown, "lhs", "bound", "slack", "certified", "branch_notes"]
+        # One record at the depth json.dumps(indent=2) gives it in the report.
+        params = ",\n".join(f'        "{k}": %s' for k in keys)
+        template = (
+            '    {\n      "case": %s,\n      "preset": %s,\n      "params": {\n' + params
+            + '\n      },\n      "lhs": %s,\n      "bound": %s,\n      "slack": %s,\n      "certified": %s,'
+            '\n      "branch_notes": %s,\n      "family": %s,\n      "violation": %s\n    }'
+        )
+        fields = ["case", "preset", *keys, "lhs", "bound", "slack", "certified", "branch_notes", "family", "violation"]
+        return template, fields
+
+    def segments(self, rows: np.ndarray):
+        """(keys, row indices): runs of one params layout, at most _CHUNK_ROWS long."""
+        layout = self.layout[rows]
+        cuts = [0, *(np.flatnonzero(layout[1:] != layout[:-1]) + 1).tolist(), len(rows)]
+        for start, end in zip(cuts, cuts[1:]):
+            for i in range(start, end, _CHUNK_ROWS):
+                yield self.layouts[layout[i]], rows[i:min(i + _CHUNK_ROWS, end)]
+
+    def write(self, handle, rows: np.ndarray) -> None:
+        """The rows at `rows`: CSV lines, or a JSON list at the report's first level."""
+        joiner = ",\n" if self.fmt == "json" else ""
+        if self.fmt == "json":
+            if not len(rows):
+                handle.write("[]")
+                return
+            handle.write("[\n")
+        sep = ""
+        for keys, ix in self.segments(rows):
+            template, fields = self.template(keys)
+            columns = [self.cells(field, ix) for field in fields]
+            handle.write(sep + joiner.join(map(template.__mod__, zip(*columns))))
+            sep = joiner
+        if self.fmt == "json":
+            handle.write("\n  ]")
 
 
 def _certificate(fid: str, a: float, b: float, s: float, q: float, samples: int, seed: int) -> str:
@@ -360,9 +569,9 @@ def _family_s_values(fid: str, cfg: SuiteConfig) -> tuple[float, ...]:
 
 
 def _branches(
-    fid: str, cfg: SuiteConfig, cases: list[BoundCase]
-) -> list[tuple[float, float, list[BoundCase]]]:
-    """Each (s, q) a family runs at, with the cases whose branch admits it."""
+    fid: str, cfg: SuiteConfig, cases: list[BoundCase], specs: list[PresetSpec]
+) -> list[tuple[float, float, list[BoundCase], list[PresetSpec]]]:
+    """Each (s, q) a family runs at, with the cases and presets it admits."""
     branches = []
     for q in cfg.q_values:
         for s in _family_s_values(fid, cfg):
@@ -373,19 +582,19 @@ def _branches(
                 except WrongBranchError:
                     continue
                 admitted.append(case)
-            branches.append((s, q, admitted))
+            presets = [spec for spec in specs if not spec.branch_mismatch(s, q)]
+            branches.append((s, q, admitted, presets))
     return branches
 
 
 def _sweep_interval(
-    records: list[dict],
+    report: Report,
     cfg: SuiteConfig,
     fid: str,
     a: float,
     b: float,
     pairs: list[tuple[float, float]],
-    branches: list[tuple[float, float, list[BoundCase]]],
-    specs: list[PresetSpec],
+    branches: list[tuple[float, float, list[BoundCase], list[PresetSpec]]],
 ) -> None:
     """Append every admissible case and preset row of one family on [a, b].
 
@@ -407,7 +616,8 @@ def _sweep_interval(
             lhs_at[key] = abs(hh_lhs(f, w, cfg.tol, mean))
         return lhs_at[key]
 
-    for s, q, cases in branches:
+    add = report.add
+    for s, q, cases, specs in branches:
         try:
             base = BoundParams(a, b, 0.0, 0.0, s, q)
         except WrongBranchError:
@@ -419,15 +629,18 @@ def _sweep_interval(
                 p = BoundParams(a, b, lam, mu, s, q)
             except WrongBranchError:
                 continue
+            params = (a, b, lam, mu, s, q)
             for case in cases:
-                result = case_result(case, p, lhs(case, p), qa, qb, qm, cert)
-                records.append(_record(fid, result))
+                value = lhs(case, p)
+                bound, note = case_bound_from_values(case, a, b, lam, mu, s, q, qa, qb, qm)
+                add(fid, case.value, None, CASE_KEYS, params, value, bound, bound - value, cert, note)
             for spec in specs:
-                try:
-                    result = preset_result(spec, p, lhs(spec.parent, p), qa, qb, qm, cert)
-                except PresetMismatchError:
+                if spec.weight_mismatch(lam, mu):
                     continue
-                records.append(_record(fid, result))
+                value = lhs(spec.parent, p)
+                bound = spec.display(a, b, lam, mu, s, q, qa, qb, qm)
+                add(fid, spec.parent.value, spec.pid, CASE_KEYS, params, value, bound,
+                    bound - value, cert, spec.branch_notes)
 
 
 def run_suite(cfg: SuiteConfig) -> Report:
@@ -437,9 +650,9 @@ def run_suite(cfg: SuiteConfig) -> Report:
     cases = [BoundCase(c) for c in cfg.cases]
     specs = [PRESETS[pid] for pid in cfg.presets]
     for fid in cfg.families:
-        branches = _branches(fid, cfg, cases)
+        branches = _branches(fid, cfg, cases, specs)
         for (a, b), pairs in intervals.items():
-            _sweep_interval(report.records, cfg, fid, a, b, pairs, branches, specs)
+            _sweep_interval(report, cfg, fid, a, b, pairs, branches)
 
     # Mean-inequality sweep.
     mean_tuples = []
@@ -468,12 +681,14 @@ def run_suite(cfg: SuiteConfig) -> Report:
                 result = eval_mean_bound(theorem, MeanParams(a, b, s, q, lam))
             except WrongBranchError:
                 continue
-            report.records.append(_record(f"pow:{s:g}", result))
+            report.add(
+                f"pow:{s:g}", result.case, None, MEAN_KEYS, (a, b, lam, 0.0, s, q),
+                result.lhs, result.bound, result.slack, result.certificate, result.branch_notes,
+            )
 
     if cfg.moment_oracle_draws > 0:
         report.oracle_residuals = _oracle_suite(cfg.moment_oracle_draws, cfg.seed, cfg.tol)
 
-    report.records.sort(key=_sort_key)
     return report.finalize()
 
 

@@ -551,25 +551,41 @@ class PresetSpec:
     s_range: tuple[float, float] = (-1.0 + 1e-6, 1.0)
     note: str = ""
 
-    def validate(self, p: BoundParams) -> None:
-        if self.pin_lam is not None and abs(p.lam - self.pin_lam) > 1e-12:
-            raise PresetMismatchError(f"{self.pid} pins lambda = {self.pin_lam}")
+    @property
+    def branch_notes(self) -> str:
+        return self.note or self.kind
+
+    def weight_mismatch(self, lam: float, mu: float) -> str:
+        """Why (lambda, mu) contradict the weight pins, or "" when they match."""
+        if self.pin_lam is not None and abs(lam - self.pin_lam) > 1e-12:
+            return f"{self.pid} pins lambda = {self.pin_lam}"
         if self.pin_mu == "lam":
-            if abs(p.mu - p.lam) > 1e-12:
-                raise PresetMismatchError(f"{self.pid} pins mu = lambda")
-        elif self.pin_mu is not None and abs(p.mu - self.pin_mu) > 1e-12:
-            raise PresetMismatchError(f"{self.pid} pins mu = {self.pin_mu}")
+            if abs(mu - lam) > 1e-12:
+                return f"{self.pid} pins mu = lambda"
+        elif self.pin_mu is not None and abs(mu - self.pin_mu) > 1e-12:
+            return f"{self.pid} pins mu = {self.pin_mu}"
+        return ""
+
+    def branch_mismatch(self, s: float, q: float) -> str:
+        """Why (s, q) contradict the order pins, or "" when they match.
+
+        It depends on (s, q) alone, so a sweep settles it once per (s, q).
+        """
         if self.pin_s is not None:
-            if abs(p.s - self.pin_s) > 1e-12:
-                raise PresetMismatchError(f"{self.pid} pins s = {self.pin_s}")
-        elif not self.s_range[0] <= p.s <= self.s_range[1]:
-            raise PresetMismatchError(
-                f"{self.pid} needs s in [{self.s_range[0]:g}, {self.s_range[1]:g}]"
-            )
-        if self.pin_q == "1" and p.q >= 1.0 + Q_BRANCH_EPS:
-            raise PresetMismatchError(f"{self.pid} pins q = 1")
-        if self.pin_q == ">1" and p.q < 1.0 + Q_BRANCH_EPS:
-            raise PresetMismatchError(f"{self.pid} needs q > 1")
+            if abs(s - self.pin_s) > 1e-12:
+                return f"{self.pid} pins s = {self.pin_s}"
+        elif not self.s_range[0] <= s <= self.s_range[1]:
+            return f"{self.pid} needs s in [{self.s_range[0]:g}, {self.s_range[1]:g}]"
+        if self.pin_q == "1" and q >= 1.0 + Q_BRANCH_EPS:
+            return f"{self.pid} pins q = 1"
+        if self.pin_q == ">1" and q < 1.0 + Q_BRANCH_EPS:
+            return f"{self.pid} needs q > 1"
+        return ""
+
+    def validate(self, p: BoundParams) -> None:
+        problem = self.weight_mismatch(p.lam, p.mu) or self.branch_mismatch(p.s, p.q)
+        if problem:
+            raise PresetMismatchError(problem)
 
 
 _P = PresetSpec
@@ -694,7 +710,7 @@ def preset_result(
     bound = spec.display(p.a, p.b, p.lam, p.mu, p.s, p.q, qa, qb, qm)
     return BoundResult(
         lhs, bound, bound - lhs, spec.parent.value, params_dict(p), certificate,
-        spec.note or spec.kind, preset=spec.pid,
+        spec.branch_notes, preset=spec.pid,
     )
 
 

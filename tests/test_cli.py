@@ -6,6 +6,7 @@ import json
 import pytest
 
 from hhverify.cli import main
+from hhverify.harness import SuiteConfig, run_suite
 from hhverify.presets import PRESETS
 
 
@@ -182,6 +183,30 @@ def test_sweep_csv_output(tmp_path, capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0][:3] == ["family", "case", "preset"]
     assert len(rows) == 2
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_sweep_stdout_is_the_out_file(tmp_path, capsys, fmt):
+    # Case, preset and mean rows, one of them violating (x^2 on [1, 4]).
+    cfg = {
+        "families": ["pow:2"],
+        "grid": {"a": [0.0, 1.0], "b": [4.0], "lambda": [0.0, 1.0], "mu": [0.0, 1.0], "q": [1.0, 2.0]},
+        "cases": "all",
+        "presets": ["E15", "C32_q1"],
+        "mean_theorems": ["T41"],
+        "mean_grid": {"a": [1.0], "b": [2.0], "s": [0.5], "q": [1.0], "lambda": [0.5]},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    out_path = tmp_path / f"report.{fmt}"
+    code_out, out, _ = run_cli(capsys, "sweep", "--config", str(cfg_path), "--format", fmt, "--out", str(out_path))
+    code_stdout, printed, _ = run_cli(capsys, "sweep", "--config", str(cfg_path), "--format", fmt)
+    with open(out_path, encoding="utf-8", newline="") as handle:
+        assert printed == handle.read()
+    report = run_suite(SuiteConfig.from_dict(cfg))
+    assert out == f"wrote {out_path} ({len(report.records)} records, {len(report.violations)} violations)\n"
+    assert report.violations and report.records
+    assert code_out == code_stdout == 1
 
 
 def test_errata_command(capsys):

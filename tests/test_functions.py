@@ -179,6 +179,18 @@ def test_convexity_rule_leaves_concave_envelopes_to_the_sampler():
     assert check_extended_s_convex(envelope, 0.5, 2.0, 1.0, samples=64).status == "falsified"
 
 
+@pytest.mark.parametrize("q", [math.nan, math.inf, 0.5])
+def test_envelope_rules_reject_q_outside_finite_q_ge_1(q):
+    # NaN fails every comparison, so only a check that q lies in [1, inf)
+    # rejects it; the power rule already has that check.
+    with pytest.raises(FunctionDomainError, match="finite q >= 1"):
+        certify_convex_envelope("exp", 0.0, q)
+    with pytest.raises(FunctionDomainError, match="finite q >= 1"):
+        derivative_q_envelope(from_id("exp", 0.0, 1.0), q)
+    with pytest.raises(FunctionDomainError, match="finite q >= 1"):
+        certify_power_extended_s(2.0, q)
+
+
 def test_parse_id():
     assert parse_id("exp") == ("exp", None)
     assert parse_id("pow:2.5") == ("pow", 2.5)

@@ -1,5 +1,10 @@
 import collections
+import csv
+import hashlib
+import io
 import json
+import math
+import random
 
 import pytest
 
@@ -7,7 +12,7 @@ import hhverify.harness as harness
 from hhverify.bounds import BoundCase, eval_case
 from hhverify.errors import ConfigError, PresetMismatchError, WrongBranchError
 from hhverify.functions import from_id
-from hhverify.harness import SuiteConfig, erratum_scan, run_suite
+from hhverify.harness import CASE_KEYS, MEAN_KEYS, Report, SuiteConfig, erratum_scan, run_suite
 from hhverify.identity import BoundParams
 from hhverify.presets import PRESETS, eval_preset
 
@@ -26,6 +31,44 @@ def paired_x2_config():
             "cases": "all",
         }
     )
+
+
+def seeded_mix_config():
+    """Seeded draws with case, preset and mean rows, a few of them violating."""
+    return SuiteConfig.from_dict(
+        {
+            "families": ["pow:2", "pow:1.5", "exp"],
+            "grid": {"a": [0.0, 1.0], "b": [2.0], "lambda": [0.0, 0.5, 1.0], "q": [1.0, 2.0]},
+            "draws": 12,
+            "seed": 4,
+            "cases": "all",
+            "presets": ["E15", "C32_q1", "C33_s1_q1_lambda_mu", "C35_half"],
+            "mean_theorems": ["T41", "T44_q1", "T44_qgt1"],
+            "mean_grid": {"a": [1.0], "b": [2.0, 4.0], "s": [0.5, 2.0], "q": [1.0, 2.0], "lambda": [0.0, 0.5]},
+            "mean_draws": 6,
+            "moment_oracle_draws": 5,
+        }
+    )
+
+
+# sha256 of the reports as the record-dict writer (json.dump(indent=2) and a
+# csv.writer loop) wrote them, on x86-64 Linux with CPython 3.11 and
+# numpy 2.4.  The digests depend on the platform's libm only through the
+# computed values; a mismatch elsewhere first needs the values compared.
+PINNED_DIGESTS = {
+    ("paired", "json"): "a8d82db95f6bb1212c4dc87473aa17f8d1d91dae7768413f9cc07a0c8e378eea",
+    ("paired", "csv"): "3210aa87aae2bf117a518a8024801ff30879f59b295b894fffd0dc0acd06ced3",
+    ("mix", "json"): "a5577a3fe670308f282484bbf5d246aefb1fb8b3bb0de506d333c64505bb31dd",
+    ("mix", "csv"): "f3a8e8006f8e41e39867714c2688a0672ff043bb7086ebca12859db7f26142b0",
+}
+
+
+@pytest.mark.parametrize("name,fmt", sorted(PINNED_DIGESTS))
+def test_report_bytes_are_pinned(tmp_path, name, fmt):
+    cfg = paired_x2_config() if name == "paired" else seeded_mix_config()
+    path = tmp_path / f"report.{fmt}"
+    run_suite(cfg).write(str(path), fmt)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_DIGESTS[name, fmt]
 
 
 def test_paired_sweep_has_no_violations():
@@ -203,11 +246,110 @@ def test_erratum_scan_items_in_order():
     }
 
 
+def hand_built_report():
+    """Rows out of report order, with non-finite floats, -0.0 and awkward labels."""
+    nan, inf = math.nan, math.inf
+    report = Report()
+    report.add("pow:2", "T31_general", "E15", CASE_KEYS, (1.0, 2.0, 1.0, 1.0, 1.0, 1.0),
+               inf, nan, nan, "sampled", "unicode \u03bb and 100% %s")
+    report.add("exp", "T31_general", None, CASE_KEYS, (-0.0, 1.0, 0.5, 0.5, 1.0, 1.0),
+               nan, inf, -inf, "unchecked", 'a note, with "quotes"\nand a newline')
+    report.add("pow:1.5", "T41", None, MEAN_KEYS, (1.0, 2.0, 0.5, 0.0, 0.5, 2.0),
+               -inf, 1e-300, 5e-324, "certified-analytic", "")
+    report.add("exp", "T31_general", None, CASE_KEYS, (0.0, 1.0, 0.0, 1.0, 1.0, 1.0),
+               1.0, 0.5, -0.5, "unchecked", "violating")
+    return report.finalize()
+
+
+REFERENCE_REPORTS = {
+    "mix": lambda: run_suite(seeded_mix_config()),
+    "paired": lambda: run_suite(paired_x2_config()),
+    "empty": lambda: run_suite(SuiteConfig.from_dict({})),
+    "errata": erratum_scan,
+    "hand_built": hand_built_report,
+}
+
+
+def json_reference(report) -> str:
+    doc = {
+        "records": report.records,
+        "violations": report.violations,
+        "errata": report.errata,
+        "summary": report.summary,
+        "oracle_residuals": report.oracle_residuals,
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def csv_reference(report) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["family", "case", "preset", *CASE_KEYS, "lhs", "bound", "slack", "certified", "branch_notes"])
+    for r in report.records:
+        p = r["params"]
+        writer.writerow(
+            [r["family"], r["case"], r["preset"] or "", *(p.get(k, "") for k in CASE_KEYS),
+             repr(r["lhs"]), repr(r["bound"]), repr(r["slack"]), r["certified"], r["branch_notes"]]
+        )
+    return buf.getvalue()
+
+
 def test_write_streams_the_to_json_bytes(tmp_path):
-    report = run_suite(paired_x2_config())
+    # The report writer is checked against json.dumps(indent=2) of the
+    # record views, on case, preset and mean rows, violations, an empty
+    # report, the erratum scan and non-finite floats.
     path = tmp_path / "r.json"
-    report.write(str(path), "json")
-    assert path.read_bytes() == (report.to_json() + "\n").encode("utf-8")
+    for name, build in REFERENCE_REPORTS.items():
+        report = build()
+        report.write(str(path), "json")
+        with open(path, encoding="utf-8", newline="") as handle:
+            assert handle.read() == json_reference(report), name
+        assert report.to_json() + "\n" == json_reference(report), name
+
+
+def test_csv_matches_a_csv_writer_loop(tmp_path):
+    path = tmp_path / "r.csv"
+    for name, build in REFERENCE_REPORTS.items():
+        report = build()
+        report.write(str(path), "csv")
+        with open(path, encoding="utf-8", newline="") as handle:
+            assert handle.read() == csv_reference(report), name
+        assert report.to_csv() == csv_reference(report), name
+
+
+def test_views_and_counts_agree():
+    for name in ("mix", "hand_built", "empty"):
+        report = REFERENCE_REPORTS[name]()
+        assert report.record_count == len(report.records)
+        assert report.violation_count == len(report.violations)
+        assert report.violations == [r for r in report.records if r["violation"]]
+    mix = REFERENCE_REPORTS["mix"]()
+    assert mix.violation_count == 4
+    assert {tuple(r["params"]) for r in mix.records} == {CASE_KEYS, MEAN_KEYS}
+    assert any(r["preset"] for r in mix.records)
+    hand = REFERENCE_REPORTS["hand_built"]()
+    assert [r["branch_notes"] for r in hand.violations] == ["violating"]
+
+
+def test_finalize_sorts_like_the_record_key():
+    # Rows re-added in a shuffled order come back in the order of the
+    # per-record key (case, preset or "", family, params with a missing one
+    # as 0.0), ties in insertion order.
+    def key(rec):
+        p = rec["params"].get
+        return (rec["case"], rec["preset"] or "", rec["family"],
+                p("a", 0.0), p("b", 0.0), p("lambda", 0.0), p("mu", 0.0), p("s", 0.0), p("q", 0.0))
+
+    records = run_suite(seeded_mix_config()).records
+    records += records[:50]  # exact ties
+    random.Random(3).shuffle(records)
+    report = Report()
+    for i, r in enumerate(records):
+        params = tuple(r["params"].get(k, 0.0) for k in CASE_KEYS)
+        report.add(r["family"], r["case"], r["preset"], tuple(r["params"]), params,
+                   r["lhs"], r["bound"], r["slack"], r["certified"], str(i))
+    got = [int(r["branch_notes"]) for r in report.finalize().records]
+    assert got == sorted(range(len(records)), key=lambda i: key(records[i]))
 
 
 def test_convex_envelopes_skip_the_sampler(monkeypatch):

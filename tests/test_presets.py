@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,26 @@ def test_preset_pin_mismatch():
         eval_preset("C33x_lambda_mu_qgt1", x2, BoundParams(0, 1, 1, 1, 1, 1))
     with pytest.raises(PresetMismatchError):
         eval_preset("E112", x2, BoundParams(0, 1, 1.0 / 3.0, 1.0 / 3.0, -0.5, 1))
+
+
+def test_validate_is_the_weight_and_order_halves():
+    # A sweep settles the (s, q) half once per (s, q) and checks only the
+    # (lambda, mu) half per row; validate() must reject exactly what either
+    # half rejects, with the same message.
+    for spec in PRESETS.values():
+        for lam in LAMS:
+            for mu in (lam, 0.0, 1.0, 0.5):
+                for s in SVALS + [-1.0]:
+                    for q in (1.0, 2.0):
+                        problem = spec.weight_mismatch(lam, mu) or spec.branch_mismatch(s, q)
+                        p = BoundParams(0.0, 1.0, lam, mu, s, q)
+                        if problem:
+                            with pytest.raises(PresetMismatchError, match=re.escape(problem)):
+                                spec.validate(p)
+                        else:
+                            spec.validate(p)
+    assert PRESETS["C35_half"].weight_mismatch(0.4, 0.5) == "C35_half pins lambda = 0.5"
+    assert PRESETS["E112"].branch_mismatch(-0.5, 1.0) == "E112 needs s in [1e-12, 1]"
 
 
 def test_e19_equals_trapezoid_preset():
