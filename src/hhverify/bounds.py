@@ -9,6 +9,12 @@ source: T33_q1 ships with the corrected prefactor 2^(s+1) (the as-printed
 `presets.VERBATIM_DISPLAYS["T33_q1"]`, which the erratum scan compares with
 this case), while T34_q1 ships as printed because its spot values are
 pinned that way; the validity sweep exposes its defect honestly.
+
+`eval_case` is the scalar reference path for one row: its lhs runs its own
+quadrature, and its certificate status is whatever the caller passes in
+(the CLI passes `harness.certificate_status`, the sweep's rule).  How a row
+is written out is `harness.Report`'s business; `is_violation` is the one
+violation predicate, shared by `BoundResult.violated` and the report.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from enum import Enum
 from typing import Optional
 
 from .errors import WrongBranchError
-from .functions import ConvexityCertificate, FunctionSpec
+from .functions import FunctionSpec
 from .identity import BoundParams, hh_lhs
 from .moments import holder_weight_integral, kernel_mass, moment_case
 from .quadrature import DEFAULT_TOL
@@ -32,11 +38,11 @@ __all__ = [
     "S_BRANCH_EPS",
     "case_bound_from_values",
     "case_formula",
-    "case_result",
     "check_branch",
     "deviation_params",
     "derivative_values",
     "eval_case",
+    "is_violation",
     "midpoint_envelope",
 ]
 
@@ -60,12 +66,17 @@ class BoundCase(str, Enum):
     T34_qgt1_tier2 = "T34_qgt1_tier2"
 
 
+def is_violation(slack, bound):
+    """True where slack < -VIOLATION_TOL·(1 + |bound|); floats or numpy arrays."""
+    return slack < -VIOLATION_TOL * (1.0 + abs(bound))
+
+
 @dataclass(frozen=True)
 class BoundResult:
-    """One evaluated bound instance.
+    """One evaluated bound instance; `harness.Report.add_result` writes it.
 
-    `params` keeps the parameter names in serialization order; bound-case
-    rows carry (a, b, lambda, mu, s, q), mean rows (a, b, s, q, lambda).
+    `params` keeps the parameter names in record order; bound-case rows
+    carry (a, b, lambda, mu, s, q), mean rows (a, b, s, q, lambda).
     """
 
     lhs: float
@@ -79,35 +90,7 @@ class BoundResult:
 
     @property
     def violated(self) -> bool:
-        return self.slack < -VIOLATION_TOL * (1.0 + abs(self.bound))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "preset": self.preset,
-            "params": dict(self.params),
-            "lhs": self.lhs,
-            "bound": self.bound,
-            "slack": self.slack,
-            "certified": self.certificate,
-            "branch_notes": self.branch_notes,
-        }
-
-    def to_csv_row(self) -> list:
-        return (
-            [self.case, self.preset or ""]
-            + [self.params[k] for k in self.params]
-            + [self.lhs, self.bound, self.slack, self.certificate, self.branch_notes]
-        )
-
-    def csv_header(self) -> list[str]:
-        return ["case", "preset"] + list(self.params) + [
-            "lhs",
-            "bound",
-            "slack",
-            "certified",
-            "branch_notes",
-        ]
+        return is_violation(self.slack, self.bound)
 
 
 def params_dict(p: BoundParams) -> dict:
@@ -316,51 +299,21 @@ def deviation_params(case: BoundCase, p: BoundParams) -> BoundParams:
     return p
 
 
-def case_result(
-    case: BoundCase,
-    p: BoundParams,
-    lhs: float,
-    qa: float,
-    qb: float,
-    qm: float,
-    certificate: str = "unchecked",
-) -> BoundResult:
-    """One case row from precomputed values.
-
-    lhs is |hh_lhs| at `deviation_params(case, p)`; qa, qb, qm are
-    |f'|^q at a, b and the midpoint.  Raises WrongBranchError when (s, q)
-    belong to another case.
-    """
-    bound, note = case_bound_from_values(
-        case, p.a, p.b, p.lam, p.mu, p.s, p.q, qa, qb, qm
-    )
-    return BoundResult(
-        lhs, bound, bound - lhs, case.value, params_dict(p), certificate, note
-    )
-
-
 def eval_case(
     case: BoundCase | str,
     f: FunctionSpec,
     p: BoundParams,
     tol: float = DEFAULT_TOL,
-    certificate: ConvexityCertificate | None = None,
+    certificate: str = "unchecked",
 ) -> BoundResult:
     """Evaluate one bound case: lhs by quadrature, bound from closed forms.
 
-    The certificate is advisory metadata; bounds are computed either way so
-    uncertified configurations can still be explored.
+    `certificate` is the status the row reports; bounds are computed either
+    way so uncertified configurations can still be explored.  Raises
+    WrongBranchError when (s, q) belong to another case.
     """
     case = BoundCase(case)
-    if p.a == p.b:
-        return BoundResult(
-            0.0, 0.0, 0.0, case.value, params_dict(p),
-            _cert_status(certificate), "degenerate interval",
-        )
     lhs = abs(hh_lhs(f, deviation_params(case, p), tol))
     qa, qb, qm = derivative_values(f, p)
-    return case_result(case, p, lhs, qa, qb, qm, _cert_status(certificate))
-
-
-def _cert_status(certificate: ConvexityCertificate | None) -> str:
-    return certificate.status if certificate is not None else "unchecked"
+    bound, note = case_bound_from_values(case, p.a, p.b, p.lam, p.mu, p.s, p.q, qa, qb, qm)
+    return BoundResult(lhs, bound, bound - lhs, case.value, params_dict(p), certificate, note)

@@ -1,5 +1,9 @@
 """Command-line surface.
 
+The single-row commands `bound`, `preset` and `means` print one record of
+the sweep report's schema: a one-row `Report`, as JSON (the record) or CSV
+(header and row), labelled with the sweep's certificate rule.
+
 Exit codes: 0 success, 1 verification failure (a violation, an oracle
 mismatch, or a shipped display that no longer matches its parent), 2 usage
 or parameter error.
@@ -14,19 +18,28 @@ import sys
 from .bounds import BoundCase, eval_case
 from .errors import HHVerifyError
 from .functions import certify_power_extended_s, from_id, parse_id
-from .harness import Report, SuiteConfig, erratum_scan, run_suite
+from .harness import Report, SuiteConfig, certificate_status, erratum_scan, run_suite
 from .identity import BoundParams, check_identity, hh_lhs, identity_rhs
 from .means import MEAN_THEOREMS, MeanParams, eval_mean_bound
 from .moments import MomentSpec, moment_general, moment_harmonic, moment_oracle
 from .presets import PRESETS, eval_preset
 
 
-def _print_result(result, fmt: str) -> None:
+def _emit_row(family: str, result, fmt: str) -> int:
+    """Print `result` as a one-row report; exit code 1 when it violates."""
+    report = Report()
+    report.add_result(family, result)
     if fmt == "csv":
-        print(",".join(str(v) for v in result.csv_header()))
-        print(",".join(str(v) for v in result.to_csv_row()))
+        report.dump(sys.stdout, "csv")
     else:
-        print(json.dumps(result.to_json_dict(), indent=2))
+        print(json.dumps(report.records[0], indent=2))
+    return 1 if report.violation_count else 0
+
+
+def _sweep_certificate(fid: str, p: BoundParams) -> str:
+    """The sweep's certificate for one tuple, at the sweep's default sampling."""
+    cfg = SuiteConfig()
+    return certificate_status(fid, p.a, p.b, p.s, p.q, cfg.convexity_samples, cfg.seed)
 
 
 def _emit_report(report: Report, fmt: str, out: str | None) -> None:
@@ -170,23 +183,21 @@ def _dispatch(args) -> int:
     if args.command == "bound":
         params = BoundParams(args.a, args.b, args.lam, args.mu, args.s, args.q)
         f = from_id(args.f, params.a, params.b)
-        result = eval_case(args.case, f, params, args.tol)
-        _print_result(result, args.format)
-        return 1 if result.violated else 0
+        result = eval_case(args.case, f, params, args.tol, _sweep_certificate(args.f, params))
+        return _emit_row(args.f, result, args.format)
 
     if args.command == "preset":
         spec = PRESETS[args.preset]
         lam, mu, s, q = _fill_preset_params(spec, args.lam, args.mu, args.s, args.q)
         params = BoundParams(args.a, args.b, lam, mu, s, q)
         f = from_id(args.f, params.a, params.b)
-        result = eval_preset(args.preset, f, params, args.tol)
-        _print_result(result, args.format)
-        return 1 if result.violated else 0
+        result = eval_preset(args.preset, f, params, args.tol, _sweep_certificate(args.f, params))
+        return _emit_row(args.f, result, args.format)
 
     if args.command == "means":
         result = eval_mean_bound(args.theorem, MeanParams(args.a, args.b, args.s, args.q, args.lam))
-        _print_result(result, args.format)
-        return 1 if result.violated else 0
+        # The family the sweep gives a mean row.
+        return _emit_row(f"pow:{args.s:g}", result, args.format)
 
     if args.command == "certify":
         family, power = parse_id(args.f)

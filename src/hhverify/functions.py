@@ -31,6 +31,8 @@ __all__ = [
     "parse_id",
     "from_id",
     "derivative_q_envelope",
+    "power_rule_holds",
+    "convex_power_envelope",
     "certify_power_extended_s",
     "certify_convex_envelope",
     "check_extended_s_convex",
@@ -152,6 +154,19 @@ def derivative_q_envelope(f: FunctionSpec, q: float) -> FunctionSpec:
     return FunctionSpec(f"|{f.fid}'|^{q:g}", f.lo, f.hi, g, None)
 
 
+def power_rule_holds(p: float, q: float) -> bool:
+    """The power rule: -1 < (p-1)q <= 1 and -1 < p-1 <= 1."""
+    gamma = (p - 1.0) * q
+    return -1.0 < gamma <= 1.0 and -1.0 < p - 1.0 <= 1.0
+
+
+def convex_power_envelope(p: float, q: float, lo: float) -> bool:
+    """True when |d(x^p)|^q, a multiple of x^γ with γ = (p-1)q, is convex
+    on [lo, ∞): γ >= 1, γ = 0, or γ < 0 with lo > 0."""
+    gamma = (p - 1.0) * q
+    return gamma >= 1.0 or gamma == 0.0 or (gamma < 0.0 and lo > 0.0)
+
+
 def certify_power_extended_s(p: float, q: float) -> ConvexityCertificate:
     """Analytic certificate for |f'|^q of f = x^p on positive intervals.
 
@@ -163,8 +178,7 @@ def certify_power_extended_s(p: float, q: float) -> ConvexityCertificate:
         raise FunctionDomainError(f"need finite p > 0, got {p!r}")
     if not 1.0 <= q < math.inf:
         raise FunctionDomainError(f"need finite q >= 1, got {q!r}")
-    gamma = (p - 1.0) * q
-    if -1.0 < gamma <= 1.0 and -1.0 < p - 1.0 <= 1.0:
+    if power_rule_holds(p, q):
         return ConvexityCertificate(
             s=p - 1.0,
             q=q,
@@ -177,7 +191,7 @@ def certify_power_extended_s(p: float, q: float) -> ConvexityCertificate:
         q=q,
         target=f"|d(pow:{p:g})|^{q:g}",
         status="not-falsified",
-        note=f"power rule inapplicable: (p-1)q={gamma:g} outside (-1, 1]",
+        note=f"power rule inapplicable: (p-1)q={(p - 1.0) * q:g} outside (-1, 1]",
     )
 
 
@@ -189,16 +203,15 @@ def certify_convex_envelope(fid: str, lo: float, q: float) -> Optional[Convexity
     extended one (the nesting of s-convex classes, Hudzik & Maligranda,
     Aequationes Math. 48, 1994).  |f'|^q is nonnegative and convex for
     exp (e^(qx)), for const (identically 0) and for pow:p when
-    γ = (p-1)q >= 1 (|x|^γ is convex on the whole line), γ = 0 (a constant),
-    or γ < 0 with lo > 0.  Returns None when the rule does not apply.
+    `convex_power_envelope` holds: γ = (p-1)q >= 1 (|x|^γ is convex on the
+    whole line), γ = 0 (a constant), or γ < 0 with lo > 0.  Returns None
+    when the rule does not apply.
     """
     if not 1.0 <= q < math.inf:
         raise FunctionDomainError(f"need finite q >= 1, got {q!r}")
     family, p = parse_id(fid)
-    if family == "pow":
-        gamma = (p - 1.0) * q
-        if not (gamma >= 1.0 or gamma == 0.0 or (gamma < 0.0 and lo > 0.0)):
-            return None
+    if family == "pow" and not convex_power_envelope(p, q, lo):
+        return None
     return ConvexityCertificate(
         s=1.0,
         q=q,

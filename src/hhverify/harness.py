@@ -4,7 +4,10 @@ A sweep appends its rows to a `Report`, which holds them column by column
 (floats in one array, labels in one list each) rather than as one dict per
 row.  `Report.records` and `Report.violations` are views built from the
 columns on demand; the report writer reads the columns directly and writes
-the same bytes `json.dumps(indent=2)` or `csv.writer` would.
+the same bytes `json.dumps(indent=2)` or `csv.writer` would.  `Report` is
+the one place that knows what a record looks like: the CLI's single-row
+commands print a one-row report, and `certificate_status` is the one rule
+for the `certified` field, used by the sweep and by those commands alike.
 """
 
 from __future__ import annotations
@@ -21,12 +24,13 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .bounds import (
-    VIOLATION_TOL,
     BoundCase,
+    BoundResult,
     case_bound_from_values,
     check_branch,
     derivative_values,
     deviation_params,
+    is_violation,
 )
 from .errors import ConfigError, FunctionDomainError, HHVerifyError, WrongBranchError
 from .functions import (
@@ -50,7 +54,7 @@ from .moments import (
 from .presets import PRESETS, VERBATIM_DISPLAYS, PresetSpec
 from .quadrature import mean_integral
 
-__all__ = ["SuiteConfig", "Report", "run_suite", "erratum_scan"]
+__all__ = ["SuiteConfig", "Report", "certificate_status", "run_suite", "erratum_scan"]
 
 ALL_CASES = tuple(c.value for c in BoundCase)
 
@@ -227,11 +231,11 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 class Report:
     """A sweep's rows, held column by column, with the scan and summaries.
 
-    `add` appends one row; `finalize` sorts the rows into report order and
-    summarises their slack per case or preset.  `records` and `violations`
-    are views, lists of dicts in the report schema built on each access;
-    `record_count` and `violation_count` read the columns without building
-    them.
+    `add` appends one row, `add_result` one `BoundResult`; `finalize`
+    sorts the rows into report order and summarises their slack per case
+    or preset.  `records` and `violations` are views, lists of dicts in the
+    report schema built on each access; `record_count` and
+    `violation_count` read the columns without building them.
 
     The JSON report is the bytes `json.dumps(doc, indent=2)` gives for
     {records, violations, errata, summary, oracle_residuals}, written from one
@@ -279,6 +283,15 @@ class Report:
         self._certified.append(certified)
         self._notes.append(branch_notes)
         self._keys.append(keys)
+
+    def add_result(self, family: str, result: BoundResult) -> None:
+        """Append `result` as one row laid out by its params keys."""
+        p = result.params
+        self.add(
+            family, result.case, result.preset, tuple(p),
+            tuple(p.get(key, 0.0) for key in CASE_KEYS), result.lhs, result.bound,
+            result.slack, result.certificate, result.branch_notes,
+        )
 
     def _labels(self) -> dict[str, list]:
         return {
@@ -404,8 +417,8 @@ class Report:
 
 
 def _violating(floats: np.ndarray) -> np.ndarray:
-    """BoundResult.violated for each row of a float matrix."""
-    return floats[:, _SLACK] < -VIOLATION_TOL * (1.0 + np.abs(floats[:, _BOUND]))
+    """`is_violation` for each row of a float matrix."""
+    return is_violation(floats[:, _SLACK], floats[:, _BOUND])
 
 
 def _codes(values: list) -> tuple[np.ndarray, list]:
@@ -508,11 +521,13 @@ class _Cells:
             handle.write("\n  ]")
 
 
-def _certificate(fid: str, a: float, b: float, s: float, q: float, samples: int, seed: int) -> str:
+def certificate_status(fid: str, a: float, b: float, s: float, q: float, samples: int, seed: int) -> str:
     """Provenance of the claim that |f'|^q is extended s-convex on [a, b].
 
     The power rule, then the convexity rule, certify analytically; only an
-    id neither covers is sampled, which can falsify but never certify.
+    id neither covers is sampled (`samples` Halton and `samples` seeded
+    random triples), which can falsify but never certify.  The sweep and
+    the CLI's `bound` and `preset` commands all label rows with it.
     """
     certs = []
     family, p = parse_id(fid)
@@ -623,7 +638,7 @@ def _sweep_interval(
         except WrongBranchError:
             continue
         qa, qb, qm = derivative_values(f, base)
-        cert = _certificate(fid, a, b, s, q, cfg.convexity_samples, cfg.seed)
+        cert = certificate_status(fid, a, b, s, q, cfg.convexity_samples, cfg.seed)
         for lam, mu in pairs:
             try:
                 p = BoundParams(a, b, lam, mu, s, q)
@@ -681,10 +696,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
                 result = eval_mean_bound(theorem, MeanParams(a, b, s, q, lam))
             except WrongBranchError:
                 continue
-            report.add(
-                f"pow:{s:g}", result.case, None, MEAN_KEYS, (a, b, lam, 0.0, s, q),
-                result.lhs, result.bound, result.slack, result.certificate, result.branch_notes,
-            )
+            report.add_result(f"pow:{s:g}", result)
 
     if cfg.moment_oracle_draws > 0:
         report.oracle_residuals = _oracle_suite(cfg.moment_oracle_draws, cfg.seed, cfg.tol)

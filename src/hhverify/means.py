@@ -23,11 +23,7 @@ from typing import Callable, Optional
 
 from .bounds import BoundCase, BoundResult, Q_BRANCH_EPS, case_formula, check_branch
 from .errors import FunctionDomainError, WrongBranchError
-from .functions import (
-    ConvexityCertificate,
-    certify_convex_envelope,
-    certify_power_extended_s,
-)
+from .functions import convex_power_envelope, power_rule_holds
 from .moments import holder_weight_integral
 from .presets import VERBATIM_DISPLAYS, Display
 
@@ -98,12 +94,14 @@ def mean_lhs(mp: MeanParams) -> float:
     return abs(value)
 
 
-def _power_rule(s: float, q: float, a: float) -> ConvexityCertificate:
-    return certify_power_extended_s(s, q)
+# Each rule gives the status its `functions` certificate would give for
+# |f'|^q of f(x) = x^s on an interval from a.
+def _power_rule(s: float, q: float, a: float) -> str:
+    return "certified-analytic" if power_rule_holds(s, q) else "not-falsified"
 
 
-def _convexity_rule(s: float, q: float, a: float) -> Optional[ConvexityCertificate]:
-    return certify_convex_envelope(f"pow:{s!r}", a, q)
+def _convexity_rule(s: float, q: float, a: float) -> str:
+    return "certified-analytic" if convex_power_envelope(s, q, a) else "unchecked"
 
 
 def _case_display(case: BoundCase) -> Display:
@@ -126,14 +124,15 @@ def _d_t43_qgt1(a, b, lam, mu, s, q, qa, qb, qm):
 class MeanSpec:
     """A mean theorem as `display` for f(x) = x^s at μ = λ and order
     s' = s + s_shift.  `parent` (None for T43_qgt1) settles the (s', q)
-    branch; `rule` certifies |f'|^q, at order s' where there is a parent;
+    branch; `rule` gives the certificate status of |f'|^q, at order s'
+    where there is a parent;
     a `power_rule` theorem is stated only where the power rule holds."""
 
     theorem: str
     parent: Optional[BoundCase]
     display: Display
     s_shift: float
-    rule: Callable[[float, float, float], Optional[ConvexityCertificate]]
+    rule: Callable[[float, float, float], str]
     note: str
     power_rule: bool = False
 
@@ -220,13 +219,12 @@ def eval_mean_bound(theorem: str, mp: MeanParams) -> BoundResult:
     bound, note = mean_bound_from_values(theorem, mp.a, mp.b, mp.s, mp.q, mp.lam)
     lhs = mean_lhs(mp)
     spec = MEAN_SPECS[theorem]
-    cert = None if spec.outside_parent(mp.s) else spec.rule(mp.s, mp.q, mp.a)
     return BoundResult(
         lhs=lhs,
         bound=bound,
         slack=bound - lhs,
         case=theorem,
         params={"a": mp.a, "b": mp.b, "s": mp.s, "q": mp.q, "lambda": mp.lam},
-        certificate=cert.status if cert is not None else "unchecked",
+        certificate="unchecked" if spec.outside_parent(mp.s) else spec.rule(mp.s, mp.q, mp.a),
         branch_notes=note,
     )

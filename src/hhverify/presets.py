@@ -13,6 +13,10 @@ displays: the verbatim printing of every corrected preset, plus the
 theorem-level T32_tier2 and T33_q1 printings whose shipped form is the
 parent case itself.  Each entry is a PresetSpec (parent, pins, display)
 whose note is its erratum-scan note; the scan compares it with its parent.
+
+`eval_preset` is the scalar reference path for one preset row, as
+`bounds.eval_case` is for a case row: the caller passes the certificate
+status, and `harness.Report` lays the row out.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .bounds import (
     params_dict,
 )
 from .errors import PresetMismatchError
-from .functions import ConvexityCertificate, FunctionSpec
+from .functions import FunctionSpec
 from .identity import BoundParams, hh_lhs
 from .moments import holder_weight_integral, kernel_mass
 from .quadrature import DEFAULT_TOL
@@ -39,7 +43,6 @@ __all__ = [
     "PresetSpec",
     "PRESETS",
     "VERBATIM_DISPLAYS",
-    "preset_result",
     "eval_preset",
 ]
 
@@ -494,19 +497,6 @@ def _d_c34x_qgt1_s1_tier1(a, b, lam, mu, s, q, qa, qb, qm):
     )
 
 
-def _d_c34x_qgt1_s1_tier2(a, b, lam, mu, s, q, qa, qb, qm):
-    r = _rho(q)
-    return (
-        (b - a)
-        / 2.0 ** (2.0 / q + 2.0)
-        * ((q - 1.0) / (2.0 * q - 1.0)) ** r
-        * (
-            _lampow(lam, q) ** r * (3.0 * qa + qb) ** (1.0 / q)
-            + _lampow(mu, q) ** r * (qa + 3.0 * qb) ** (1.0 / q)
-        )
-    )
-
-
 def _d_t32_tier2_verbatim(a, b, lam, mu, s, q, qa, qb, qm):
     # Theorem-level tier-2 display as printed: the μ-block carries 2μ^(s+1).
     ea = _c32x_lm_tier2_coef(lam, s)
@@ -658,7 +648,8 @@ PRESETS: dict[str, PresetSpec] = {
         _P("C34x_q1_s1_tier1", BoundCase.T34_q1_tier1, _d_c34x_q1_s1_tier1, pin_q="1", pin_s=1.0),
         _P("C34x_q1_s1_tier2", BoundCase.T34_q1_tier2, _d_c34x_q1_s1_tier2, pin_q="1", pin_s=1.0),
         _P("C34x_qgt1_s1_tier1", BoundCase.T34_qgt1_tier1, _d_c34x_qgt1_s1_tier1, pin_q=">1", pin_s=1.0),
-        _P("C34x_qgt1_s1_tier2", BoundCase.T34_qgt1_tier2, _d_c34x_qgt1_s1_tier2, pin_q=">1", pin_s=1.0),
+        # At s = 1 the tier-2 midpoint envelope gives T33_qgt1's display.
+        _P("C34x_qgt1_s1_tier2", BoundCase.T34_qgt1_tier2, _d_c33x_s1_qgt1, pin_q=">1", pin_s=1.0),
     ]
 }
 
@@ -692,41 +683,26 @@ VERBATIM_DISPLAYS: dict[str, PresetSpec] = {
 }
 
 
-def preset_result(
-    spec: PresetSpec,
-    p: BoundParams,
-    lhs: float,
-    qa: float,
-    qb: float,
-    qm: float,
-    certificate: str = "unchecked",
-) -> BoundResult:
-    """One preset row from precomputed values, as `case_result` for a case.
-
-    lhs is |hh_lhs| at `deviation_params(spec.parent, p)`.  Raises
-    PresetMismatchError when p contradicts the preset's pinned values.
-    """
-    spec.validate(p)
-    bound = spec.display(p.a, p.b, p.lam, p.mu, p.s, p.q, qa, qb, qm)
-    return BoundResult(
-        lhs, bound, bound - lhs, spec.parent.value, params_dict(p), certificate,
-        spec.branch_notes, preset=spec.pid,
-    )
-
-
 def eval_preset(
     pid: str,
     f: FunctionSpec,
     p: BoundParams,
     tol: float = DEFAULT_TOL,
-    certificate: ConvexityCertificate | None = None,
+    certificate: str = "unchecked",
 ) -> BoundResult:
-    """Evaluate a preset: lhs as for the parent case, bound via its display."""
+    """Evaluate a preset: lhs as for the parent case, bound via its display.
+
+    `certificate` is the status the row reports.  Raises
+    PresetMismatchError when p contradicts the preset's pinned values.
+    """
     if pid not in PRESETS:
         raise PresetMismatchError(f"unknown preset {pid!r}")
     spec = PRESETS[pid]
+    spec.validate(p)
     lhs = abs(hh_lhs(f, deviation_params(spec.parent, p), tol))
     qa, qb, qm = derivative_values(f, p)
-    status = certificate.status if certificate else "unchecked"
-    return preset_result(spec, p, lhs, qa, qb, qm, status)
-
+    bound = spec.display(p.a, p.b, p.lam, p.mu, p.s, p.q, qa, qb, qm)
+    return BoundResult(
+        lhs, bound, bound - lhs, spec.parent.value, params_dict(p), certificate,
+        spec.branch_notes, preset=spec.pid,
+    )

@@ -1,3 +1,6 @@
+import csv
+import io
+import json
 import math
 
 import numpy as np
@@ -10,6 +13,7 @@ from hhverify.bounds import (
     eval_case,
     midpoint_envelope,
 )
+from hhverify.cli import main
 from hhverify.errors import WrongBranchError
 from hhverify.functions import from_id, make_const, make_power
 from hhverify.identity import BoundParams
@@ -193,11 +197,17 @@ def test_t34_q1_printed_display_admits_certified_violation():
     assert r.violated
 
 
-def test_result_serialization_shape():
-    r = eval_case(BoundCase.T31_general, X2, UNIT)
-    doc = r.to_json_dict()
-    assert set(doc) == {"case", "preset", "params", "lhs", "bound", "slack", "certified", "branch_notes"}
+def test_result_serialization_shape(capsys):
+    # One case row as the CLI prints it: a record of the sweep report's schema.
+    argv = ["bound", "--case", "T31_general", "--f", "pow:2", "--a", "0", "--b", "1",
+            "--lambda", "1", "--mu", "1", "--s", "1", "--q", "1"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"case", "preset", "params", "lhs", "bound", "slack", "certified",
+                        "branch_notes", "family", "violation"}
     assert list(doc["params"]) == ["a", "b", "lambda", "mu", "s", "q"]
-    row = r.to_csv_row()
-    assert row[0] == "T31_general"
-    assert len(row) == len(r.csv_header())
+    assert main(argv + ["--format", "csv"]) == 0
+    header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert row[header.index("case")] == "T31_general"
+    assert header[header.index("a"):header.index("lhs")] == ["a", "b", "lambda", "mu", "s", "q"]
+    assert len(row) == len(header)

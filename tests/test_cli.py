@@ -7,6 +7,7 @@ import pytest
 
 from hhverify.cli import main
 from hhverify.harness import SuiteConfig, run_suite
+from hhverify.means import MEAN_THEOREMS
 from hhverify.presets import PRESETS
 
 
@@ -96,10 +97,60 @@ def test_preset_command_csv(capsys):
     )
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0][0] == "case" and len(rows) == 2
+    assert rows[0][0] == "family" and len(rows) == 2
     header = rows[0]
     bound = float(rows[1][header.index("bound")])
     assert abs(bound - 0.125) < 1e-12
+
+
+def test_bound_csv_quotes_its_notes(capsys):
+    # The T33_q1 note has a comma in it; the row must still parse.
+    code, out, _ = run_cli(
+        capsys, "bound", "--case", "T33_q1", "--f", "pow:2", "--a", "0", "--b", "1",
+        "--lambda", "0.5", "--mu", "0.5", "--s", "1", "--q", "1", "--format", "csv",
+    )
+    assert code == 0
+    header, row = rows = list(csv.reader(io.StringIO(out)))
+    assert [len(r) for r in rows] == [14, 14]
+    assert row[header.index("branch_notes")] == "q=1 product display, corrected prefactor 2^(s+1)"
+
+
+# Every certificate kind (power rule, convexity rule, sampled: pow:1.5 at
+# s = 1, q = 1), presets, a violating row (x^2 on [1, 4], λ=0, μ=1) and all
+# six mean theorems.
+PARITY_CONFIG = {
+    "families": ["pow:2", "pow:1.5", "exp"],
+    "grid": {"a": [1.0], "b": [4.0], "lambda": [0.0, 1.0], "mu": [0.0, 1.0], "s": [0.5, 1.0], "q": [1.0, 2.0]},
+    "cases": "all",
+    "presets": ["E15", "C32_q1", "C33_s1", "C34x_q1_lambda_mu_tier1", "C34x_qgt1_s1_tier2"],
+    "mean_theorems": list(MEAN_THEOREMS),
+    "mean_grid": {"a": [1.0], "b": [2.0], "s": [0.5, 1.0, 1.5, 2.0], "q": [1.0, 2.0], "lambda": [0.0, 0.5]},
+}
+
+
+def _single_row_argv(rec):
+    p = {k: repr(v) for k, v in rec["params"].items()}
+    if rec["case"] in MEAN_THEOREMS:
+        head = ["means", "--theorem", rec["case"]]
+        keys = ("a", "b", "s", "q", "lambda")
+    else:
+        head = ["preset", "--preset", rec["preset"]] if rec["preset"] else ["bound", "--case", rec["case"]]
+        head += ["--f", rec["family"]]
+        keys = ("a", "b", "lambda", "mu", "s", "q")
+    return [*head, *(arg for k in keys for arg in (f"--{k}", p[k]))]
+
+
+def test_single_row_commands_print_the_sweep_record(capsys):
+    records = run_suite(SuiteConfig.from_dict(PARITY_CONFIG)).records
+    sampled = {r["certified"] for r in records
+               if r["family"] == "pow:1.5" and r["params"]["s"] == 1.0 and r["params"]["q"] == 1.0}
+    assert sampled and sampled <= {"falsified", "not-falsified"}
+    assert {r["case"] for r in records} >= set(MEAN_THEOREMS)
+    assert any(r["preset"] for r in records) and any(r["violation"] for r in records)
+    for rec in records:
+        code, out, _ = run_cli(capsys, *_single_row_argv(rec))
+        assert json.loads(out) == rec
+        assert code == int(rec["violation"])
 
 
 def test_usage_error_exit_code(capsys):

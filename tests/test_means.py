@@ -1,3 +1,6 @@
+import csv
+import io
+import json
 import math
 
 import numpy as np
@@ -5,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hhverify.cli import main
 from hhverify.errors import FunctionDomainError, WrongBranchError
 from hhverify.functions import from_id
 from hhverify.identity import BoundParams
@@ -230,8 +234,16 @@ def test_branch_and_constraint_errors():
         MeanParams(1.0, 2.0, 1.0, 1.0, 1.5)
 
 
-def test_mean_result_serialization():
-    r = eval_mean_bound("T41", MeanParams(1, 2, 2.0, 1.0, 1.0))
-    doc = r.to_json_dict()
+def test_mean_result_serialization(capsys):
+    # One mean row as the CLI prints it, with the family the sweep gives it.
+    argv = ["means", "--theorem", "T41", "--a", "1", "--b", "2", "--s", "2", "--q", "1", "--lambda", "1"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == {"case", "preset", "params", "lhs", "bound", "slack", "certified",
+                        "branch_notes", "family", "violation"}
     assert list(doc["params"]) == ["a", "b", "s", "q", "lambda"]
-    assert doc["case"] == "T41"
+    assert doc["case"] == "T41" and doc["family"] == "pow:2"
+    assert main(argv + ["--format", "csv"]) == 0
+    header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+    assert len(row) == len(header)
+    assert row[header.index("mu")] == "" and row[header.index("case")] == "T41"
