@@ -2,7 +2,10 @@
 
 The single-row commands `bound`, `preset` and `means` print one record of
 the sweep report's schema: a one-row `Report`, as JSON (the record) or CSV
-(header and row), labelled with the sweep's certificate rule.
+(header and row), labelled with the sweep's certificate rule.  `certify`
+prints the analytic certificate of |f'|^q for f = x^p on positive
+intervals: the order `functions.analytic_order` gives, by the convexity
+rule or the power rule.
 
 Exit codes: 0 success, 1 verification failure (a violation, an oracle
 mismatch, or a shipped display that no longer matches its parent), 2 usage
@@ -112,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p = sub.add_parser("certify", help="power-rule convexity certificate for |f'|^q")
+    p = sub.add_parser("certify", help="analytic convexity certificate for |f'|^q")
     p.add_argument("--f", required=True, help='must be "pow:<p>"')
     p.add_argument("--q", type=float, required=True)
 

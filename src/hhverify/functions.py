@@ -6,10 +6,12 @@ A function g is extended s-convex on an interval, for s in [-1, 1], when
 
 s = 1 is ordinary convexity, s = 0 allows the P-convex doubling bound, and
 s = -1 is the Godunova-Levin class.  Two analytic rules certify |f'|^q for
-registry functions: the power rule (`certify_power_extended_s`) and the
-convexity rule (`certify_convex_envelope`), which covers every nonnegative
-convex envelope.  Anything neither rule covers can merely be sampled, so a
-sampling check reports not-falsified, never certified.
+registry functions: the convexity rule, which covers every nonnegative
+convex envelope at every order, and the power rule, which covers x^p at
+order p - 1.  `analytic_order` is the one place they are composed; the
+sweep, the mean theorems and `certify_power_extended_s` all read it.
+Anything neither rule covers can merely be sampled, so a sampling check
+reports not-falsified, never certified.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ __all__ = [
     "derivative_q_envelope",
     "power_rule_holds",
     "convex_power_envelope",
+    "analytic_order",
     "certify_power_extended_s",
-    "certify_convex_envelope",
     "check_extended_s_convex",
     "derivative_consistency",
 ]
@@ -167,57 +169,47 @@ def convex_power_envelope(p: float, q: float, lo: float) -> bool:
     return gamma >= 1.0 or gamma == 0.0 or (gamma < 0.0 and lo > 0.0)
 
 
+def analytic_order(family: str, p: Optional[float], lo: float, q: float) -> Optional[float]:
+    """Highest order s* at which an analytic rule certifies |f'|^q of the
+    parsed registry id (family, p) on every interval starting at lo, or None.
+
+    A certificate at order s* covers every order s <= s* (the nesting of
+    s-convex classes, Hudzik & Maligranda, Aequationes Math. 48, 1994).
+    The convexity rule gives 1.0: a nonnegative convex g is extended
+    s-convex for every s in [-1, 1], since λ^s >= λ on (0, 1), and |f'|^q
+    is convex for exp (e^(qx)), for const (identically 0) and for pow:p
+    when `convex_power_envelope` holds.  Otherwise the power rule gives
+    p - 1 for pow:p: p^q x^((p-1)q) is extended (p-1)-convex when
+    `power_rule_holds`, on an interval with lo > 0, or lo = 0 with p >= 1
+    (a nonnegative exponent, so x = 0 is harmless).
+    """
+    if not 1.0 <= q < math.inf:
+        raise FunctionDomainError(f"need finite q >= 1, got {q!r}")
+    if family != "pow" or convex_power_envelope(p, q, lo):
+        return 1.0
+    if power_rule_holds(p, q) and (lo > 0.0 or (lo == 0.0 and p >= 1.0)):
+        return p - 1.0
+    return None
+
+
 def certify_power_extended_s(p: float, q: float) -> ConvexityCertificate:
     """Analytic certificate for |f'|^q of f = x^p on positive intervals.
 
-    |f'(x)|^q = p^q x^((p-1)q) is extended (p-1)-convex exactly when the
-    power rule applies: -1 < (p-1)q <= 1 (which for q >= 1 also forces
-    -1 < p-1 <= 1).  Outside that range nothing is claimed.
+    The order is `analytic_order` at any lo > 0, which one rule always
+    covers for finite p > 0 and q >= 1: γ = (p-1)q < 0, γ = 0 and γ >= 1
+    are convex, and 0 < γ < 1 forces 0 < p - 1 < 1, inside the power rule.
     """
     if not 0.0 < p < math.inf:
         raise FunctionDomainError(f"need finite p > 0, got {p!r}")
-    if not 1.0 <= q < math.inf:
-        raise FunctionDomainError(f"need finite q >= 1, got {q!r}")
-    if power_rule_holds(p, q):
-        return ConvexityCertificate(
-            s=p - 1.0,
-            q=q,
-            target=f"|d(pow:{p:g})|^{q:g}",
-            status="certified-analytic",
-            note="power rule",
-        )
+    order = analytic_order("pow", p, 1.0, q)
+    assert order is not None
     return ConvexityCertificate(
-        s=None,
+        s=order,
         q=q,
         target=f"|d(pow:{p:g})|^{q:g}",
-        status="not-falsified",
-        note=f"power rule inapplicable: (p-1)q={(p - 1.0) * q:g} outside (-1, 1]",
-    )
-
-
-def certify_convex_envelope(fid: str, lo: float, q: float) -> Optional[ConvexityCertificate]:
-    """Analytic certificate for |f'|^q of a registry id on an interval from lo.
-
-    A nonnegative convex g is extended s-convex for every s in [-1, 1]:
-    λ^s >= λ on (0, 1) when s <= 1, so the convex inequality implies the
-    extended one (the nesting of s-convex classes, Hudzik & Maligranda,
-    Aequationes Math. 48, 1994).  |f'|^q is nonnegative and convex for
-    exp (e^(qx)), for const (identically 0) and for pow:p when
-    `convex_power_envelope` holds: γ = (p-1)q >= 1 (|x|^γ is convex on the
-    whole line), γ = 0 (a constant), or γ < 0 with lo > 0.  Returns None
-    when the rule does not apply.
-    """
-    if not 1.0 <= q < math.inf:
-        raise FunctionDomainError(f"need finite q >= 1, got {q!r}")
-    family, p = parse_id(fid)
-    if family == "pow" and not convex_power_envelope(p, q, lo):
-        return None
-    return ConvexityCertificate(
-        s=1.0,
-        q=q,
-        target=f"|d({fid})|^{q:g}",
         status="certified-analytic",
-        note="convexity rule",
+        # The power rule reaches order 1 only at p = 2, where γ = q >= 1.
+        note="convexity rule" if order == 1.0 else "power rule",
     )
 
 

@@ -33,8 +33,11 @@ from .bounds import (
     is_violation,
 )
 from .errors import ConfigError, FunctionDomainError, HHVerifyError, WrongBranchError
+# `certify_power_extended_s` is not called here; it stays bound in this
+# module, with `check_extended_s_convex`, because `perfbench/tracer.py`
+# patches both here.
 from .functions import (
-    certify_convex_envelope,
+    analytic_order,
     certify_power_extended_s,
     check_extended_s_convex,
     derivative_q_envelope,
@@ -64,15 +67,49 @@ def _expect(cond: bool, path: str, msg: str) -> None:
         raise ConfigError(f"{path}: {msg}")
 
 
-def _float_list(raw, path: str, default: tuple = ()) -> tuple[float, ...]:
+def _float_list(raw, path: str, default: tuple, domain) -> tuple[float, ...]:
     if raw is None:
-        return tuple(default)
+        return default
     _expect(isinstance(raw, (list, tuple)), path, "must be a list of numbers")
+    holds, what = domain
     out = []
     for i, v in enumerate(raw):
         _expect(isinstance(v, (int, float)) and math.isfinite(v), f"{path}[{i}]", "must be a finite number")
+        _expect(holds(v), f"{path}[{i}]", f"must be {what}, got {v!r}")
         out.append(float(v))
     return tuple(out)
+
+
+_ANY = (lambda v: True, "")
+_UNIT = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_Q = (lambda v: v >= 1.0, ">= 1")
+
+# Each numeric list of a config: (section, JSON key, field, domain of one
+# value).  A value outside its domain would give rows no case, preset or
+# theorem admits, or stop the sweep midway, so it is a config error.
+_LISTS = (
+    ("grid", "a", "a_values", _ANY),
+    ("grid", "b", "b_values", _ANY),
+    ("grid", "lambda", "lam_values", _UNIT),
+    ("grid", "mu", "mu_values", _UNIT),
+    ("grid", "s", "s_values", (lambda v: -1.0 <= v <= 1.0, "in [-1, 1]")),
+    ("grid", "q", "q_values", _Q),
+    ("ranges", "a", "a_range", _ANY),
+    ("ranges", "width", "width_range", _ANY),
+    ("mean_grid", "a", "mean_a", (lambda v: v > 0.0, "> 0")),
+    ("mean_grid", "b", "mean_b", _ANY),
+    ("mean_grid", "s", "mean_s", (lambda v: 0.0 < v <= 2.0, "in (0, 2]")),
+    ("mean_grid", "q", "mean_q", _Q),
+    ("mean_grid", "lambda", "mean_lam", _UNIT),
+)
+# Each integer: (JSON key, field, least value).
+_INTS = (
+    ("draws", "draws", 0),
+    ("mean_draws", "mean_draws", 0),
+    ("moment_oracle_draws", "moment_oracle_draws", 0),
+    ("convexity_samples", "convexity_samples", 1),
+    ("seed", "seed", 0),
+)
 
 
 @dataclass(frozen=True)
@@ -106,14 +143,20 @@ class SuiteConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "SuiteConfig":
+        """Validate a JSON config: `families`, `cases` (a list or "all"),
+        `presets`, `mean_theorems`, the numeric lists of `_LISTS` under
+        their sections, the integers of `_INTS`, `tol` and `format`.  An
+        omitted key keeps the field's default."""
         _expect(isinstance(raw, dict), "config", "must be a JSON object")
-        known = {
-            "families", "grid", "draws", "ranges", "cases", "presets",
-            "mean_theorems", "mean_grid", "mean_draws", "moment_oracle_draws",
-            "convexity_samples", "tol", "seed", "format",
-        }
+        default = SuiteConfig()
+        tables = {section: raw.get(section) or {} for section, *_ in _LISTS}
+        names = {"cases": ("case", ALL_CASES), "presets": ("preset", PRESETS),
+                 "mean_theorems": ("theorem", MEAN_THEOREMS)}
+        known = {"families", *tables, *(key for key, *_ in _INTS), *names, "tol", "format"}
         for key in raw:
             _expect(key in known, f"config.{key}", "unknown field")
+        out = {}
+
         families = raw.get("families", [])
         _expect(isinstance(families, list), "config.families", "must be a list")
         for i, fid in enumerate(families):
@@ -124,80 +167,49 @@ class SuiteConfig:
             except FunctionDomainError as exc:
                 raise ConfigError(f"{path}: {exc}") from None
             _expect(family != "pow" or param > 0.0, path, f"{fid!r}: power p must be positive")
-        grid = raw.get("grid", {}) or {}
-        _expect(isinstance(grid, dict), "config.grid", "must be an object")
-        for key in grid:
-            _expect(key in {"a", "b", "lambda", "mu", "s", "q"}, f"config.grid.{key}", "unknown field")
-        ranges = raw.get("ranges", {}) or {}
-        _expect(isinstance(ranges, dict), "config.ranges", "must be an object")
-        for key in ranges:
-            _expect(key in {"a", "width"}, f"config.ranges.{key}", "unknown field")
-        a_range = _float_list(ranges.get("a"), "config.ranges.a", (0.05, 2.0))
-        width_range = _float_list(ranges.get("width"), "config.ranges.width", (0.1, 3.0))
+        out["families"] = tuple(families)
+
+        for key, (noun, allowed) in names.items():
+            value = raw.get(key, getattr(default, key))
+            if key == "cases" and value == "all":
+                value = ALL_CASES
+            _expect(isinstance(value, (list, tuple)), f"config.{key}",
+                    'must be a list or "all"' if key == "cases" else "must be a list")
+            for i, name in enumerate(value):
+                _expect(name in allowed, f"config.{key}[{i}]", f"unknown {noun} {name!r}")
+            out[key] = tuple(value)
+
+        for section, table in tables.items():
+            _expect(isinstance(table, dict), f"config.{section}", "must be an object")
+            keys = {key for sec, key, *_ in _LISTS if sec == section}
+            for key in table:
+                _expect(key in keys, f"config.{section}.{key}", "unknown field")
+        for section, key, field, domain in _LISTS:
+            path = f"config.{section}.{key}"
+            out[field] = _float_list(tables[section].get(key), path, getattr(default, field), domain)
+
+        for key, field, least in _INTS:
+            value = raw.get(key, getattr(default, field))
+            what = "a positive integer" if least else "a nonnegative integer"
+            _expect(isinstance(value, int) and value >= least, f"config.{key}", f"must be {what}")
+            out[field] = value
+
+        a_range, width_range = out["a_range"], out["width_range"]
         _expect(len(a_range) == 2 and a_range[0] <= a_range[1], "config.ranges.a", "must be [lo, hi]")
         _expect(
             len(width_range) == 2 and 0.0 < width_range[0] <= width_range[1],
             "config.ranges.width",
             "must be [lo, hi] with lo > 0",
         )
-        cases = raw.get("cases", "all")
-        if cases == "all":
-            cases = list(ALL_CASES)
-        _expect(isinstance(cases, list), "config.cases", 'must be a list or "all"')
-        for i, c in enumerate(cases):
-            _expect(c in ALL_CASES, f"config.cases[{i}]", f"unknown case {c!r}")
-        presets = raw.get("presets", [])
-        _expect(isinstance(presets, list), "config.presets", "must be a list")
-        for i, pid in enumerate(presets):
-            _expect(pid in PRESETS, f"config.presets[{i}]", f"unknown preset {pid!r}")
-        theorems = raw.get("mean_theorems", [])
-        _expect(isinstance(theorems, list), "config.mean_theorems", "must be a list")
-        for i, t in enumerate(theorems):
-            _expect(t in MEAN_THEOREMS, f"config.mean_theorems[{i}]", f"unknown theorem {t!r}")
-        mean_grid = raw.get("mean_grid", {}) or {}
-        _expect(isinstance(mean_grid, dict), "config.mean_grid", "must be an object")
-        for key in mean_grid:
-            _expect(key in {"a", "b", "s", "q", "lambda"}, f"config.mean_grid.{key}", "unknown field")
-        draws = raw.get("draws", 0)
-        _expect(isinstance(draws, int) and draws >= 0, "config.draws", "must be a nonnegative integer")
-        mean_draws = raw.get("mean_draws", 0)
-        _expect(isinstance(mean_draws, int) and mean_draws >= 0, "config.mean_draws", "must be a nonnegative integer")
-        oracle_draws = raw.get("moment_oracle_draws", 0)
-        _expect(isinstance(oracle_draws, int) and oracle_draws >= 0, "config.moment_oracle_draws", "must be a nonnegative integer")
-        samples = raw.get("convexity_samples", 32)
-        _expect(isinstance(samples, int) and samples >= 1, "config.convexity_samples", "must be a positive integer")
-        tol = raw.get("tol", 1e-12)
+        # Mean draws take a from this range, and the means need a > 0.
+        _expect(out["mean_draws"] == 0 or a_range[0] > 0.0, "config.ranges.a", "must have lo > 0 when mean_draws > 0")
+        tol = raw.get("tol", default.tol)
         _expect(isinstance(tol, (int, float)) and 0 < tol < 1, "config.tol", "must be in (0, 1)")
-        seed = raw.get("seed", 0)
-        _expect(isinstance(seed, int) and seed >= 0, "config.seed", "must be a nonnegative integer")
-        fmt = raw.get("format", "json")
+        out["tol"] = float(tol)
+        fmt = raw.get("format", default.out_format)
         _expect(fmt in ("json", "csv"), "config.format", 'must be "json" or "csv"')
-        return SuiteConfig(
-            families=tuple(families),
-            a_values=_float_list(grid.get("a"), "config.grid.a"),
-            b_values=_float_list(grid.get("b"), "config.grid.b"),
-            lam_values=_float_list(grid.get("lambda"), "config.grid.lambda", (0.0, 0.5, 1.0)),
-            mu_values=_float_list(grid.get("mu"), "config.grid.mu"),
-            s_values=_float_list(grid.get("s"), "config.grid.s"),
-            q_values=_float_list(grid.get("q"), "config.grid.q", (1.0,)),
-            draws=draws,
-            a_range=(a_range[0], a_range[1]),
-            width_range=(width_range[0], width_range[1]),
-            cases=tuple(cases),
-            presets=tuple(presets),
-            mean_theorems=tuple(theorems),
-            mean_a=_float_list(mean_grid.get("a"), "config.mean_grid.a"),
-            mean_b=_float_list(mean_grid.get("b"), "config.mean_grid.b"),
-            mean_s=_float_list(mean_grid.get("s"), "config.mean_grid.s"),
-            mean_q=_float_list(mean_grid.get("q"), "config.mean_grid.q", (1.0,)),
-            mean_lam=_float_list(mean_grid.get("lambda"), "config.mean_grid.lambda", (0.0, 0.5, 1.0)),
-            mean_draws=mean_draws,
-            moment_oracle_draws=oracle_draws,
-            convexity_samples=samples,
-            tol=float(tol),
-            seed=seed,
-            out_format=fmt,
-        )
+        out["out_format"] = fmt
+        return SuiteConfig(**out)
 
     @staticmethod
     def from_file(path: str) -> "SuiteConfig":
@@ -524,23 +536,16 @@ class _Cells:
 def certificate_status(fid: str, a: float, b: float, s: float, q: float, samples: int, seed: int) -> str:
     """Provenance of the claim that |f'|^q is extended s-convex on [a, b].
 
-    The power rule, then the convexity rule, certify analytically; only an
-    id neither covers is sampled (`samples` Halton and `samples` seeded
-    random triples), which can falsify but never certify.  The sweep and
-    the CLI's `bound` and `preset` commands all label rows with it.
+    `certified-analytic` when s is within 1e-12 of the id's
+    `analytic_order` or below it; otherwise the id is sampled (`samples`
+    Halton and `samples` seeded random triples), which can falsify but never
+    certify.  The sweep and the CLI's `bound` and `preset` commands all
+    label rows with it.
     """
-    certs = []
     family, p = parse_id(fid)
-    if family == "pow" and p > 0.0:
-        # The power rule needs a positive interval unless the envelope
-        # exponent is nonnegative, in which case a = 0 is harmless.
-        if a > 0.0 or (a == 0.0 and p >= 1.0 and (p - 1.0) * q >= 0.0):
-            certs.append(certify_power_extended_s(p, q))
-    certs.append(certify_convex_envelope(fid, a, q))
-    for cert in certs:
-        # Any certificate at order s' covers every order s <= s'.
-        if cert is not None and cert.status == "certified-analytic" and s <= cert.s + 1e-12:
-            return cert.status
+    order = analytic_order(family, p, a, q)
+    if order is not None and s <= order + 1e-12:
+        return "certified-analytic"
     try:
         envelope = derivative_q_envelope(from_id(fid, a, b), q)
         return check_extended_s_convex(envelope, a, b, s, samples=samples, seed=seed).status
@@ -586,7 +591,8 @@ def _family_s_values(fid: str, cfg: SuiteConfig) -> tuple[float, ...]:
 def _branches(
     fid: str, cfg: SuiteConfig, cases: list[BoundCase], specs: list[PresetSpec]
 ) -> list[tuple[float, float, list[BoundCase], list[PresetSpec]]]:
-    """Each (s, q) a family runs at, with the cases and presets it admits."""
+    """Each (s, q) a family runs at, with the cases and presets it admits;
+    an (s, q) that admits none is left out."""
     branches = []
     for q in cfg.q_values:
         for s in _family_s_values(fid, cfg):
@@ -598,7 +604,8 @@ def _branches(
                     continue
                 admitted.append(case)
             presets = [spec for spec in specs if not spec.branch_mismatch(s, q)]
-            branches.append((s, q, admitted, presets))
+            if admitted or presets:
+                branches.append((s, q, admitted, presets))
     return branches
 
 
@@ -633,17 +640,10 @@ def _sweep_interval(
 
     add = report.add
     for s, q, cases, specs in branches:
-        try:
-            base = BoundParams(a, b, 0.0, 0.0, s, q)
-        except WrongBranchError:
-            continue
-        qa, qb, qm = derivative_values(f, base)
+        qa, qb, qm = derivative_values(f, BoundParams(a, b, 0.0, 0.0, s, q))
         cert = certificate_status(fid, a, b, s, q, cfg.convexity_samples, cfg.seed)
         for lam, mu in pairs:
-            try:
-                p = BoundParams(a, b, lam, mu, s, q)
-            except WrongBranchError:
-                continue
+            p = BoundParams(a, b, lam, mu, s, q)
             params = (a, b, lam, mu, s, q)
             for case in cases:
                 value = lhs(case, p)

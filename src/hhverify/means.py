@@ -6,24 +6,25 @@ identric mean at s = 0; L_1 is the arithmetic mean.  The bounds control
 f(x) = x^s at μ = λ.  Each theorem applies a Section 3 display to that f
 (as Dragomir & Agarwal, Appl. Math. Lett. 11, 1998) at the case order s'
 that `MEAN_SPECS` names: T41 -> T31_general and T42 -> T32_tier1 at
-s' = s - 1, certified by the power rule; T43_q1 -> the as-printed T33_q1,
-T44_q1 -> T34_q1_tier1 and T44_qgt1 -> T34_qgt1_tier1 at s' = s, certified
-by the convexity rule.  T43_qgt1 matches no case (its weight fits order
-s - 1, its prefactors order s) and is the one display written out here.
-A row at s' = s > 1 lies past its parent's s' <= 1 branch: it is evaluated
-but `unchecked`, and that is where the violations T43_q1 and T44_q1
-inherit from their parents lie.
+s' = s - 1; T43_q1 -> the as-printed T33_q1, T44_q1 -> T34_q1_tier1 and
+T44_qgt1 -> T34_qgt1_tier1 at s' = s.  T43_qgt1 matches no case (its
+weight fits order s - 1, its prefactors order s) and is the one display
+written out here; it assumes order s - 1.  A row is `certified-analytic`
+when `functions.analytic_order` of |f'|^q reaches the theorem's order,
+otherwise `unchecked`; nothing is sampled.  A row at s' = s > 1 lies past
+its parent's s' <= 1 branch: it is evaluated but `unchecked`, and that is
+where the violations T43_q1 and T44_q1 inherit from their parents lie.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .bounds import BoundCase, BoundResult, Q_BRANCH_EPS, case_formula, check_branch
 from .errors import FunctionDomainError, WrongBranchError
-from .functions import convex_power_envelope, power_rule_holds
+from .functions import analytic_order, power_rule_holds
 from .moments import holder_weight_integral
 from .presets import VERBATIM_DISPLAYS, Display
 
@@ -94,16 +95,6 @@ def mean_lhs(mp: MeanParams) -> float:
     return abs(value)
 
 
-# Each rule gives the status its `functions` certificate would give for
-# |f'|^q of f(x) = x^s on an interval from a.
-def _power_rule(s: float, q: float, a: float) -> str:
-    return "certified-analytic" if power_rule_holds(s, q) else "not-falsified"
-
-
-def _convexity_rule(s: float, q: float, a: float) -> str:
-    return "certified-analytic" if convex_power_envelope(s, q, a) else "unchecked"
-
-
 def _case_display(case: BoundCase) -> Display:
     return lambda *args: case_formula(case, *args)[0]
 
@@ -124,15 +115,15 @@ def _d_t43_qgt1(a, b, lam, mu, s, q, qa, qb, qm):
 class MeanSpec:
     """A mean theorem as `display` for f(x) = x^s at μ = λ and order
     s' = s + s_shift.  `parent` (None for T43_qgt1) settles the (s', q)
-    branch; `rule` gives the certificate status of |f'|^q, at order s'
-    where there is a parent;
-    a `power_rule` theorem is stated only where the power rule holds."""
+    branch; the theorem assumes |f'|^q extended (s + cert_shift)-convex,
+    which is s' where there is a parent; a `power_rule` theorem is stated
+    only where the power rule holds."""
 
     theorem: str
     parent: Optional[BoundCase]
     display: Display
     s_shift: float
-    rule: Callable[[float, float, float], str]
+    cert_shift: float
     note: str
     power_rule: bool = False
 
@@ -148,17 +139,17 @@ MEAN_SPECS: dict[str, MeanSpec] = {
     m.theorem: m
     for m in [
         _M("T41", BoundCase.T31_general, _case_display(BoundCase.T31_general), -1.0,
-           _power_rule, "endpoint-pair display", power_rule=True),
+           -1.0, "endpoint-pair display", power_rule=True),
         _M("T42", BoundCase.T32_tier1, _case_display(BoundCase.T32_tier1), -1.0,
-           _power_rule, "midpoint-pair display, corrected 2λ^(s+1)", power_rule=True),
+           -1.0, "midpoint-pair display, corrected 2λ^(s+1)", power_rule=True),
         _M("T43_q1", _T33_Q1_PRINTED.parent, _T33_Q1_PRINTED.display, 0.0,
-           _convexity_rule, "q=1 product display as printed (known-defective corners)"),
+           0.0, "q=1 product display as printed (known-defective corners)"),
         _M("T43_qgt1", None, _d_t43_qgt1, 0.0,
-           _power_rule, "conjugate-exponent display as printed"),
+           -1.0, "conjugate-exponent display as printed"),
         _M("T44_q1", BoundCase.T34_q1_tier1, _case_display(BoundCase.T34_q1_tier1), 0.0,
-           _convexity_rule, "q=1 product display as printed (known-defective corners)"),
+           0.0, "q=1 product display as printed (known-defective corners)"),
         _M("T44_qgt1", BoundCase.T34_qgt1_tier1, _case_display(BoundCase.T34_qgt1_tier1), 0.0,
-           _convexity_rule, "conjugate-exponent midpoint display", power_rule=True),
+           0.0, "conjugate-exponent midpoint display", power_rule=True),
     ]
 }
 
@@ -184,9 +175,8 @@ def mean_bound_from_values(
         # The parent's branch check, short of s' <= 1: rows past it are
         # evaluated and labelled rather than dropped.
         check_branch(spec.parent, min(s_case, 1.0), q)
-    gamma = (s - 1.0) * q
-    if spec.power_rule and not -1.0 < gamma <= 1.0:
-        raise WrongBranchError(f"{theorem} needs -1 < (s-1)q <= 1, got (s-1)q={gamma!r}")
+    if spec.power_rule and not power_rule_holds(s, q):
+        raise WrongBranchError(f"{theorem} needs -1 < (s-1)q <= 1, got (s-1)q={(s - 1.0) * q!r}")
     # |f'|^q of f(x) = x^s at a, b and the midpoint.
     qa, qb, qm = [(s * x ** (s - 1.0)) ** q for x in (a, b, arithmetic_mean(a, b))]
     bound = spec.display(a, b, lam, lam, s_case, q, qa, qb, qm)
@@ -213,18 +203,23 @@ def t42_verbatim_gap() -> float:
 def eval_mean_bound(theorem: str, mp: MeanParams) -> BoundResult:
     """lhs = mean_lhs, bound per the theorem's spec, packaged as BoundResult.
 
-    `certified` comes from the theorem's analytic rule at the order s';
-    a row outside its parent's branch is `unchecked`.
+    `certified` is `certified-analytic` when the `analytic_order` of |f'|^q
+    on [a, b] reaches the theorem's order s + cert_shift, else `unchecked`.
+    No analytic order exceeds 1, so a row outside its parent's branch is
+    `unchecked`.
     """
     bound, note = mean_bound_from_values(theorem, mp.a, mp.b, mp.s, mp.q, mp.lam)
     lhs = mean_lhs(mp)
     spec = MEAN_SPECS[theorem]
+    # No slack needed: s + cert_shift is the same float as the power rule's p - 1 at p = s.
+    order = analytic_order("pow", mp.s, mp.a, mp.q)
+    certified = order is not None and mp.s + spec.cert_shift <= order
     return BoundResult(
         lhs=lhs,
         bound=bound,
         slack=bound - lhs,
         case=theorem,
         params={"a": mp.a, "b": mp.b, "s": mp.s, "q": mp.q, "lambda": mp.lam},
-        certificate="unchecked" if spec.outside_parent(mp.s) else spec.rule(mp.s, mp.q, mp.a),
+        certificate="certified-analytic" if certified else "unchecked",
         branch_notes=note,
     )

@@ -73,10 +73,35 @@ def test_means_command(capsys):
 
 
 def test_certify_command(capsys):
+    # γ = -0.5 on a positive interval: the convexity rule gives order 1,
+    # above the power rule's p - 1 = -0.5.
     code, out, _ = run_cli(capsys, "certify", "--f", "pow:0.5", "--q", "1")
     doc = json.loads(out)
     assert code == 0
-    assert doc["status"] == "certified-analytic" and doc["s"] == -0.5
+    assert doc["status"] == "certified-analytic" and doc["s"] == 1.0
+
+
+def test_certify_agrees_with_the_sweep(capsys):
+    # Outside the power rule ((p-1)q = 2) the envelope 4x^2 is convex; the
+    # sweep's `bound` row for the same envelope at s = 1 is certified too.
+    code, out, _ = run_cli(capsys, "certify", "--f", "pow:2", "--q", "2")
+    doc = json.loads(out)
+    assert code == 0
+    assert (doc["status"], doc["s"], doc["note"]) == ("certified-analytic", 1.0, "convexity rule")
+    code, out, _ = run_cli(
+        capsys, "bound", "--case", "T31_general", "--f", "pow:2", "--a", "1", "--b", "2",
+        "--lambda", "0.5", "--mu", "0.5", "--s", "1", "--q", "2",
+    )
+    assert code == 0 and json.loads(out)["certified"] == "certified-analytic"
+
+
+def test_t43_qgt1_outside_the_power_rule_is_certified(capsys):
+    # (s-1)q = -1: the power rule does not hold, the convexity rule does.
+    code, out, _ = run_cli(
+        capsys, "means", "--theorem", "T43_qgt1", "--a", "1", "--b", "2",
+        "--s", "0.5", "--q", "2", "--lambda", "0.5",
+    )
+    assert code == 0 and json.loads(out)["certified"] == "certified-analytic"
 
 
 def test_certify_rejects_non_power(capsys):
@@ -215,6 +240,13 @@ def test_sweep_command_roundtrip(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "sweep", "--config", str(cfg_path), "--out", str(out_path))
     assert code == 1
     assert json.loads(out_path.read_text())["violations"]
+
+
+def test_sweep_rejects_an_out_of_domain_config(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"mean_theorems": ["T41"], "mean_grid": {"a": [-1.0], "b": [2.0]}}))
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg_path))
+    assert code == 2 and out == "" and "config.mean_grid.a[0]" in err
 
 
 def test_sweep_csv_output(tmp_path, capsys):

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from hhverify.errors import FunctionDomainError
 from hhverify.functions import (
     FunctionSpec,
-    certify_convex_envelope,
+    analytic_order,
     certify_power_extended_s,
     check_extended_s_convex,
+    convex_power_envelope,
     derivative_consistency,
     derivative_q_envelope,
     from_id,
@@ -17,6 +18,7 @@ from hhverify.functions import (
     make_exp,
     make_power,
     parse_id,
+    power_rule_holds,
 )
 
 
@@ -46,18 +48,29 @@ def test_derivative_q_envelope():
 
 
 def test_certify_power_rule():
-    cert = certify_power_extended_s(2, 1)
-    assert cert.status == "certified-analytic" and cert.s == 1.0
-    cert = certify_power_extended_s(0.5, 1)
-    assert cert.status == "certified-analytic" and cert.s == -0.5
-    cert = certify_power_extended_s(2, 3)
-    assert cert.status == "not-falsified" and cert.s is None
+    # The power rule gives order p - 1 where the convexity rule does not
+    # reach order 1; on positive intervals one of the two always applies.
+    assert power_rule_holds(2, 1) and analytic_order("pow", 2.0, 0.0, 1.0) == 1.0
+    assert power_rule_holds(1.5, 1) and analytic_order("pow", 1.5, 0.5, 1.0) == 0.5
+    assert power_rule_holds(0.5, 1) and analytic_order("pow", 0.5, 0.5, 1.0) == 1.0
+    assert not power_rule_holds(2, 3) and analytic_order("pow", 2.0, 0.0, 3.0) == 1.0
+    for p, q, s, note in [(2, 1, 1.0, "convexity rule"), (1.5, 1, 0.5, "power rule"),
+                          (0.5, 1, 1.0, "convexity rule"), (2, 3, 1.0, "convexity rule")]:
+        cert = certify_power_extended_s(p, q)
+        assert (cert.status, cert.s, cert.note) == ("certified-analytic", s, note)
+
+
+def test_power_rule_at_lo_0_needs_p_ge_1():
+    # At lo = 0 the power rule covers p >= 1 only; pow:0.5 has no rule there.
+    assert analytic_order("pow", 1.5, 0.0, 1.0) == 0.5
+    assert analytic_order("pow", 0.5, 0.0, 1.0) is None
+    assert analytic_order("pow", 1.5, -1.0, 1.0) is None
 
 
 def test_certify_boundary_inclusion():
     # (p-1)q = 1 is included, (p-1)q = -1 is not
-    assert certify_power_extended_s(1.5, 2).status == "certified-analytic"
-    assert certify_power_extended_s(0.5, 2).status == "not-falsified"
+    assert power_rule_holds(1.5, 2)
+    assert not power_rule_holds(0.5, 2)
 
 
 def test_check_convex_not_falsified():
@@ -95,11 +108,10 @@ def test_check_rejects_negative_functions():
 
 def test_certified_power_never_falsified():
     for p, q, seed in [(2.0, 1.0, 0), (0.5, 1.0, 1), (1.5, 2.0, 2), (0.8, 3.0, 3)]:
-        cert = certify_power_extended_s(p, q)
-        assert cert.status == "certified-analytic"
+        assert power_rule_holds(p, q) and analytic_order("pow", p, 0.1, q) >= p - 1.0
         f = make_power(p, 0.1, 3.0)
         envelope = derivative_q_envelope(f, q)
-        check = check_extended_s_convex(envelope, 0.1, 3.0, cert.s, samples=150, seed=seed)
+        check = check_extended_s_convex(envelope, 0.1, 3.0, p - 1.0, samples=150, seed=seed)
         assert check.status == "not-falsified"
 
 
@@ -111,10 +123,9 @@ def test_certified_power_never_falsified():
 )
 def test_certified_power_never_falsified_property(p, q, seed):
     assume(-1.0 < (p - 1.0) * q <= 1.0)
-    cert = certify_power_extended_s(p, q)
-    assert cert.status == "certified-analytic"
+    assert power_rule_holds(p, q) and analytic_order("pow", p, 0.05, q) >= p - 1.0
     envelope = derivative_q_envelope(make_power(p, 0.05, 2.5), q)
-    check = check_extended_s_convex(envelope, 0.05, 2.5, cert.s, samples=40, seed=seed)
+    check = check_extended_s_convex(envelope, 0.05, 2.5, p - 1.0, samples=40, seed=seed)
     assert check.status == "not-falsified"
 
 
@@ -157,8 +168,7 @@ def test_from_id_registry():
     ],
 )
 def test_convexity_rule_never_falsified(fid, q, lo):
-    cert = certify_convex_envelope(fid, lo, q)
-    assert cert is not None and cert.status == "certified-analytic" and cert.s == 1.0
+    assert analytic_order(*parse_id(fid), lo, q) == 1.0
     hi = lo + 2.5
     envelope = derivative_q_envelope(from_id(fid, lo, hi), q)
     for s in (-1.0, 0.0, 1.0):
@@ -167,14 +177,18 @@ def test_convexity_rule_never_falsified(fid, q, lo):
 
 
 def test_convexity_rule_needs_positive_interval_for_negative_gamma():
-    assert certify_convex_envelope("pow:0.5", 0.0, 1.0) is None
-    assert certify_convex_envelope("pow:0.5", 0.1, 1.0) is not None
+    assert not convex_power_envelope(0.5, 1.0, 0.0)
+    assert analytic_order("pow", 0.5, 0.0, 1.0) is None
+    assert convex_power_envelope(0.5, 1.0, 0.1)
+    assert analytic_order("pow", 0.5, 0.1, 1.0) == 1.0
 
 
 def test_convexity_rule_leaves_concave_envelopes_to_the_sampler():
-    # pow:1.5 at q = 1 has envelope 1.5·x^0.5 (γ = 0.5): concave, so no rule
-    # covers order s = 1 and the sampler falsifies it.
-    assert certify_convex_envelope("pow:1.5", 0.5, 1.0) is None
+    # pow:1.5 at q = 1 has envelope 1.5·x^0.5 (γ = 0.5): concave, so only
+    # the power rule applies, at order 0.5; order s = 1 is left to the
+    # sampler, which falsifies it.
+    assert not convex_power_envelope(1.5, 1.0, 0.5)
+    assert analytic_order("pow", 1.5, 0.5, 1.0) == 0.5
     envelope = derivative_q_envelope(make_power(1.5, 0.5, 2.0), 1.0)
     assert check_extended_s_convex(envelope, 0.5, 2.0, 1.0, samples=64).status == "falsified"
 
@@ -182,9 +196,11 @@ def test_convexity_rule_leaves_concave_envelopes_to_the_sampler():
 @pytest.mark.parametrize("q", [math.nan, math.inf, 0.5])
 def test_envelope_rules_reject_q_outside_finite_q_ge_1(q):
     # NaN fails every comparison, so only a check that q lies in [1, inf)
-    # rejects it; the power rule already has that check.
+    # rejects it.
     with pytest.raises(FunctionDomainError, match="finite q >= 1"):
-        certify_convex_envelope("exp", 0.0, q)
+        analytic_order("exp", None, 0.0, q)
+    with pytest.raises(FunctionDomainError, match="finite q >= 1"):
+        analytic_order("pow", 1.5, 0.5, q)
     with pytest.raises(FunctionDomainError, match="finite q >= 1"):
         derivative_q_envelope(from_id("exp", 0.0, 1.0), q)
     with pytest.raises(FunctionDomainError, match="finite q >= 1"):

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -14,6 +15,7 @@ from hhverify.errors import ConfigError, PresetMismatchError, WrongBranchError
 from hhverify.functions import from_id
 from hhverify.harness import CASE_KEYS, MEAN_KEYS, Report, SuiteConfig, erratum_scan, run_suite
 from hhverify.identity import BoundParams
+from hhverify.means import MEAN_THEOREMS
 from hhverify.presets import PRESETS, eval_preset
 
 
@@ -136,6 +138,49 @@ def test_config_validation_paths():
         SuiteConfig.from_dict({"grid": {"b": [1.0, "x"]}})
     with pytest.raises(ConfigError, match="config.unknown"):
         SuiteConfig.from_dict({"unknown": 1})
+
+
+# One value outside its field's domain, the path it must be reported at,
+# and what else the config needs for that value to be used.
+OUT_OF_DOMAIN = [
+    ({"grid": {"lambda": [0.5, 1.5]}}, "config.grid.lambda[1]"),
+    ({"grid": {"mu": [-0.1]}}, "config.grid.mu[0]"),
+    ({"grid": {"s": [3.0]}}, "config.grid.s[0]"),
+    ({"grid": {"q": [0.5]}}, "config.grid.q[0]"),
+    ({"mean_grid": {"lambda": [1.5]}}, "config.mean_grid.lambda[0]"),
+    ({"mean_grid": {"s": [3.0]}}, "config.mean_grid.s[0]"),
+    ({"mean_grid": {"s": [0.0]}}, "config.mean_grid.s[0]"),
+    ({"mean_grid": {"q": [0.5]}}, "config.mean_grid.q[0]"),
+    ({"mean_grid": {"a": [1.0, -1.0]}}, "config.mean_grid.a[1]"),
+    ({"ranges": {"a": [0.0, 1.0]}, "mean_draws": 1}, "config.ranges.a"),
+]
+
+
+@pytest.mark.parametrize("bad,path", OUT_OF_DOMAIN, ids=[json.dumps(b) for b, _ in OUT_OF_DOMAIN])
+def test_config_rejects_values_outside_their_domain(bad, path):
+    cfg = {"families": ["pow:2"], "cases": "all", "mean_theorems": ["T41"], **bad}
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        SuiteConfig.from_dict(cfg)
+
+
+def test_ranges_a_may_start_at_0_without_mean_draws():
+    cfg = SuiteConfig.from_dict({"ranges": {"a": [0.0, 1.0]}, "mean_theorems": ["T41"]})
+    assert cfg.a_range == (0.0, 1.0)
+
+
+def test_config_defaults_are_the_dataclass_defaults():
+    assert SuiteConfig.from_dict({}) == SuiteConfig()
+    assert SuiteConfig.from_dict({"cases": "all", "grid": None, "ranges": {}}) == SuiteConfig()
+
+
+def test_a_branch_that_admits_nothing_is_skipped(monkeypatch):
+    # pow:3 defaults to s = p - 1 = 2, past every case and preset, so the
+    # sweep neither builds its rows nor samples its certificate.
+    monkeypatch.setattr(harness, "check_extended_s_convex", None)
+    cfg = SuiteConfig.from_dict(
+        {"families": ["pow:3"], "grid": {"a": [1.0], "b": [2.0]}, "cases": "all", "presets": sorted(PRESETS)}
+    )
+    assert run_suite(cfg).record_count == 0
 
 
 @pytest.mark.parametrize("fid", ["foo", "pow:abc", "pow:nan", "pow:0", "pow:-1"])
@@ -367,6 +412,45 @@ def test_convex_envelopes_skip_the_sampler(monkeypatch):
     report = run_suite(cfg)
     assert {r["family"] for r in report.records} == {"exp", "pow:2", "const:3"}
     assert all(r["certified"] == "certified-analytic" for r in report.records)
+
+
+def test_not_falsified_only_where_the_sampler_ran(monkeypatch):
+    # Case, preset and mean rows with every certificate kind: pow:1.5 at
+    # q = 1 is sampled at s = 0.75 (not falsified) and s = 1 (falsified);
+    # T43_qgt1 at (s-1)q = -1 and 2 lies outside the power rule.
+    sampled = {}
+    real = harness.check_extended_s_convex
+
+    def sampler(g, lo, hi, s, **kwargs):
+        cert = real(g, lo, hi, s, **kwargs)
+        sampled[(g.fid, lo, hi, s)] = cert.status
+        return cert
+
+    monkeypatch.setattr(harness, "check_extended_s_convex", sampler)
+    cfg = SuiteConfig.from_dict(
+        {
+            "families": ["pow:1.5", "exp"],
+            "grid": {"a": [0.5], "b": [2.0], "lambda": [0.0, 0.5, 1.0], "s": [0.5, 0.75, 1.0], "q": [1.0, 2.0]},
+            "cases": "all",
+            "presets": ["E15", "C32_q1"],
+            "mean_theorems": list(MEAN_THEOREMS),
+            "mean_grid": {"a": [1.0], "b": [2.0], "s": [0.5, 1.0, 2.0], "q": [1.0, 2.0], "lambda": [0.5]},
+        }
+    )
+    records = run_suite(cfg).records
+    assert {r["case"] for r in records} >= set(MEAN_THEOREMS) and any(r["preset"] for r in records)
+    outside = [r for r in records if r["case"] == "T43_qgt1" and r["params"]["s"] != 1.0]
+    assert len(outside) == 2
+    kinds = collections.Counter(r["certified"] for r in records)
+    assert kinds["not-falsified"] and kinds["falsified"] and kinds["certified-analytic"]
+    for r in records:
+        if r["certified"] in ("not-falsified", "falsified"):
+            p = r["params"]
+            key = (f"|{r['family']}'|^{p['q']:g}", p["a"], p["b"], p["s"])
+            assert sampled.get(key) == r["certified"], r
+        elif r["case"] in MEAN_THEOREMS:
+            assert r["certified"] in ("certified-analytic", "unchecked"), r
+    assert len(sampled) == 2
 
 
 def test_sweep_rows_match_the_scalar_path():
