@@ -75,8 +75,9 @@ def is_violation(slack, bound):
 class BoundResult:
     """One evaluated bound instance; `harness.Report.add_result` writes it.
 
-    `params` keeps the parameter names in record order; bound-case rows
-    carry (a, b, lambda, mu, s, q), mean rows (a, b, s, q, lambda).
+    `params` maps parameter names to values (a, b, lambda, mu, s, q; a mean
+    row has no mu); its key order is not read.  Which params a record shows,
+    and in what order, is `harness.Report`'s to decide.
     """
 
     lhs: float

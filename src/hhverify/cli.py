@@ -2,10 +2,12 @@
 
 The single-row commands `bound`, `preset` and `means` print one record of
 the sweep report's schema: a one-row `Report`, as JSON (the record) or CSV
-(header and row), labelled with the sweep's certificate rule.  `certify`
-prints the analytic certificate of |f'|^q for f = x^p on positive
-intervals: the order `functions.analytic_order` gives, by the convexity
-rule or the power rule.
+(header and row), labelled with the sweep's certificate rule and, for
+`means`, the sweep's family id (`means.mean_family`).  `Report` alone
+decides the record's layout.  `certify` prints the analytic certificate
+of |f'|^q for f = x^p on positive intervals: the order
+`functions.analytic_order` gives, by the convexity rule or the power
+rule.
 
 Exit codes: 0 success, 1 verification failure (a violation, an oracle
 mismatch, or a shipped display that no longer matches its parent), 2 usage
@@ -23,7 +25,7 @@ from .errors import HHVerifyError
 from .functions import certify_power_extended_s, from_id, parse_id
 from .harness import Report, SuiteConfig, certificate_status, erratum_scan, run_suite
 from .identity import BoundParams, check_identity, hh_lhs, identity_rhs
-from .means import MEAN_THEOREMS, MeanParams, eval_mean_bound
+from .means import MEAN_THEOREMS, MeanParams, eval_mean_bound, mean_family
 from .moments import MomentSpec, moment_general, moment_harmonic, moment_oracle
 from .presets import PRESETS, eval_preset
 
@@ -199,8 +201,7 @@ def _dispatch(args) -> int:
 
     if args.command == "means":
         result = eval_mean_bound(args.theorem, MeanParams(args.a, args.b, args.s, args.q, args.lam))
-        # The family the sweep gives a mean row.
-        return _emit_row(f"pow:{args.s:g}", result, args.format)
+        return _emit_row(mean_family(args.s), result, args.format)
 
     if args.command == "certify":
         family, power = parse_id(args.f)

@@ -38,7 +38,6 @@ __all__ = [
     "analytic_order",
     "certify_power_extended_s",
     "check_extended_s_convex",
-    "derivative_consistency",
 ]
 
 # λ is kept away from {0, 1}: the defining inequality quantifies over the
@@ -283,22 +282,3 @@ def check_extended_s_convex(
         if w is not None:
             return ConvexityCertificate(s, 1.0, target, "falsified", w, "random witness")
     return ConvexityCertificate(s, 1.0, target, "not-falsified", None, f"{2 * samples} triples")
-
-
-def derivative_consistency(f: FunctionSpec, points: int = 100) -> float:
-    """Worst relative gap between f.deriv and a central difference of f.eval.
-
-    Interior sample points only; step h = max(1e-6, 1e-6·|x|).
-    """
-    if f.deriv is None:
-        raise FunctionDomainError(f"{f.fid} carries no derivative")
-    worst = 0.0
-    span = f.hi - f.lo
-    for i in range(1, points + 1):
-        x = f.lo + span * i / (points + 1.0)
-        h = max(1e-6, 1e-6 * abs(x))
-        h = min(h, 0.49 * min(x - f.lo, f.hi - x))
-        fd = (f.eval(x + h) - f.eval(x - h)) / (2.0 * h)
-        d = f.deriv(x)
-        worst = max(worst, abs(fd - d) / (1.0 + abs(d)))
-    return worst

@@ -43,9 +43,10 @@ from .functions import (
     derivative_q_envelope,
     from_id,
     parse_id,
+    power_rule_holds,
 )
 from .identity import BoundParams, hh_lhs
-from .means import MEAN_THEOREMS, MeanParams, eval_mean_bound, t42_verbatim_gap
+from .means import MEAN_SPECS, MEAN_THEOREMS, MeanParams, eval_mean_bound, mean_family, t42_verbatim_gap
 from .moments import (
     MOMENT_CASES,
     MomentSpec,
@@ -74,7 +75,9 @@ def _float_list(raw, path: str, default: tuple, domain) -> tuple[float, ...]:
     holds, what = domain
     out = []
     for i, v in enumerate(raw):
-        _expect(isinstance(v, (int, float)) and math.isfinite(v), f"{path}[{i}]", "must be a finite number")
+        # JSON true/false load as bool, which Python counts as an int.
+        _expect(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
+                f"{path}[{i}]", "must be a finite number")
         _expect(holds(v), f"{path}[{i}]", f"must be {what}, got {v!r}")
         out.append(float(v))
     return tuple(out)
@@ -191,7 +194,8 @@ class SuiteConfig:
         for key, field, least in _INTS:
             value = raw.get(key, getattr(default, field))
             what = "a positive integer" if least else "a nonnegative integer"
-            _expect(isinstance(value, int) and value >= least, f"config.{key}", f"must be {what}")
+            _expect(isinstance(value, int) and not isinstance(value, bool) and value >= least,
+                    f"config.{key}", f"must be {what}")
             out[field] = value
 
         a_range, width_range = out["a_range"], out["width_range"]
@@ -225,35 +229,47 @@ class SuiteConfig:
 # array, in _FLOATS order, and one list per label.
 CASE_KEYS = ("a", "b", "lambda", "mu", "s", "q")
 MEAN_KEYS = ("a", "b", "s", "q", "lambda")
-_FLOATS = CASE_KEYS + ("lhs", "bound", "slack")
+_FLOATS = CASE_KEYS + ("lhs", "bound", "slack")  # slack is bound - lhs
 _NF = len(_FLOATS)
 _SLOT = {key: i for i, key in enumerate(_FLOATS)}
 _LHS, _BOUND, _SLACK = _SLOT["lhs"], _SLOT["bound"], _SLOT["slack"]
+# Each format's fields in order; "params" stands for the params a record
+# shows (JSON) or for all of CASE_KEYS, blank where not shown (CSV).
+_JSON_FIELDS = ("case", "preset", "params", "lhs", "bound", "slack", "certified", "branch_notes", "family", "violation")
+_CSV_FIELDS = ("family", "case", "preset", "params", "lhs", "bound", "slack", "certified", "branch_notes")
 # Params repeat across the rows of one tuple and lhs across the rows of one
 # weight pair, so the writer spells each distinct value of these once;
 # bound and slack are spelled row by row.
 _SHARED = (*range(len(CASE_KEYS)), _LHS)
-_CSV_HEADER = ["family", "case", "preset", *CASE_KEYS, "lhs", "bound", "slack", "certified", "branch_notes"]
 # Rows per write: bounds the text held at once, whatever the report size.
 _CHUNK_ROWS = 2048
 # json writes non-finite floats as these JavaScript constants.
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+def _shown(case: str) -> tuple[str, ...]:
+    """The params a record of `case` shows, in record order."""
+    return MEAN_KEYS if case in MEAN_SPECS else CASE_KEYS
+
+
 class Report:
     """A sweep's rows, held column by column, with the scan and summaries.
 
-    `add` appends one row, `add_result` one `BoundResult`; `finalize`
+    `add` appends one row from its values and `add_result` one
+    `BoundResult`; everything else about a record is derived here: its
+    slack is bound - lhs, the params it shows follow from its case
+    (`MEAN_KEYS` for a mean theorem, `CASE_KEYS` otherwise), and each
+    format's field order is `_JSON_FIELDS` or `_CSV_FIELDS`.  `finalize`
     sorts the rows into report order and summarises their slack per case
     or preset.  `records` and `violations` are views, lists of dicts in the
     report schema built on each access; `record_count` and
     `violation_count` read the columns without building them.
 
-    The JSON report is the bytes `json.dumps(doc, indent=2)` gives for
-    {records, violations, errata, summary, oracle_residuals}, written from one
-    template per params layout in chunks of rows; the CSV report has one line
-    per record.  Both spell floats with `float.__repr__` (JSON spells the
-    non-finite ones NaN, Infinity and -Infinity, as `json` does).
+    `dump` writes the JSON report as the bytes `json.dumps(doc, indent=2)`
+    gives for {records, violations, errata, summary, oracle_residuals},
+    from one template per params layout in chunks of rows; the CSV report
+    has one line per record.  Both spell floats with `float.__repr__` (JSON
+    spells the non-finite ones NaN, Infinity and -Infinity, as `json` does).
     """
 
     def __init__(self) -> None:
@@ -263,7 +279,6 @@ class Report:
         self._preset: list[str | None] = []
         self._certified: list[str] = []
         self._notes: list[str] = []
-        self._keys: list[tuple[str, ...]] = []
         self.errata: list[dict] = []
         self.summary: dict = {}
         self.oracle_residuals: dict = {}
@@ -273,37 +288,30 @@ class Report:
         family: str,
         case: str,
         preset: str | None,
-        keys: tuple[str, ...],
         params: tuple[float, float, float, float, float, float],
         lhs: float,
         bound: float,
-        slack: float,
         certified: str,
         branch_notes: str,
     ) -> None:
         """Append one row.
 
-        params is (a, b, lambda, mu, s, q); keys names the ones the record
-        shows, in order (`CASE_KEYS` or `MEAN_KEYS`).  A param the record
-        does not show is passed as 0.0, which is where it sorts.
+        params is (a, b, lambda, mu, s, q); a param the record does not
+        show (mu on a mean row) is passed as 0.0, which is where it sorts.
         """
         self._floats.extend(params)
-        self._floats.extend((lhs, bound, slack))
+        self._floats.extend((lhs, bound, bound - lhs))
         self._family.append(family)
         self._case.append(case)
         self._preset.append(preset)
         self._certified.append(certified)
         self._notes.append(branch_notes)
-        self._keys.append(keys)
 
     def add_result(self, family: str, result: BoundResult) -> None:
-        """Append `result` as one row laid out by its params keys."""
-        p = result.params
-        self.add(
-            family, result.case, result.preset, tuple(p),
-            tuple(p.get(key, 0.0) for key in CASE_KEYS), result.lhs, result.bound,
-            result.slack, result.certificate, result.branch_notes,
-        )
+        """Append `result` as one row, reading its params by name."""
+        params = tuple(result.params.get(key, 0.0) for key in CASE_KEYS)
+        self.add(family, result.case, result.preset, params, result.lhs, result.bound,
+                 result.certificate, result.branch_notes)
 
     def _labels(self) -> dict[str, list]:
         return {
@@ -312,7 +320,6 @@ class Report:
             "preset": self._preset,
             "certified": self._certified,
             "branch_notes": self._notes,
-            "keys": self._keys,
         }
 
     @property
@@ -337,23 +344,21 @@ class Report:
 
     def _dicts(self, rows) -> list[dict]:
         floats = self._matrix()
-        violating = _violating(floats).tolist()
+        labels = self._labels()
+        labels["violation"] = _violating(floats).tolist()
         values = floats.tolist()
         out = []
         for i in rows:
             row = values[i]
-            out.append({
-                "case": self._case[i],
-                "preset": self._preset[i],
-                "params": {key: row[_SLOT[key]] for key in self._keys[i]},
-                "lhs": row[_LHS],
-                "bound": row[_BOUND],
-                "slack": row[_SLACK],
-                "certified": self._certified[i],
-                "branch_notes": self._notes[i],
-                "family": self._family[i],
-                "violation": violating[i],
-            })
+            record = {}
+            for field in _JSON_FIELDS:
+                if field == "params":
+                    record[field] = {key: row[_SLOT[key]] for key in _shown(self._case[i])}
+                elif field in _SLOT:
+                    record[field] = row[_SLOT[field]]
+                else:
+                    record[field] = labels[field][i]
+            out.append(record)
         return out
 
     def finalize(self) -> "Report":
@@ -388,31 +393,15 @@ class Report:
             }
         return self
 
-    def to_json(self) -> str:
-        buf = io.StringIO()
-        self._dump_json(buf)
-        return buf.getvalue()
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        self._dump_csv(buf)
-        return buf.getvalue()
-
     def dump(self, handle, fmt: str = "json") -> None:
         """Write the report to an open text handle as `write` writes a file."""
-        if fmt == "csv":
-            self._dump_csv(handle)
-        else:
-            self._dump_json(handle)
-            handle.write("\n")
-
-    def write(self, path: str, fmt: str = "json") -> None:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            self.dump(handle, fmt)
-
-    def _dump_json(self, handle) -> None:
         floats = self._matrix()
-        cells = _Cells(self._labels(), floats, "json")
+        cells = _Cells(self._labels(), floats, fmt)
+        if fmt == "csv":
+            # The header names the fields of a row that shows every param.
+            handle.write(",".join(cells.template(CASE_KEYS)[1]) + "\n")
+            cells.write(handle, np.arange(len(floats)))
+            return
         handle.write('{\n  "records": ')
         cells.write(handle, np.arange(len(floats)))
         handle.write(',\n  "violations": ')
@@ -420,12 +409,11 @@ class Report:
         for key in ("errata", "summary", "oracle_residuals"):
             text = json.dumps(getattr(self, key), indent=2).replace("\n", "\n  ")
             handle.write(f',\n  "{key}": {text}')
-        handle.write("\n}")
+        handle.write("\n}\n")
 
-    def _dump_csv(self, handle) -> None:
-        floats = self._matrix()
-        handle.write(",".join(_CSV_HEADER) + "\n")
-        _Cells(self._labels(), floats, "csv").write(handle, np.arange(len(floats)))
+    def write(self, path: str, fmt: str = "json") -> None:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            self.dump(handle, fmt)
 
 
 def _violating(floats: np.ndarray) -> np.ndarray:
@@ -475,12 +463,12 @@ class _Cells:
             spelled = np.array(_spell_floats(distinct.view(np.float64), fmt), dtype=object)
             self.shared[k] = spelled[where.ravel()]
         self.labels = {}
-        for name in ("family", "case", "preset", "certified", "branch_notes"):
-            column = labels[name]
+        for name, column in labels.items():
             spelled = {v: _spell_label(v, fmt) for v in set(column)}
             self.labels[name] = np.array([spelled[v] for v in column], dtype=object)
         self.labels["violation"] = np.where(_violating(floats), "true", "false").astype(object)
-        self.layout, self.layouts = _codes(labels["keys"])
+        shown = {case: _shown(case) for case in set(labels["case"])}
+        self.layout, self.layouts = _codes([shown[case] for case in labels["case"]])
 
     def cells(self, field: str, rows: np.ndarray) -> list[str]:
         if field not in _SLOT:
@@ -491,21 +479,19 @@ class _Cells:
         return _spell_floats(self.floats[rows, k], self.fmt)
 
     def template(self, keys: tuple[str, ...]) -> tuple[str, list[str]]:
-        """The row template of one params layout, one %s per field it lists."""
+        """The row template of one params layout, and the field of each %s."""
         if self.fmt == "csv":
-            params = ["%s" if k in keys else "" for k in CASE_KEYS]
-            template = ",".join(["%s"] * 3 + params + ["%s"] * 5) + "\n"
-            shown = [k for k in CASE_KEYS if k in keys]
-            return template, ["family", "case", "preset", *shown, "lhs", "bound", "slack", "certified", "branch_notes"]
-        # One record at the depth json.dumps(indent=2) gives it in the report.
-        params = ",\n".join(f'        "{k}": %s' for k in keys)
-        template = (
-            '    {\n      "case": %s,\n      "preset": %s,\n      "params": {\n' + params
-            + '\n      },\n      "lhs": %s,\n      "bound": %s,\n      "slack": %s,\n      "certified": %s,'
-            '\n      "branch_notes": %s,\n      "family": %s,\n      "violation": %s\n    }'
-        )
-        fields = ["case", "preset", *keys, "lhs", "bound", "slack", "certified", "branch_notes", "family", "violation"]
-        return template, fields
+            order = _CSV_FIELDS
+            keys = tuple(k for k in CASE_KEYS if k in keys)
+            params = ",".join("%s" if k in keys else "" for k in CASE_KEYS)
+            text = ",".join(params if f == "params" else "%s" for f in order) + "\n"
+        else:
+            # One record at the depth json.dumps(indent=2) gives it in the report.
+            order = _JSON_FIELDS
+            params = ",\n".join(f'        "{k}": %s' for k in keys)
+            parts = (f'      "params": {{\n{params}\n      }}' if f == "params" else f'      "{f}": %s' for f in order)
+            text = "    {\n" + ",\n".join(parts) + "\n    }"
+        return text, [k for f in order for k in (keys if f == "params" else (f,))]
 
     def segments(self, rows: np.ndarray):
         """(keys, row indices): runs of one params layout, at most _CHUNK_ROWS long."""
@@ -646,16 +632,13 @@ def _sweep_interval(
             p = BoundParams(a, b, lam, mu, s, q)
             params = (a, b, lam, mu, s, q)
             for case in cases:
-                value = lhs(case, p)
                 bound, note = case_bound_from_values(case, a, b, lam, mu, s, q, qa, qb, qm)
-                add(fid, case.value, None, CASE_KEYS, params, value, bound, bound - value, cert, note)
+                add(fid, case.value, None, params, lhs(case, p), bound, cert, note)
             for spec in specs:
                 if spec.weight_mismatch(lam, mu):
                     continue
-                value = lhs(spec.parent, p)
                 bound = spec.display(a, b, lam, mu, s, q, qa, qb, qm)
-                add(fid, spec.parent.value, spec.pid, CASE_KEYS, params, value, bound,
-                    bound - value, cert, spec.branch_notes)
+                add(fid, spec.parent.value, spec.pid, params, lhs(spec.parent, p), bound, cert, spec.branch_notes)
 
 
 def run_suite(cfg: SuiteConfig) -> Report:
@@ -686,7 +669,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
             b = a + rng.uniform(*cfg.width_range)
             s = rng.uniform(0.05, 2.0)
             q = rng.choice([1.0, 1.5, 2.0, 4.0])
-            if not -1.0 < (s - 1.0) * q <= 1.0:
+            if not power_rule_holds(s, q):
                 q = 1.0
             lam = rng.uniform()
             mean_tuples.append((float(a), float(b), float(s), float(q), float(lam)))
@@ -696,7 +679,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
                 result = eval_mean_bound(theorem, MeanParams(a, b, s, q, lam))
             except WrongBranchError:
                 continue
-            report.add_result(f"pow:{s:g}", result)
+            report.add_result(mean_family(s), result)
 
     if cfg.moment_oracle_draws > 0:
         report.oracle_residuals = _oracle_suite(cfg.moment_oracle_draws, cfg.seed, cfg.tol)

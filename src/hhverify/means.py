@@ -14,6 +14,8 @@ when `functions.analytic_order` of |f'|^q reaches the theorem's order,
 otherwise `unchecked`; nothing is sampled.  A row at s' = s > 1 lies past
 its parent's s' <= 1 branch: it is evaluated but `unchecked`, and that is
 where the violations T43_q1 and T44_q1 inherit from their parents lie.
+`eval_mean_bound` gives a row's values, its params by name; `mean_family`
+names the row's family, and `harness.Report` lays the record out.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "mean_lhs",
     "mean_bound_from_values",
     "eval_mean_bound",
+    "mean_family",
 ]
 
 _S_IDENTRIC_EPS = 1e-8
@@ -156,6 +159,11 @@ MEAN_SPECS: dict[str, MeanSpec] = {
 MEAN_THEOREMS = tuple(MEAN_SPECS)
 
 
+def mean_family(s: float) -> str:
+    """The family id of a mean row at s: the f(x) = x^s the theorems apply to."""
+    return f"pow:{s:g}"
+
+
 def mean_bound_from_values(
     theorem: str, a: float, b: float, s: float, q: float, lam: float
 ) -> tuple[float, str]:
@@ -191,7 +199,7 @@ def t42_verbatim_gap() -> float:
     worst = 0.0
     for s in (0.3, 0.8, 1.3, 1.7, 2.0):
         for q in (1.0, 1.5, 2.0):
-            if not -1.0 < (s - 1.0) * q <= 1.0:
+            if not power_rule_holds(s, q):
                 continue
             for lam in (0.1, 0.25, 0.5, 0.75, 0.9):
                 da = 2.0 * lam ** (s + 1.0) - (s + 1.0) * lam + s

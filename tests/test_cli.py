@@ -249,6 +249,13 @@ def test_sweep_rejects_an_out_of_domain_config(tmp_path, capsys):
     assert code == 2 and out == "" and "config.mean_grid.a[0]" in err
 
 
+def test_sweep_rejects_a_boolean_for_a_number(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"families": ["pow:2"], "cases": "all", "draws": true}')
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg_path))
+    assert code == 2 and out == "" and "config.draws" in err
+
+
 def test_sweep_csv_output(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(

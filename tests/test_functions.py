@@ -11,7 +11,6 @@ from hhverify.functions import (
     certify_power_extended_s,
     check_extended_s_convex,
     convex_power_envelope,
-    derivative_consistency,
     derivative_q_envelope,
     from_id,
     make_const,
@@ -127,6 +126,23 @@ def test_certified_power_never_falsified_property(p, q, seed):
     envelope = derivative_q_envelope(make_power(p, 0.05, 2.5), q)
     check = check_extended_s_convex(envelope, 0.05, 2.5, p - 1.0, samples=40, seed=seed)
     assert check.status == "not-falsified"
+
+
+def derivative_consistency(f: FunctionSpec, points: int = 100) -> float:
+    """Worst relative gap between f.deriv and a central difference of f.eval.
+
+    Interior sample points only; step h = max(1e-6, 1e-6·|x|).
+    """
+    worst = 0.0
+    span = f.hi - f.lo
+    for i in range(1, points + 1):
+        x = f.lo + span * i / (points + 1.0)
+        h = max(1e-6, 1e-6 * abs(x))
+        h = min(h, 0.49 * min(x - f.lo, f.hi - x))
+        fd = (f.eval(x + h) - f.eval(x - h)) / (2.0 * h)
+        d = f.deriv(x)
+        worst = max(worst, abs(fd - d) / (1.0 + abs(d)))
+    return worst
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ import re
 import pytest
 
 import hhverify.harness as harness
-from hhverify.bounds import BoundCase, eval_case
+from hhverify.bounds import BoundCase, BoundResult, eval_case
 from hhverify.errors import ConfigError, PresetMismatchError, WrongBranchError
 from hhverify.functions import from_id
 from hhverify.harness import CASE_KEYS, MEAN_KEYS, Report, SuiteConfig, erratum_scan, run_suite
@@ -111,7 +111,7 @@ def test_seeded_draws_are_deterministic():
         }
     )
     r1, r2 = run_suite(cfg), run_suite(cfg)
-    assert r1.to_json() == r2.to_json()
+    assert dumped(r1, "json") == dumped(r2, "json")
     assert len(r1.records) == 25
 
 
@@ -153,6 +153,14 @@ OUT_OF_DOMAIN = [
     ({"mean_grid": {"q": [0.5]}}, "config.mean_grid.q[0]"),
     ({"mean_grid": {"a": [1.0, -1.0]}}, "config.mean_grid.a[1]"),
     ({"ranges": {"a": [0.0, 1.0]}, "mean_draws": 1}, "config.ranges.a"),
+    # JSON true/false load as Python bools, which are ints; none is a number here.
+    ({"draws": True}, "config.draws"),
+    ({"mean_draws": True}, "config.mean_draws"),
+    ({"seed": False}, "config.seed"),
+    ({"convexity_samples": True}, "config.convexity_samples"),
+    ({"grid": {"lambda": [True]}}, "config.grid.lambda[0]"),
+    ({"grid": {"q": [1.0, True]}}, "config.grid.q[1]"),
+    ({"mean_grid": {"s": [True]}}, "config.mean_grid.s[0]"),
 ]
 
 
@@ -292,17 +300,23 @@ def test_erratum_scan_items_in_order():
 
 
 def hand_built_report():
-    """Rows out of report order, with non-finite floats, -0.0 and awkward labels."""
+    """Rows out of report order, with non-finite floats, -0.0 and awkward labels.
+
+    Slack is bound - lhs: nan twice, inf, -inf (not a violation: its bound
+    is -inf too) and the violating -0.5.
+    """
     nan, inf = math.nan, math.inf
     report = Report()
-    report.add("pow:2", "T31_general", "E15", CASE_KEYS, (1.0, 2.0, 1.0, 1.0, 1.0, 1.0),
-               inf, nan, nan, "sampled", "unicode \u03bb and 100% %s")
-    report.add("exp", "T31_general", None, CASE_KEYS, (-0.0, 1.0, 0.5, 0.5, 1.0, 1.0),
-               nan, inf, -inf, "unchecked", 'a note, with "quotes"\nand a newline')
-    report.add("pow:1.5", "T41", None, MEAN_KEYS, (1.0, 2.0, 0.5, 0.0, 0.5, 2.0),
-               -inf, 1e-300, 5e-324, "certified-analytic", "")
-    report.add("exp", "T31_general", None, CASE_KEYS, (0.0, 1.0, 0.0, 1.0, 1.0, 1.0),
-               1.0, 0.5, -0.5, "unchecked", "violating")
+    report.add("pow:2", "T31_general", "E15", (1.0, 2.0, 1.0, 1.0, 1.0, 1.0),
+               inf, nan, "sampled", "unicode \u03bb and 100% %s")
+    report.add("exp", "T31_general", None, (-0.0, 1.0, 0.5, 0.5, 1.0, 1.0),
+               nan, inf, "unchecked", 'a note, with "quotes"\nand a newline')
+    report.add("pow:1.5", "T41", None, (1.0, 2.0, 0.5, 0.0, 0.5, 2.0),
+               -inf, 1e-300, "certified-analytic", "")
+    report.add("pow:1.5", "T42", None, (1.0, 2.0, 0.0, 0.0, 0.5, 1.0),
+               5e-324, -inf, "certified-analytic", "")
+    report.add("exp", "T31_general", None, (0.0, 1.0, 0.0, 1.0, 1.0, 1.0),
+               1.0, 0.5, "unchecked", "violating")
     return report.finalize()
 
 
@@ -324,6 +338,12 @@ def json_reference(report) -> str:
         "oracle_residuals": report.oracle_residuals,
     }
     return json.dumps(doc, indent=2) + "\n"
+
+
+def dumped(report, fmt: str) -> str:
+    buf = io.StringIO()
+    report.dump(buf, fmt)
+    return buf.getvalue()
 
 
 def csv_reference(report) -> str:
@@ -349,7 +369,7 @@ def test_write_streams_the_to_json_bytes(tmp_path):
         report.write(str(path), "json")
         with open(path, encoding="utf-8", newline="") as handle:
             assert handle.read() == json_reference(report), name
-        assert report.to_json() + "\n" == json_reference(report), name
+        assert dumped(report, "json") == json_reference(report), name
 
 
 def test_csv_matches_a_csv_writer_loop(tmp_path):
@@ -359,7 +379,7 @@ def test_csv_matches_a_csv_writer_loop(tmp_path):
         report.write(str(path), "csv")
         with open(path, encoding="utf-8", newline="") as handle:
             assert handle.read() == csv_reference(report), name
-        assert report.to_csv() == csv_reference(report), name
+        assert dumped(report, "csv") == csv_reference(report), name
 
 
 def test_views_and_counts_agree():
@@ -391,10 +411,32 @@ def test_finalize_sorts_like_the_record_key():
     report = Report()
     for i, r in enumerate(records):
         params = tuple(r["params"].get(k, 0.0) for k in CASE_KEYS)
-        report.add(r["family"], r["case"], r["preset"], tuple(r["params"]), params,
-                   r["lhs"], r["bound"], r["slack"], r["certified"], str(i))
-    got = [int(r["branch_notes"]) for r in report.finalize().records]
-    assert got == sorted(range(len(records)), key=lambda i: key(records[i]))
+        report.add(r["family"], r["case"], r["preset"], params,
+                   r["lhs"], r["bound"], r["certified"], str(i))
+    got = report.finalize().records
+    assert [int(r["branch_notes"]) for r in got] == sorted(range(len(records)), key=lambda i: key(records[i]))
+    for r in got:
+        assert r == {**records[int(r["branch_notes"])], "branch_notes": r["branch_notes"]}
+
+
+def test_add_result_reads_params_by_name():
+    # A result's params dict in any key order gives the same record: the
+    # layout follows from the case, not from the dict.
+    def record(case, params, order):
+        result = BoundResult(0.25, 1.5, 1.25, case, {k: params[k] for k in order}, "unchecked", "note")
+        report = Report()
+        report.add_result("pow:2", result)
+        return dumped(report.finalize(), "json"), dumped(report, "csv")
+
+    case_params = dict(zip(CASE_KEYS, (1.0, 2.0, 0.25, 0.75, 0.5, 2.0)))
+    mean_params = dict(zip(MEAN_KEYS, (1.0, 2.0, 0.5, 2.0, 0.25)))
+    for case, params in (("T31_general", case_params), ("T41", mean_params)):
+        shuffled = list(params)
+        random.Random(5).shuffle(shuffled)
+        orders = [list(params), list(reversed(params)), shuffled]
+        assert len({record(case, params, order) for order in orders}) == 1, case
+    shown = json.loads(record("T41", mean_params, sorted(mean_params))[0])["records"][0]["params"]
+    assert list(shown.items()) == list(mean_params.items())
 
 
 def test_convex_envelopes_skip_the_sampler(monkeypatch):
