@@ -10,10 +10,10 @@ source: T33_q1 ships with the corrected prefactor 2^(s+1) (the as-printed
 this case), while T34_q1 ships as printed because its spot values are
 pinned that way; the validity sweep exposes its defect honestly.
 
-`eval_case` is the scalar reference path for one row: its lhs runs its own
-quadrature, and its certificate status is whatever the caller passes in
-(the CLI passes `harness.certificate_status`, the sweep's rule).  How a row
-is written out is `harness.Report`'s business; `is_violation` is the one
+A case row has one builder, `harness.add_interval_rows`: the sweep and
+the CLI's `bound` command both call it.  `eval_case` is the scalar
+reference the tests compare that builder with: its lhs runs its own
+quadrature and it labels no certificate.  `is_violation` is the one
 violation predicate, shared by `BoundResult.violated` and the report.
 """
 
@@ -36,6 +36,7 @@ __all__ = [
     "VIOLATION_TOL",
     "Q_BRANCH_EPS",
     "S_BRANCH_EPS",
+    "branch_mismatch",
     "case_bound_from_values",
     "case_formula",
     "check_branch",
@@ -73,18 +74,12 @@ def is_violation(slack, bound):
 
 @dataclass(frozen=True)
 class BoundResult:
-    """One evaluated bound instance; `harness.Report.add_result` writes it.
-
-    `params` maps parameter names to values (a, b, lambda, mu, s, q; a mean
-    row has no mu); its key order is not read.  Which params a record shows,
-    and in what order, is `harness.Report`'s to decide.
-    """
+    """One bound instance as a scalar reference path evaluates it."""
 
     lhs: float
     bound: float
     slack: float
     case: str
-    params: dict
     certificate: str = "unchecked"
     branch_notes: str = ""
     preset: Optional[str] = None
@@ -92,17 +87,6 @@ class BoundResult:
     @property
     def violated(self) -> bool:
         return is_violation(self.slack, self.bound)
-
-
-def params_dict(p: BoundParams) -> dict:
-    return {
-        "a": p.a,
-        "b": p.b,
-        "lambda": p.lam,
-        "mu": p.mu,
-        "s": p.s,
-        "q": p.q,
-    }
 
 
 def midpoint_envelope(s: float, qa: float, qb: float) -> float:
@@ -118,26 +102,30 @@ _QGT1_CASES = frozenset(
 )
 
 
-def check_branch(case: BoundCase, s: float, q: float) -> None:
-    """Raise WrongBranchError unless (s, q) lie on the branch of `case`.
+def branch_mismatch(case: BoundCase, s: float, q: float) -> str:
+    """Why (s, q) lie off the branch of `case`, or "" when they lie on it.
 
-    The branch depends on (s, q) alone, so a sweep can settle it once per
-    (s, q) instead of once per row.
+    It depends on (s, q) alone, so a sweep settles it once per (s, q)
+    instead of once per row.
     """
     if case is BoundCase.T31_s_minus1:
-        if s != -1.0:
-            raise WrongBranchError(f"T31_s_minus1 needs s = -1 exactly, got {s!r}")
-        return
+        return "" if s == -1.0 else f"T31_s_minus1 needs s = -1 exactly, got {s!r}"
     if s < -1.0 + S_BRANCH_EPS:
-        raise WrongBranchError(
-            f"{case.value} needs s > -1 + 1e-6, got s={s!r}; s = -1 is T31_s_minus1 only"
-        )
+        return f"{case.value} needs s > -1 + 1e-6, got s={s!r}; s = -1 is T31_s_minus1 only"
     if s > 1.0:
-        raise WrongBranchError(f"{case.value} needs s <= 1, got s={s!r}")
+        return f"{case.value} needs s <= 1, got s={s!r}"
     if case in _Q1_CASES and q >= 1.0 + Q_BRANCH_EPS:
-        raise WrongBranchError(f"{case.value} is a q = 1 branch, got q={q!r}")
+        return f"{case.value} is a q = 1 branch, got q={q!r}"
     if case in _QGT1_CASES and q < 1.0 + Q_BRANCH_EPS:
-        raise WrongBranchError(f"{case.value} needs q >= 1 + 1e-9, got q={q!r}")
+        return f"{case.value} needs q >= 1 + 1e-9, got q={q!r}"
+    return ""
+
+
+def check_branch(case: BoundCase, s: float, q: float) -> None:
+    """Raise WrongBranchError unless (s, q) lie on the branch of `case`."""
+    problem = branch_mismatch(case, s, q)
+    if problem:
+        raise WrongBranchError(problem)
 
 
 def case_bound_from_values(
@@ -300,21 +288,13 @@ def deviation_params(case: BoundCase, p: BoundParams) -> BoundParams:
     return p
 
 
-def eval_case(
-    case: BoundCase | str,
-    f: FunctionSpec,
-    p: BoundParams,
-    tol: float = DEFAULT_TOL,
-    certificate: str = "unchecked",
-) -> BoundResult:
+def eval_case(case: BoundCase | str, f: FunctionSpec, p: BoundParams, tol: float = DEFAULT_TOL) -> BoundResult:
     """Evaluate one bound case: lhs by quadrature, bound from closed forms.
 
-    `certificate` is the status the row reports; bounds are computed either
-    way so uncertified configurations can still be explored.  Raises
-    WrongBranchError when (s, q) belong to another case.
+    Raises WrongBranchError when (s, q) belong to another case.
     """
     case = BoundCase(case)
     lhs = abs(hh_lhs(f, deviation_params(case, p), tol))
     qa, qb, qm = derivative_values(f, p)
     bound, note = case_bound_from_values(case, p.a, p.b, p.lam, p.mu, p.s, p.q, qa, qb, qm)
-    return BoundResult(lhs, bound, bound - lhs, case.value, params_dict(p), certificate, note)
+    return BoundResult(lhs, bound, bound - lhs, case.value, branch_notes=note)

@@ -1,10 +1,11 @@
 """Command-line surface.
 
-The single-row commands `bound`, `preset` and `means` print one record of
-the sweep report's schema: a one-row `Report`, as JSON (the record) or CSV
-(header and row), labelled with the sweep's certificate rule and, for
-`means`, the sweep's family id (`means.mean_family`).  `Report` alone
-decides the record's layout.  `certify` prints the analytic certificate
+The single-row commands `bound`, `preset` and `means` settle their one
+row's branch (a wrong one exits 2), then build the row with the builder
+the sweep uses for that row kind (`harness.add_interval_rows` or
+`harness.add_mean_rows`) into a one-row `Report`.  They print its record
+as JSON, or as CSV (header and row): the sweep's own record, certificate
+and family id included.  `certify` prints the analytic certificate
 of |f'|^q for f = x^p on positive intervals: the order
 `functions.analytic_order` gives, by the convexity rule or the power
 rule.
@@ -20,20 +21,19 @@ import argparse
 import json
 import sys
 
-from .bounds import BoundCase, eval_case
-from .errors import HHVerifyError
+from .bounds import BoundCase, check_branch
+from .errors import FunctionDomainError, HHVerifyError, WrongBranchError
 from .functions import certify_power_extended_s, from_id, parse_id
-from .harness import Report, SuiteConfig, certificate_status, erratum_scan, run_suite
+from .harness import Report, SuiteConfig, add_interval_rows, add_mean_rows, erratum_scan, run_suite
 from .identity import BoundParams, check_identity, hh_lhs, identity_rhs
-from .means import MEAN_THEOREMS, MeanParams, eval_mean_bound, mean_family
+from .means import MEAN_SPECS, MEAN_THEOREMS, MeanParams
 from .moments import MomentSpec, moment_general, moment_harmonic, moment_oracle
-from .presets import PRESETS, eval_preset
+from .presets import PRESETS
+from .quadrature import mean_integral
 
 
-def _emit_row(family: str, result, fmt: str) -> int:
-    """Print `result` as a one-row report; exit code 1 when it violates."""
-    report = Report()
-    report.add_result(family, result)
+def _emit_row(report: Report, fmt: str) -> int:
+    """Print a one-row report's record; exit code 1 when it violates."""
     if fmt == "csv":
         report.dump(sys.stdout, "csv")
     else:
@@ -41,10 +41,13 @@ def _emit_row(family: str, result, fmt: str) -> int:
     return 1 if report.violation_count else 0
 
 
-def _sweep_certificate(fid: str, p: BoundParams) -> str:
-    """The sweep's certificate for one tuple, at the sweep's default sampling."""
-    cfg = SuiteConfig()
-    return certificate_status(fid, p.a, p.b, p.s, p.q, cfg.convexity_samples, cfg.seed)
+def _interval_row(args, p: BoundParams, branch) -> int:
+    """Print the one row `branch`, a settled (s, q, cases, presets), gives at p."""
+    cfg = SuiteConfig(tol=args.tol)
+    f = from_id(args.f, p.a, p.b)
+    report = Report()
+    add_interval_rows(report, cfg, args.f, f, mean_integral(f, p.a, p.b, cfg.tol), [(p.lam, p.mu)], [branch])
+    return _emit_row(report, args.format)
 
 
 def _emit_report(report: Report, fmt: str, out: str | None) -> None:
@@ -186,22 +189,28 @@ def _dispatch(args) -> int:
         return 0 if residual <= 10.0 * args.tol + 1e-15 else 1
 
     if args.command == "bound":
-        params = BoundParams(args.a, args.b, args.lam, args.mu, args.s, args.q)
-        f = from_id(args.f, params.a, params.b)
-        result = eval_case(args.case, f, params, args.tol, _sweep_certificate(args.f, params))
-        return _emit_row(args.f, result, args.format)
+        p = BoundParams(args.a, args.b, args.lam, args.mu, args.s, args.q)
+        case = BoundCase(args.case)
+        check_branch(case, p.s, p.q)
+        return _interval_row(args, p, (p.s, p.q, [case], []))
 
     if args.command == "preset":
         spec = PRESETS[args.preset]
-        lam, mu, s, q = _fill_preset_params(spec, args.lam, args.mu, args.s, args.q)
-        params = BoundParams(args.a, args.b, lam, mu, s, q)
-        f = from_id(args.f, params.a, params.b)
-        result = eval_preset(args.preset, f, params, args.tol, _sweep_certificate(args.f, params))
-        return _emit_row(args.f, result, args.format)
+        p = BoundParams(args.a, args.b, *_fill_preset_params(spec, args.lam, args.mu, args.s, args.q))
+        spec.validate(p)
+        return _interval_row(args, p, (p.s, p.q, [], [spec]))
 
     if args.command == "means":
-        result = eval_mean_bound(args.theorem, MeanParams(args.a, args.b, args.s, args.q, args.lam))
-        return _emit_row(mean_family(args.s), result, args.format)
+        mp = MeanParams(args.a, args.b, args.s, args.q, args.lam)
+        # The sweep's mean tuples all have a < b.
+        if mp.a == mp.b:
+            raise FunctionDomainError(f"need a < b, got a={mp.a!r} b={mp.b!r}")
+        problem = MEAN_SPECS[args.theorem].branch_mismatch(mp.s, mp.q)
+        if problem:
+            raise WrongBranchError(problem)
+        report = Report()
+        add_mean_rows(report, (args.theorem,), [(mp.a, mp.b, mp.s, mp.q, mp.lam)])
+        return _emit_row(report, args.format)
 
     if args.command == "certify":
         family, power = parse_id(args.f)

@@ -5,15 +5,18 @@ A sweep appends its rows to a `Report`, which holds them column by column
 row.  `Report.records` and `Report.violations` are views built from the
 columns on demand; the report writer reads the columns directly and writes
 the same bytes `json.dumps(indent=2)` or `csv.writer` would.  `Report` is
-the one place that knows what a record looks like: the CLI's single-row
-commands print a one-row report, and `certificate_status` is the one rule
-for the `certified` field, used by the sweep and by those commands alike.
+the one place that knows what a record looks like, and `Report.add` the
+one way a row enters it.  Each row kind has one builder, which `run_suite`
+and the CLI's single-row commands both call: `add_interval_rows` (case and
+preset rows) and `add_mean_rows`.  `eval_case`, `eval_preset` and
+`eval_mean_bound` are the scalar reference the tests compare them with.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import statistics
@@ -25,18 +28,18 @@ import numpy as np
 
 from .bounds import (
     BoundCase,
-    BoundResult,
+    branch_mismatch,
     case_bound_from_values,
-    check_branch,
     derivative_values,
     deviation_params,
     is_violation,
 )
-from .errors import ConfigError, FunctionDomainError, HHVerifyError, WrongBranchError
+from .errors import ConfigError, FunctionDomainError, HHVerifyError
 # `certify_power_extended_s` is not called here; it stays bound in this
 # module, with `check_extended_s_convex`, because `perfbench/tracer.py`
 # patches both here.
 from .functions import (
+    FunctionSpec,
     analytic_order,
     certify_power_extended_s,
     check_extended_s_convex,
@@ -46,7 +49,9 @@ from .functions import (
     power_rule_holds,
 )
 from .identity import BoundParams, hh_lhs
-from .means import MEAN_SPECS, MEAN_THEOREMS, MeanParams, eval_mean_bound, mean_family, t42_verbatim_gap
+# `eval_mean_bound` is not called here either; `perfbench/tracer.py` patches it here.
+from .means import MEAN_SPECS, MEAN_THEOREMS, MeanParams, derivative_powers, eval_mean_bound
+from .means import mean_family, mean_lhs, t42_verbatim_gap
 from .moments import (
     MOMENT_CASES,
     MomentSpec,
@@ -58,7 +63,8 @@ from .moments import (
 from .presets import PRESETS, VERBATIM_DISPLAYS, PresetSpec
 from .quadrature import mean_integral
 
-__all__ = ["SuiteConfig", "Report", "certificate_status", "run_suite", "erratum_scan"]
+__all__ = ["SuiteConfig", "Report", "certificate_status", "add_interval_rows", "add_mean_rows",
+           "run_suite", "erratum_scan"]
 
 ALL_CASES = tuple(c.value for c in BoundCase)
 
@@ -147,9 +153,9 @@ class SuiteConfig:
     @staticmethod
     def from_dict(raw: dict) -> "SuiteConfig":
         """Validate a JSON config: `families`, `cases` (a list or "all"),
-        `presets`, `mean_theorems`, the numeric lists of `_LISTS` under
-        their sections, the integers of `_INTS`, `tol` and `format`.  An
-        omitted key keeps the field's default."""
+        `presets` and `mean_theorems`, each name at most once, the numeric
+        lists of `_LISTS` under their sections, the integers of `_INTS`,
+        `tol` and `format`.  An omitted key keeps the field's default."""
         _expect(isinstance(raw, dict), "config", "must be a JSON object")
         default = SuiteConfig()
         tables = {section: raw.get(section) or {} for section, *_ in _LISTS}
@@ -170,6 +176,7 @@ class SuiteConfig:
             except FunctionDomainError as exc:
                 raise ConfigError(f"{path}: {exc}") from None
             _expect(family != "pow" or param > 0.0, path, f"{fid!r}: power p must be positive")
+            _expect(fid not in families[:i], path, f'repeated "{fid}"')
         out["families"] = tuple(families)
 
         for key, (noun, allowed) in names.items():
@@ -180,6 +187,7 @@ class SuiteConfig:
                     'must be a list or "all"' if key == "cases" else "must be a list")
             for i, name in enumerate(value):
                 _expect(name in allowed, f"config.{key}[{i}]", f"unknown {noun} {name!r}")
+                _expect(name not in value[:i], f"config.{key}[{i}]", f'repeated "{name}"')
             out[key] = tuple(value)
 
         for section, table in tables.items():
@@ -255,14 +263,13 @@ def _shown(case: str) -> tuple[str, ...]:
 class Report:
     """A sweep's rows, held column by column, with the scan and summaries.
 
-    `add` appends one row from its values and `add_result` one
-    `BoundResult`; everything else about a record is derived here: its
-    slack is bound - lhs, the params it shows follow from its case
-    (`MEAN_KEYS` for a mean theorem, `CASE_KEYS` otherwise), and each
-    format's field order is `_JSON_FIELDS` or `_CSV_FIELDS`.  `finalize`
-    sorts the rows into report order and summarises their slack per case
-    or preset.  `records` and `violations` are views, lists of dicts in the
-    report schema built on each access; `record_count` and
+    `add` appends one row from its values; everything else about a record
+    is derived here: its slack is bound - lhs, the params it shows follow
+    from its case (`MEAN_KEYS` for a mean theorem, `CASE_KEYS` otherwise),
+    and each format's field order is `_JSON_FIELDS` or `_CSV_FIELDS`.
+    `finalize` sorts the rows into report order and summarises their slack
+    per case or preset.  `records` and `violations` are views, lists of
+    dicts in the report schema built on each access; `record_count` and
     `violation_count` read the columns without building them.
 
     `dump` writes the JSON report as the bytes `json.dumps(doc, indent=2)`
@@ -306,12 +313,6 @@ class Report:
         self._preset.append(preset)
         self._certified.append(certified)
         self._notes.append(branch_notes)
-
-    def add_result(self, family: str, result: BoundResult) -> None:
-        """Append `result` as one row, reading its params by name."""
-        params = tuple(result.params.get(key, 0.0) for key in CASE_KEYS)
-        self.add(family, result.case, result.preset, params, result.lhs, result.bound,
-                 result.certificate, result.branch_notes)
 
     def _labels(self) -> dict[str, list]:
         return {
@@ -582,39 +583,31 @@ def _branches(
     branches = []
     for q in cfg.q_values:
         for s in _family_s_values(fid, cfg):
-            admitted = []
-            for case in cases:
-                try:
-                    check_branch(case, s, q)
-                except WrongBranchError:
-                    continue
-                admitted.append(case)
+            admitted = [case for case in cases if not branch_mismatch(case, s, q)]
             presets = [spec for spec in specs if not spec.branch_mismatch(s, q)]
             if admitted or presets:
                 branches.append((s, q, admitted, presets))
     return branches
 
 
-def _sweep_interval(
+def add_interval_rows(
     report: Report,
     cfg: SuiteConfig,
     fid: str,
-    a: float,
-    b: float,
+    f: FunctionSpec,
+    mean: float,
     pairs: list[tuple[float, float]],
     branches: list[tuple[float, float, list[BoundCase], list[PresetSpec]]],
 ) -> None:
-    """Append every admissible case and preset row of one family on [a, b].
+    """Append the case and preset rows of family `fid` on [f.lo, f.hi],
+    whose mean value is `mean`: each branch's at each (lambda, mu) pair,
+    less the preset rows whose weight pins the pair misses.
 
-    The mean quadrature is shared by every row of the interval, each lhs by
-    every row of its weight pair, and |f'|^q and the certificate by every
-    row of their (s, q).
+    A branch is (s, q, cases, presets), settled on (s, q) by the caller.
+    Each lhs is shared by every row of its weight pair, and |f'|^q and the
+    certificate by every row of their (s, q).
     """
-    try:
-        f = from_id(fid, a, b)
-        mean = mean_integral(f, a, b, cfg.tol)
-    except HHVerifyError:
-        return
+    a, b = f.lo, f.hi
     lhs_at: dict[tuple[float, float], float] = {}
 
     def lhs(parent: BoundCase, p: BoundParams) -> float:
@@ -641,8 +634,35 @@ def _sweep_interval(
                 add(fid, spec.parent.value, spec.pid, params, lhs(spec.parent, p), bound, cert, spec.branch_notes)
 
 
+def add_mean_rows(
+    report: Report, theorems: tuple[str, ...], tuples: list[tuple[float, float, float, float, float]]
+) -> None:
+    """Append the row of each theorem at each (a, b, s, q, lambda) in
+    `tuples` whose (s, q) lie on the theorem's branch.
+
+    The exact lhs, |f'|^q at a, b and the midpoint, and the analytic order
+    of |f'|^q are shared by every theorem of a tuple.
+    """
+    specs = [MEAN_SPECS[theorem] for theorem in theorems]
+    add = report.add
+    for a, b, s, q, lam in tuples:
+        admitted = [spec for spec in specs if not spec.branch_mismatch(s, q)]
+        if not admitted:
+            continue
+        lhs = mean_lhs(MeanParams(a, b, s, q, lam))
+        values = derivative_powers(a, b, s, q)
+        order = analytic_order("pow", s, a, q)
+        family = mean_family(s)
+        for spec in admitted:
+            bound, note = spec.bound(a, b, s, q, lam, *values)
+            add(family, spec.theorem, None, (a, b, lam, 0.0, s, q), lhs, bound, spec.certificate(s, order), note)
+
+
 def run_suite(cfg: SuiteConfig) -> Report:
-    """Evaluate the configured cases/presets/theorems over the grid."""
+    """Evaluate the configured cases/presets/theorems over the grid.
+
+    An interval whose function or mean value cannot be evaluated is skipped.
+    """
     report = Report()
     intervals = _bound_intervals(cfg)
     cases = [BoundCase(c) for c in cfg.cases]
@@ -650,18 +670,16 @@ def run_suite(cfg: SuiteConfig) -> Report:
     for fid in cfg.families:
         branches = _branches(fid, cfg, cases, specs)
         for (a, b), pairs in intervals.items():
-            _sweep_interval(report, cfg, fid, a, b, pairs, branches)
+            try:
+                f = from_id(fid, a, b)
+                mean = mean_integral(f, a, b, cfg.tol)
+            except HHVerifyError:
+                continue
+            add_interval_rows(report, cfg, fid, f, mean, pairs, branches)
 
     # Mean-inequality sweep.
-    mean_tuples = []
-    for a in cfg.mean_a:
-        for b in cfg.mean_b:
-            if b <= a:
-                continue
-            for s in cfg.mean_s:
-                for q in cfg.mean_q:
-                    for lam in cfg.mean_lam:
-                        mean_tuples.append((a, b, s, q, lam))
+    grid = itertools.product(cfg.mean_a, cfg.mean_b, cfg.mean_s, cfg.mean_q, cfg.mean_lam)
+    mean_tuples = [(a, b, s, q, lam) for a, b, s, q, lam in grid if b > a]
     if cfg.mean_draws > 0:
         rng = np.random.default_rng(cfg.seed + 1)
         for _ in range(cfg.mean_draws):
@@ -673,13 +691,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
                 q = 1.0
             lam = rng.uniform()
             mean_tuples.append((float(a), float(b), float(s), float(q), float(lam)))
-    for theorem in cfg.mean_theorems:
-        for (a, b, s, q, lam) in mean_tuples:
-            try:
-                result = eval_mean_bound(theorem, MeanParams(a, b, s, q, lam))
-            except WrongBranchError:
-                continue
-            report.add_result(mean_family(s), result)
+    add_mean_rows(report, cfg.mean_theorems, mean_tuples)
 
     if cfg.moment_oracle_draws > 0:
         report.oracle_residuals = _oracle_suite(cfg.moment_oracle_draws, cfg.seed, cfg.tol)

@@ -14,8 +14,10 @@ when `functions.analytic_order` of |f'|^q reaches the theorem's order,
 otherwise `unchecked`; nothing is sampled.  A row at s' = s > 1 lies past
 its parent's s' <= 1 branch: it is evaluated but `unchecked`, and that is
 where the violations T43_q1 and T44_q1 inherit from their parents lie.
-`eval_mean_bound` gives a row's values, its params by name; `mean_family`
-names the row's family, and `harness.Report` lays the record out.
+A mean row has one builder, `harness.add_mean_rows`, which the sweep and
+the CLI's `means` command both call; it settles each branch with
+`MeanSpec.branch_mismatch` and evaluates with `MeanSpec.bound` and
+`MeanSpec.certificate`, as `eval_mean_bound`, the scalar reference, does.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .bounds import BoundCase, BoundResult, Q_BRANCH_EPS, case_formula, check_branch
+from .bounds import BoundCase, BoundResult, Q_BRANCH_EPS, branch_mismatch, case_formula
 from .errors import FunctionDomainError, WrongBranchError
 from .functions import analytic_order, power_rule_holds
 from .moments import holder_weight_integral
@@ -38,6 +40,7 @@ __all__ = [
     "arithmetic_mean",
     "generalized_log_mean",
     "mean_lhs",
+    "derivative_powers",
     "mean_bound_from_values",
     "eval_mean_bound",
     "mean_family",
@@ -134,6 +137,33 @@ class MeanSpec:
         """True when the order s' lies past the parent's s' <= 1 branch."""
         return self.parent is not None and s + self.s_shift > 1.0
 
+    def branch_mismatch(self, s: float, q: float) -> str:
+        """Why (s, q) lie off the theorem's branch, or "" when they lie on it."""
+        if not 0.0 < s <= 2.0:
+            return f"mean bounds need 0 < s <= 2, got {s!r}"
+        if self.parent is None:
+            problem = f"{self.theorem} needs q > 1, got q={q!r}" if q < 1.0 + Q_BRANCH_EPS else ""
+        else:
+            # The parent's branch short of s' <= 1: rows past it are
+            # evaluated and labelled rather than dropped.
+            problem = branch_mismatch(self.parent, min(s + self.s_shift, 1.0), q)
+        if not problem and self.power_rule and not power_rule_holds(s, q):
+            problem = f"{self.theorem} needs -1 < (s-1)q <= 1, got (s-1)q={(s - 1.0) * q!r}"
+        return problem
+
+    def bound(self, a, b, s, q, lam, qa, qb, qm) -> tuple[float, str]:
+        """(bound, note) on [a, b] at (s, q, λ), from `derivative_powers`."""
+        bound = self.display(a, b, lam, lam, s + self.s_shift, q, qa, qb, qm)
+        if self.outside_parent(s):
+            return bound, f"{self.note}; parent {self.parent.value} at s' = s > 1 is outside its branch"
+        return bound, self.note
+
+    def certificate(self, s: float, order: Optional[float]) -> str:
+        """`certified-analytic` when `order`, the `analytic_order` of |f'|^q,
+        reaches the theorem's order s + cert_shift, else `unchecked`."""
+        # No slack needed: s + cert_shift is the same float as the power rule's p - 1 at p = s.
+        return "certified-analytic" if order is not None and s + self.cert_shift <= order else "unchecked"
+
 
 _M = MeanSpec
 _T33_Q1_PRINTED = VERBATIM_DISPLAYS["T33_q1"]
@@ -164,6 +194,11 @@ def mean_family(s: float) -> str:
     return f"pow:{s:g}"
 
 
+def derivative_powers(a: float, b: float, s: float, q: float) -> tuple[float, float, float]:
+    """|f'|^q of f(x) = x^s at a, b and the midpoint."""
+    return tuple((s * x ** (s - 1.0)) ** q for x in (a, b, arithmetic_mean(a, b)))
+
+
 def mean_bound_from_values(
     theorem: str, a: float, b: float, s: float, q: float, lam: float
 ) -> tuple[float, str]:
@@ -171,26 +206,12 @@ def mean_bound_from_values(
     spec = MEAN_SPECS.get(theorem)
     if spec is None:
         raise WrongBranchError(f"unknown mean theorem {theorem!r}")
-    if not 0.0 < s <= 2.0:
-        raise WrongBranchError(f"mean bounds need 0 < s <= 2, got {s!r}")
+    problem = spec.branch_mismatch(s, q)
+    if problem:
+        raise WrongBranchError(problem)
     if b - a == 0.0:
         return 0.0, "degenerate interval"
-    s_case = s + spec.s_shift
-    if spec.parent is None:
-        if q < 1.0 + Q_BRANCH_EPS:
-            raise WrongBranchError(f"{theorem} needs q > 1, got q={q!r}")
-    else:
-        # The parent's branch check, short of s' <= 1: rows past it are
-        # evaluated and labelled rather than dropped.
-        check_branch(spec.parent, min(s_case, 1.0), q)
-    if spec.power_rule and not power_rule_holds(s, q):
-        raise WrongBranchError(f"{theorem} needs -1 < (s-1)q <= 1, got (s-1)q={(s - 1.0) * q!r}")
-    # |f'|^q of f(x) = x^s at a, b and the midpoint.
-    qa, qb, qm = [(s * x ** (s - 1.0)) ** q for x in (a, b, arithmetic_mean(a, b))]
-    bound = spec.display(a, b, lam, lam, s_case, q, qa, qb, qm)
-    if spec.outside_parent(s):
-        return bound, f"{spec.note}; parent {spec.parent.value} at s' = s > 1 is outside its branch"
-    return bound, spec.note
+    return spec.bound(a, b, s, q, lam, *derivative_powers(a, b, s, q))
 
 
 def t42_verbatim_gap() -> float:
@@ -209,25 +230,13 @@ def t42_verbatim_gap() -> float:
 
 
 def eval_mean_bound(theorem: str, mp: MeanParams) -> BoundResult:
-    """lhs = mean_lhs, bound per the theorem's spec, packaged as BoundResult.
+    """lhs = mean_lhs and the theorem's bound, certificate and note: the
+    scalar reference for one mean row.
 
-    `certified` is `certified-analytic` when the `analytic_order` of |f'|^q
-    on [a, b] reaches the theorem's order s + cert_shift, else `unchecked`.
     No analytic order exceeds 1, so a row outside its parent's branch is
     `unchecked`.
     """
     bound, note = mean_bound_from_values(theorem, mp.a, mp.b, mp.s, mp.q, mp.lam)
     lhs = mean_lhs(mp)
-    spec = MEAN_SPECS[theorem]
-    # No slack needed: s + cert_shift is the same float as the power rule's p - 1 at p = s.
-    order = analytic_order("pow", mp.s, mp.a, mp.q)
-    certified = order is not None and mp.s + spec.cert_shift <= order
-    return BoundResult(
-        lhs=lhs,
-        bound=bound,
-        slack=bound - lhs,
-        case=theorem,
-        params={"a": mp.a, "b": mp.b, "s": mp.s, "q": mp.q, "lambda": mp.lam},
-        certificate="certified-analytic" if certified else "unchecked",
-        branch_notes=note,
-    )
+    certificate = MEAN_SPECS[theorem].certificate(mp.s, analytic_order("pow", mp.s, mp.a, mp.q))
+    return BoundResult(lhs, bound, bound - lhs, theorem, certificate, note)

@@ -14,9 +14,9 @@ theorem-level T32_tier2 and T33_q1 printings whose shipped form is the
 parent case itself.  Each entry is a PresetSpec (parent, pins, display)
 whose note is its erratum-scan note; the scan compares it with its parent.
 
-`eval_preset` is the scalar reference path for one preset row, as
-`bounds.eval_case` is for a case row: the caller passes the certificate
-status, and `harness.Report` lays the row out.
+A preset row has one builder, `harness.add_interval_rows`, which the sweep
+and the CLI's `preset` command both call.  `eval_preset` is the scalar
+reference for one preset row, as `bounds.eval_case` is for a case row.
 """
 
 from __future__ import annotations
@@ -25,14 +25,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-from .bounds import (
-    BoundCase,
-    BoundResult,
-    Q_BRANCH_EPS,
-    derivative_values,
-    deviation_params,
-    params_dict,
-)
+from .bounds import BoundCase, BoundResult, Q_BRANCH_EPS, derivative_values, deviation_params
 from .errors import PresetMismatchError
 from .functions import FunctionSpec
 from .identity import BoundParams, hh_lhs
@@ -683,17 +676,10 @@ VERBATIM_DISPLAYS: dict[str, PresetSpec] = {
 }
 
 
-def eval_preset(
-    pid: str,
-    f: FunctionSpec,
-    p: BoundParams,
-    tol: float = DEFAULT_TOL,
-    certificate: str = "unchecked",
-) -> BoundResult:
+def eval_preset(pid: str, f: FunctionSpec, p: BoundParams, tol: float = DEFAULT_TOL) -> BoundResult:
     """Evaluate a preset: lhs as for the parent case, bound via its display.
 
-    `certificate` is the status the row reports.  Raises
-    PresetMismatchError when p contradicts the preset's pinned values.
+    Raises PresetMismatchError when p contradicts the preset's pinned values.
     """
     if pid not in PRESETS:
         raise PresetMismatchError(f"unknown preset {pid!r}")
@@ -702,7 +688,4 @@ def eval_preset(
     lhs = abs(hh_lhs(f, deviation_params(spec.parent, p), tol))
     qa, qb, qm = derivative_values(f, p)
     bound = spec.display(p.a, p.b, p.lam, p.mu, p.s, p.q, qa, qb, qm)
-    return BoundResult(
-        lhs, bound, bound - lhs, spec.parent.value, params_dict(p), certificate,
-        spec.branch_notes, preset=spec.pid,
-    )
+    return BoundResult(lhs, bound, bound - lhs, spec.parent.value, branch_notes=spec.branch_notes, preset=pid)

@@ -256,6 +256,21 @@ def test_sweep_rejects_a_boolean_for_a_number(tmp_path, capsys):
     assert code == 2 and out == "" and "config.draws" in err
 
 
+def test_sweep_rejects_a_repeated_name(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"families": ["exp", "exp"], "cases": ["T31_general"]}')
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg_path))
+    assert code == 2 and out == "" and "config.families[1]" in err
+
+
+def test_means_rejects_a_degenerate_interval(capsys):
+    # No sweep has a mean row with a = b, so neither does the single-row command.
+    code, out, err = run_cli(
+        capsys, "means", "--theorem", "T41", "--a", "1", "--b", "1", "--s", "2", "--q", "1", "--lambda", "1"
+    )
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_sweep_csv_output(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(

@@ -10,12 +10,12 @@ import re
 import pytest
 
 import hhverify.harness as harness
-from hhverify.bounds import BoundCase, BoundResult, eval_case
+from hhverify.bounds import BoundCase, eval_case
 from hhverify.errors import ConfigError, PresetMismatchError, WrongBranchError
 from hhverify.functions import from_id
 from hhverify.harness import CASE_KEYS, MEAN_KEYS, Report, SuiteConfig, erratum_scan, run_suite
 from hhverify.identity import BoundParams
-from hhverify.means import MEAN_THEOREMS
+from hhverify.means import MEAN_THEOREMS, MeanParams, eval_mean_bound
 from hhverify.presets import PRESETS, eval_preset
 
 
@@ -53,6 +53,21 @@ def seeded_mix_config():
     )
 
 
+def all_means_config():
+    """All six mean theorems over a mean grid and seeded mean draws."""
+    return SuiteConfig.from_dict(
+        {
+            "mean_theorems": list(MEAN_THEOREMS),
+            "mean_grid": {"a": [0.5, 1.0], "b": [1.0, 2.0, 4.0], "s": [0.5, 1.0, 1.5, 2.0],
+                          "q": [1.0, 2.0], "lambda": [0.0, 0.5, 1.0]},
+            "mean_draws": 24,
+            "seed": 3,
+        }
+    )
+
+
+PINNED_CONFIGS = {"paired": paired_x2_config, "mix": seeded_mix_config, "means": all_means_config}
+
 # sha256 of the reports as the record-dict writer (json.dump(indent=2) and a
 # csv.writer loop) wrote them, on x86-64 Linux with CPython 3.11 and
 # numpy 2.4.  The digests depend on the platform's libm only through the
@@ -62,12 +77,15 @@ PINNED_DIGESTS = {
     ("paired", "csv"): "3210aa87aae2bf117a518a8024801ff30879f59b295b894fffd0dc0acd06ced3",
     ("mix", "json"): "a5577a3fe670308f282484bbf5d246aefb1fb8b3bb0de506d333c64505bb31dd",
     ("mix", "csv"): "f3a8e8006f8e41e39867714c2688a0672ff043bb7086ebca12859db7f26142b0",
+    # Recorded from the per-row `eval_mean_bound` sweep that preceded `add_mean_rows`.
+    ("means", "json"): "d153fd25722c6943f96003fcf32c2768c78b7e6f8096e3f164a14b8ab4bbe6a5",
+    ("means", "csv"): "89d9b74d54d6049dc7dc689d8e6d8d6821376f445956e886216c34b8ac6d9ad4",
 }
 
 
 @pytest.mark.parametrize("name,fmt", sorted(PINNED_DIGESTS))
 def test_report_bytes_are_pinned(tmp_path, name, fmt):
-    cfg = paired_x2_config() if name == "paired" else seeded_mix_config()
+    cfg = PINNED_CONFIGS[name]()
     path = tmp_path / f"report.{fmt}"
     run_suite(cfg).write(str(path), fmt)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_DIGESTS[name, fmt]
@@ -161,6 +179,11 @@ OUT_OF_DOMAIN = [
     ({"grid": {"lambda": [True]}}, "config.grid.lambda[0]"),
     ({"grid": {"q": [1.0, True]}}, "config.grid.q[1]"),
     ({"mean_grid": {"s": [True]}}, "config.mean_grid.s[0]"),
+    # A repeated name would emit each of its rows once per repeat.
+    ({"families": ["exp", "exp"]}, "config.families[1]"),
+    ({"cases": ["T31_general", "T33_q1", "T31_general"]}, "config.cases[2]"),
+    ({"presets": ["E15", "E15"]}, "config.presets[1]"),
+    ({"mean_theorems": ["T41", "T41"]}, "config.mean_theorems[1]"),
 ]
 
 
@@ -419,26 +442,6 @@ def test_finalize_sorts_like_the_record_key():
         assert r == {**records[int(r["branch_notes"])], "branch_notes": r["branch_notes"]}
 
 
-def test_add_result_reads_params_by_name():
-    # A result's params dict in any key order gives the same record: the
-    # layout follows from the case, not from the dict.
-    def record(case, params, order):
-        result = BoundResult(0.25, 1.5, 1.25, case, {k: params[k] for k in order}, "unchecked", "note")
-        report = Report()
-        report.add_result("pow:2", result)
-        return dumped(report.finalize(), "json"), dumped(report, "csv")
-
-    case_params = dict(zip(CASE_KEYS, (1.0, 2.0, 0.25, 0.75, 0.5, 2.0)))
-    mean_params = dict(zip(MEAN_KEYS, (1.0, 2.0, 0.5, 2.0, 0.25)))
-    for case, params in (("T31_general", case_params), ("T41", mean_params)):
-        shuffled = list(params)
-        random.Random(5).shuffle(shuffled)
-        orders = [list(params), list(reversed(params)), shuffled]
-        assert len({record(case, params, order) for order in orders}) == 1, case
-    shown = json.loads(record("T41", mean_params, sorted(mean_params))[0])["records"][0]["params"]
-    assert list(shown.items()) == list(mean_params.items())
-
-
 def test_convex_envelopes_skip_the_sampler(monkeypatch):
     def sampler(*args, **kwargs):
         raise AssertionError("sampler called for an analytically certified id")
@@ -541,4 +544,39 @@ def test_sweep_rows_match_the_scalar_path():
         rec = swept[key]
         assert (rec["lhs"], rec["bound"], rec["slack"], rec["branch_notes"]) == (
             res.lhs, res.bound, res.slack, res.branch_notes
+        ), key
+
+
+def test_sweep_mean_rows_match_the_scalar_path():
+    # Power-rule drops, the parentless T43_qgt1 and the unchecked rows past
+    # the parent branch at s' = s > 1 all occur on this grid; the sweep must
+    # emit exactly the rows eval_mean_bound admits, with the same numbers,
+    # certificates and notes.
+    s_values, q_values, lams = [0.5, 1.0, 1.5, 2.0], [1.0, 2.0], [0.0, 0.3, 1.0]
+    cfg = SuiteConfig.from_dict(
+        {
+            "mean_theorems": list(MEAN_THEOREMS),
+            "mean_grid": {"a": [0.5], "b": [2.0], "s": s_values, "q": q_values, "lambda": lams},
+        }
+    )
+    swept = {(r["case"], tuple(r["params"].values())): r for r in run_suite(cfg).records}
+    expected = {}
+    rejected = set()
+    for theorem in MEAN_THEOREMS:
+        for s in s_values:
+            for q in q_values:
+                for lam in lams:
+                    try:
+                        res = eval_mean_bound(theorem, MeanParams(0.5, 2.0, s, q, lam))
+                    except WrongBranchError:
+                        rejected.add(theorem)
+                        continue
+                    expected[(theorem, (0.5, 2.0, s, q, lam))] = res
+    assert {k[0] for k in expected} == rejected == set(MEAN_THEOREMS)
+    assert {res.certificate for res in expected.values()} == {"certified-analytic", "unchecked"}
+    assert swept.keys() == expected.keys()
+    for key, res in expected.items():
+        rec = swept[key]
+        assert (rec["lhs"], rec["bound"], rec["slack"], rec["certified"], rec["branch_notes"]) == (
+            res.lhs, res.bound, res.slack, res.certificate, res.branch_notes
         ), key
