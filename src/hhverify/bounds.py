@@ -267,14 +267,11 @@ def case_formula(case: BoundCase, a, b, lam, mu, s, q, qa, qb, qm) -> tuple[floa
     raise WrongBranchError(f"unhandled case {case!r}")
 
 
-def derivative_values(f: FunctionSpec, p: BoundParams) -> tuple[float, float, float]:
-    """(|f'(a)|^q, |f'(b)|^q, |f'(m)|^q) for the bound formulas."""
+def derivative_values(f: FunctionSpec, a: float, b: float, q: float) -> tuple[float, float, float]:
+    """(|f'(a)|^q, |f'(b)|^q, |f'(m)|^q), m = (a+b)/2, for the bound formulas."""
     if f.deriv is None:
         raise WrongBranchError(f"{f.fid} carries no derivative")
-    qa = abs(f.deriv(p.a)) ** p.q
-    qb = abs(f.deriv(p.b)) ** p.q
-    qm = abs(f.deriv(p.midpoint())) ** p.q
-    return qa, qb, qm
+    return tuple(abs(f.deriv(x)) ** q for x in (a, b, 0.5 * (a + b)))
 
 
 def deviation_params(case: BoundCase, p: BoundParams) -> BoundParams:
@@ -295,6 +292,6 @@ def eval_case(case: BoundCase | str, f: FunctionSpec, p: BoundParams, tol: float
     """
     case = BoundCase(case)
     lhs = abs(hh_lhs(f, deviation_params(case, p), tol))
-    qa, qb, qm = derivative_values(f, p)
+    qa, qb, qm = derivative_values(f, p.a, p.b, p.q)
     bound, note = case_bound_from_values(case, p.a, p.b, p.lam, p.mu, p.s, p.q, qa, qb, qm)
     return BoundResult(lhs, bound, bound - lhs, case.value, branch_notes=note)

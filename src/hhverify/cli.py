@@ -5,14 +5,14 @@ row's branch (a wrong one exits 2), then build the row with the builder
 the sweep uses for that row kind (`harness.add_interval_rows` or
 `harness.add_mean_rows`) into a one-row `Report`.  They print its record
 as JSON, or as CSV (header and row): the sweep's own record, certificate
-and family id included.  `certify` prints the analytic certificate
-of |f'|^q for f = x^p on positive intervals: the order
-`functions.analytic_order` gives, by the convexity rule or the power
-rule.
+and family id included (the canonical id of `--f`, or for `means` the
+exact `pow:<s>`).  `certify` prints the analytic certificate of |f'|^q
+for f = x^p on positive intervals: the order `functions.analytic_order`
+gives, by the convexity rule or the power rule.
 
 Exit codes: 0 success, 1 verification failure (a violation, an oracle
 mismatch, or a shipped display that no longer matches its parent), 2 usage
-or parameter error.
+or parameter error, an unreadable config or an unwritable `--out`.
 """
 
 from __future__ import annotations
@@ -46,16 +46,22 @@ def _interval_row(args, p: BoundParams, branch) -> int:
     cfg = SuiteConfig(tol=args.tol)
     f = from_id(args.f, p.a, p.b)
     report = Report()
-    add_interval_rows(report, cfg, args.f, f, mean_integral(f, p.a, p.b, cfg.tol), [(p.lam, p.mu)], [branch])
+    add_interval_rows(report, cfg, f, mean_integral(f, p.a, p.b, cfg.tol), [(p.lam, p.mu)], [branch])
     return _emit_row(report, args.format)
 
 
-def _emit_report(report: Report, fmt: str, out: str | None) -> None:
-    if out:
-        report.write(out, fmt)
-        print(f"wrote {out} ({report.record_count} records, {report.violation_count} violations)")
-    else:
+def _emit_report(report: Report, fmt: str, out: str | None, code: int) -> int:
+    """Write the report to `out` or stdout; `code`, or 2 if `out` cannot be written."""
+    if not out:
         report.dump(sys.stdout, fmt)
+        return code
+    try:
+        report.write(out, fmt)
+    except OSError as exc:
+        print(f"error: cannot write {out!r} ({exc})", file=sys.stderr)
+        return 2
+    print(f"wrote {out} ({report.record_count} records, {report.violation_count} violations)")
+    return code
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -202,9 +208,6 @@ def _dispatch(args) -> int:
 
     if args.command == "means":
         mp = MeanParams(args.a, args.b, args.s, args.q, args.lam)
-        # The sweep's mean tuples all have a < b.
-        if mp.a == mp.b:
-            raise FunctionDomainError(f"need a < b, got a={mp.a!r} b={mp.b!r}")
         problem = MEAN_SPECS[args.theorem].branch_mismatch(mp.s, mp.q)
         if problem:
             raise WrongBranchError(problem)
@@ -215,40 +218,24 @@ def _dispatch(args) -> int:
     if args.command == "certify":
         family, power = parse_id(args.f)
         if family != "pow":
-            print("error: certify supports only pow:<p> ids", file=sys.stderr)
-            return 2
+            raise FunctionDomainError("certify supports only pow:<p> ids")
         cert = certify_power_extended_s(power, args.q)
-        print(
-            json.dumps(
-                {
-                    "s": cert.s,
-                    "q": cert.q,
-                    "target": cert.target,
-                    "status": cert.status,
-                    "note": cert.note,
-                },
-                indent=2,
-            )
-        )
+        print(json.dumps({k: getattr(cert, k) for k in ("s", "q", "target", "status", "note")}, indent=2))
         return 0
 
     if args.command == "sweep":
         cfg = SuiteConfig.from_file(args.config)
         fmt = args.format or cfg.out_format
         report = run_suite(cfg)
-        _emit_report(report, fmt, args.out)
-        return 1 if report.violation_count else 0
+        return _emit_report(report, fmt, args.out, 1 if report.violation_count else 0)
 
     if args.command == "errata":
         report = erratum_scan()
-        _emit_report(report, args.format, args.out)
         # Flagged displays are expected to deviate; any other confirmed
         # item is a shipped display that disagrees with its parent.
-        failing = [
-            e for e in report.errata
-            if e["kind"] != "flagged-display" and e["classification"] == "erratum-confirmed"
-        ]
-        return 1 if failing else 0
+        failing = any(e["kind"] != "flagged-display" and e["classification"] == "erratum-confirmed"
+                      for e in report.errata)
+        return _emit_report(report, args.format, args.out, int(failing))
 
     raise AssertionError(f"unhandled command {args.command!r}")
 

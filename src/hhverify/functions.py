@@ -5,7 +5,10 @@ A function g is extended s-convex on an interval, for s in [-1, 1], when
     g(λx + (1-λ)y) <= λ^s g(x) + (1-λ)^s g(y)    for all x, y, λ in (0, 1).
 
 s = 1 is ordinary convexity, s = 0 allows the P-convex doubling bound, and
-s = -1 is the Godunova-Levin class.  Two analytic rules certify |f'|^q for
+s = -1 is the Godunova-Levin class.  Only this module spells and parses
+registry ids ("exp", "pow:<p>", "const:<c>"), a parameter as `{:g}` writes
+it when that reads back exactly and as `repr` otherwise, so the registry's
+`from_id(f.fid, f.lo, f.hi)` rebuilds f.  Two analytic rules certify |f'|^q for
 registry functions: the convexity rule, which covers every nonnegative
 convex envelope at every order, and the power rule, which covers x^p at
 order p - 1.  `analytic_order` is the one place they are composed; the
@@ -31,6 +34,7 @@ __all__ = [
     "make_exp",
     "make_const",
     "parse_id",
+    "canonical_id",
     "from_id",
     "derivative_q_envelope",
     "power_rule_holds",
@@ -79,6 +83,14 @@ class ConvexityCertificate:
     note: str = ""
 
 
+def _spell(family: str, value: Optional[float]) -> str:
+    """The registry id of (family, value), spelled as the module docstring says."""
+    if family == "exp":
+        return "exp"
+    short = f"{value:g}"
+    return f"{family}:{short if float(short) == value else repr(float(value))}"
+
+
 def make_power(p: float, lo: float, hi: float) -> FunctionSpec:
     """x ↦ x^p on [lo, hi] with derivative p·x^(p-1)."""
     if lo >= hi:
@@ -96,7 +108,7 @@ def make_power(p: float, lo: float, hi: float) -> FunctionSpec:
             return 1.0
         return p * x ** (p - 1.0)
 
-    return FunctionSpec(f"pow:{p:g}", float(lo), float(hi), f, df)
+    return FunctionSpec(_spell("pow", p), float(lo), float(hi), f, df)
 
 
 def make_exp(lo: float, hi: float) -> FunctionSpec:
@@ -108,7 +120,7 @@ def make_exp(lo: float, hi: float) -> FunctionSpec:
 def make_const(c: float, lo: float, hi: float) -> FunctionSpec:
     if lo >= hi:
         raise FunctionDomainError(f"need lo < hi, got [{lo!r}, {hi!r}]")
-    return FunctionSpec(f"const:{c:g}", float(lo), float(hi), lambda x: c, lambda x: 0.0)
+    return FunctionSpec(_spell("const", c), float(lo), float(hi), lambda x: c, lambda x: 0.0)
 
 
 def parse_id(fid: str) -> tuple[str, Optional[float]]:
@@ -129,6 +141,11 @@ def parse_id(fid: str) -> tuple[str, Optional[float]]:
     if not math.isfinite(value):
         raise FunctionDomainError(f"{fid!r}: parameter must be finite")
     return family, value
+
+
+def canonical_id(fid: str) -> str:
+    """The one spelling of a registry id: "pow:2.0" and "pow:2" are "pow:2"."""
+    return _spell(*parse_id(fid))
 
 
 def from_id(fid: str, lo: float, hi: float) -> FunctionSpec:
@@ -205,7 +222,7 @@ def certify_power_extended_s(p: float, q: float) -> ConvexityCertificate:
     return ConvexityCertificate(
         s=order,
         q=q,
-        target=f"|d(pow:{p:g})|^{q:g}",
+        target=f"|d({_spell('pow', p)})|^{q:g}",
         status="certified-analytic",
         # The power rule reaches order 1 only at p = 2, where γ = q >= 1.
         note="convexity rule" if order == 1.0 else "power rule",

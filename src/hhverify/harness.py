@@ -10,6 +10,8 @@ one way a row enters it.  Each row kind has one builder, which `run_suite`
 and the CLI's single-row commands both call: `add_interval_rows` (case and
 preset rows) and `add_mean_rows`.  `eval_case`, `eval_preset` and
 `eval_mean_bound` are the scalar reference the tests compare them with.
+A row's `family` is the `fid` of the `FunctionSpec` it evaluated: the
+config's canonical id, or `make_power(s, a, b)` for a mean row.
 """
 
 from __future__ import annotations
@@ -41,17 +43,18 @@ from .errors import ConfigError, FunctionDomainError, HHVerifyError
 from .functions import (
     FunctionSpec,
     analytic_order,
+    canonical_id,
     certify_power_extended_s,
     check_extended_s_convex,
     derivative_q_envelope,
     from_id,
+    make_power,
     parse_id,
     power_rule_holds,
 )
 from .identity import BoundParams, hh_lhs
 # `eval_mean_bound` is not called here either; `perfbench/tracer.py` patches it here.
-from .means import MEAN_SPECS, MEAN_THEOREMS, MeanParams, derivative_powers, eval_mean_bound
-from .means import mean_family, mean_lhs, t42_verbatim_gap
+from .means import MEAN_SPECS, MEAN_THEOREMS, MeanParams, eval_mean_bound, mean_lhs, t42_verbatim_gap
 from .moments import (
     MOMENT_CASES,
     MomentSpec,
@@ -152,8 +155,8 @@ class SuiteConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "SuiteConfig":
-        """Validate a JSON config: `families`, `cases` (a list or "all"),
-        `presets` and `mean_theorems`, each name at most once, the numeric
+        """Validate a JSON config: `families` (as canonical ids), `cases` (a list
+        or "all"), `presets` and `mean_theorems`, each name at most once, the numeric
         lists of `_LISTS` under their sections, the integers of `_INTS`,
         `tol` and `format`.  An omitted key keeps the field's default."""
         _expect(isinstance(raw, dict), "config", "must be a JSON object")
@@ -168,16 +171,18 @@ class SuiteConfig:
 
         families = raw.get("families", [])
         _expect(isinstance(families, list), "config.families", "must be a list")
+        out["families"] = ()
         for i, fid in enumerate(families):
             path = f"config.families[{i}]"
             _expect(isinstance(fid, str), path, "must be a string")
             try:
                 family, param = parse_id(fid)
+                cid = canonical_id(fid)
             except FunctionDomainError as exc:
                 raise ConfigError(f"{path}: {exc}") from None
             _expect(family != "pow" or param > 0.0, path, f"{fid!r}: power p must be positive")
-            _expect(fid not in families[:i], path, f'repeated "{fid}"')
-        out["families"] = tuple(families)
+            _expect(cid not in out["families"], path, f'repeated "{fid}"')
+            out["families"] += (cid,)
 
         for key, (noun, allowed) in names.items():
             value = raw.get(key, getattr(default, key))
@@ -225,11 +230,13 @@ class SuiteConfig:
 
     @staticmethod
     def from_file(path: str) -> "SuiteConfig":
-        with open(path, "r", encoding="utf-8") as handle:
-            try:
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
                 raw = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config: invalid JSON ({exc})") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"config: invalid JSON ({exc})") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"config: cannot read {path!r} ({exc})") from exc
         return SuiteConfig.from_dict(raw)
 
 
@@ -520,22 +527,22 @@ class _Cells:
             handle.write("\n  ]")
 
 
-def certificate_status(fid: str, a: float, b: float, s: float, q: float, samples: int, seed: int) -> str:
-    """Provenance of the claim that |f'|^q is extended s-convex on [a, b].
+def certificate_status(f: FunctionSpec, s: float, q: float, samples: int, seed: int) -> str:
+    """Provenance of the claim that |f'|^q is extended s-convex on [f.lo, f.hi].
 
-    `certified-analytic` when s is within 1e-12 of the id's
-    `analytic_order` or below it; otherwise the id is sampled (`samples`
-    Halton and `samples` seeded random triples), which can falsify but never
-    certify.  The sweep and the CLI's `bound` and `preset` commands all
-    label rows with it.
+    `certified-analytic` when s is within 1e-12 of the `analytic_order` of
+    f's id or below it; otherwise |f'|^q is sampled (`samples` Halton and
+    `samples` seeded random triples), which can falsify but never certify.
+    The sweep and the CLI's `bound` and `preset` commands all label rows
+    with it.
     """
-    family, p = parse_id(fid)
-    order = analytic_order(family, p, a, q)
+    family, p = parse_id(f.fid)
+    order = analytic_order(family, p, f.lo, q)
     if order is not None and s <= order + 1e-12:
         return "certified-analytic"
     try:
-        envelope = derivative_q_envelope(from_id(fid, a, b), q)
-        return check_extended_s_convex(envelope, a, b, s, samples=samples, seed=seed).status
+        envelope = derivative_q_envelope(f, q)
+        return check_extended_s_convex(envelope, f.lo, f.hi, s, samples=samples, seed=seed).status
     except HHVerifyError:
         return "unchecked"
 
@@ -593,15 +600,14 @@ def _branches(
 def add_interval_rows(
     report: Report,
     cfg: SuiteConfig,
-    fid: str,
     f: FunctionSpec,
     mean: float,
     pairs: list[tuple[float, float]],
     branches: list[tuple[float, float, list[BoundCase], list[PresetSpec]]],
 ) -> None:
-    """Append the case and preset rows of family `fid` on [f.lo, f.hi],
-    whose mean value is `mean`: each branch's at each (lambda, mu) pair,
-    less the preset rows whose weight pins the pair misses.
+    """Append the case and preset rows of f on [f.lo, f.hi], labelled
+    `f.fid`, whose mean value is `mean`: each branch's at each
+    (lambda, mu) pair, less the preset rows whose weight pins the pair misses.
 
     A branch is (s, q, cases, presets), settled on (s, q) by the caller.
     Each lhs is shared by every row of its weight pair, and |f'|^q and the
@@ -617,10 +623,10 @@ def add_interval_rows(
             lhs_at[key] = abs(hh_lhs(f, w, cfg.tol, mean))
         return lhs_at[key]
 
-    add = report.add
+    add, fid = report.add, f.fid
     for s, q, cases, specs in branches:
-        qa, qb, qm = derivative_values(f, BoundParams(a, b, 0.0, 0.0, s, q))
-        cert = certificate_status(fid, a, b, s, q, cfg.convexity_samples, cfg.seed)
+        qa, qb, qm = derivative_values(f, a, b, q)
+        cert = certificate_status(f, s, q, cfg.convexity_samples, cfg.seed)
         for lam, mu in pairs:
             p = BoundParams(a, b, lam, mu, s, q)
             params = (a, b, lam, mu, s, q)
@@ -640,8 +646,9 @@ def add_mean_rows(
     """Append the row of each theorem at each (a, b, s, q, lambda) in
     `tuples` whose (s, q) lie on the theorem's branch.
 
-    The exact lhs, |f'|^q at a, b and the midpoint, and the analytic order
-    of |f'|^q are shared by every theorem of a tuple.
+    The exact lhs, f = x^s (whose id labels the rows), |f'|^q at a, b and
+    the midpoint, and the analytic order of |f'|^q are shared by every
+    theorem of a tuple.
     """
     specs = [MEAN_SPECS[theorem] for theorem in theorems]
     add = report.add
@@ -649,13 +656,13 @@ def add_mean_rows(
         admitted = [spec for spec in specs if not spec.branch_mismatch(s, q)]
         if not admitted:
             continue
+        f = make_power(s, a, b)
         lhs = mean_lhs(MeanParams(a, b, s, q, lam))
-        values = derivative_powers(a, b, s, q)
+        values = derivative_values(f, a, b, q)
         order = analytic_order("pow", s, a, q)
-        family = mean_family(s)
         for spec in admitted:
             bound, note = spec.bound(a, b, s, q, lam, *values)
-            add(family, spec.theorem, None, (a, b, lam, 0.0, s, q), lhs, bound, spec.certificate(s, order), note)
+            add(f.fid, spec.theorem, None, (a, b, lam, 0.0, s, q), lhs, bound, spec.certificate(s, order), note)
 
 
 def run_suite(cfg: SuiteConfig) -> Report:
@@ -675,7 +682,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
                 mean = mean_integral(f, a, b, cfg.tol)
             except HHVerifyError:
                 continue
-            add_interval_rows(report, cfg, fid, f, mean, pairs, branches)
+            add_interval_rows(report, cfg, f, mean, pairs, branches)
 
     # Mean-inequality sweep.
     grid = itertools.product(cfg.mean_a, cfg.mean_b, cfg.mean_s, cfg.mean_q, cfg.mean_lam)
@@ -831,7 +838,7 @@ def erratum_scan() -> Report:
         )
     )
     for pid, spec in sorted(PRESETS.items()):
-        s_list = [spec.pin_s] if spec.pin_s is not None else _SCAN_S_BY_RANGE.get(spec.s_range, [0.5])
+        s_list = [spec.pin_s] if spec.pin_s is not None else _SCAN_S_BY_RANGE[spec.s_range]
         is_weakening = spec.kind == "weakening"
         gap = _max_gap(_display_pairs(spec, s_list, _SCAN_Q[spec.pin_q]), one_sided=is_weakening)
         note = "display must dominate the parent" if is_weakening else ""

@@ -18,6 +18,8 @@ A mean row has one builder, `harness.add_mean_rows`, which the sweep and
 the CLI's `means` command both call; it settles each branch with
 `MeanSpec.branch_mismatch` and evaluates with `MeanSpec.bound` and
 `MeanSpec.certificate`, as `eval_mean_bound`, the scalar reference, does.
+Both take f = x^s from `functions.make_power`, whose id labels the row, and
+|f'|^q from `bounds.derivative_values`; the lhs is the closed form `mean_lhs`.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .bounds import BoundCase, BoundResult, Q_BRANCH_EPS, branch_mismatch, case_formula
+from .bounds import BoundCase, BoundResult, Q_BRANCH_EPS, branch_mismatch, case_formula, derivative_values
 from .errors import FunctionDomainError, WrongBranchError
-from .functions import analytic_order, power_rule_holds
+from .functions import analytic_order, make_power, power_rule_holds
 from .moments import holder_weight_integral
 from .presets import VERBATIM_DISPLAYS, Display
 
@@ -40,10 +42,8 @@ __all__ = [
     "arithmetic_mean",
     "generalized_log_mean",
     "mean_lhs",
-    "derivative_powers",
     "mean_bound_from_values",
     "eval_mean_bound",
-    "mean_family",
 ]
 
 _S_IDENTRIC_EPS = 1e-8
@@ -152,7 +152,7 @@ class MeanSpec:
         return problem
 
     def bound(self, a, b, s, q, lam, qa, qb, qm) -> tuple[float, str]:
-        """(bound, note) on [a, b] at (s, q, λ), from `derivative_powers`."""
+        """(bound, note) on [a, b] at (s, q, λ) from |f'|^q at a, b and m."""
         bound = self.display(a, b, lam, lam, s + self.s_shift, q, qa, qb, qm)
         if self.outside_parent(s):
             return bound, f"{self.note}; parent {self.parent.value} at s' = s > 1 is outside its branch"
@@ -189,16 +189,6 @@ MEAN_SPECS: dict[str, MeanSpec] = {
 MEAN_THEOREMS = tuple(MEAN_SPECS)
 
 
-def mean_family(s: float) -> str:
-    """The family id of a mean row at s: the f(x) = x^s the theorems apply to."""
-    return f"pow:{s:g}"
-
-
-def derivative_powers(a: float, b: float, s: float, q: float) -> tuple[float, float, float]:
-    """|f'|^q of f(x) = x^s at a, b and the midpoint."""
-    return tuple((s * x ** (s - 1.0)) ** q for x in (a, b, arithmetic_mean(a, b)))
-
-
 def mean_bound_from_values(
     theorem: str, a: float, b: float, s: float, q: float, lam: float
 ) -> tuple[float, str]:
@@ -211,7 +201,7 @@ def mean_bound_from_values(
         raise WrongBranchError(problem)
     if b - a == 0.0:
         return 0.0, "degenerate interval"
-    return spec.bound(a, b, s, q, lam, *derivative_powers(a, b, s, q))
+    return spec.bound(a, b, s, q, lam, *derivative_values(make_power(s, a, b), a, b, q))
 
 
 def t42_verbatim_gap() -> float:

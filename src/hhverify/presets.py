@@ -686,6 +686,6 @@ def eval_preset(pid: str, f: FunctionSpec, p: BoundParams, tol: float = DEFAULT_
     spec = PRESETS[pid]
     spec.validate(p)
     lhs = abs(hh_lhs(f, deviation_params(spec.parent, p), tol))
-    qa, qb, qm = derivative_values(f, p)
+    qa, qb, qm = derivative_values(f, p.a, p.b, p.q)
     bound = spec.display(p.a, p.b, p.lam, p.mu, p.s, p.q, qa, qb, qm)
     return BoundResult(lhs, bound, bound - lhs, spec.parent.value, branch_notes=spec.branch_notes, preset=pid)

@@ -2,6 +2,10 @@ import csv
 import dataclasses
 import io
 import json
+import re
+import shlex
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -261,6 +265,59 @@ def test_sweep_rejects_a_repeated_name(tmp_path, capsys):
     cfg_path.write_text('{"families": ["exp", "exp"], "cases": ["T31_general"]}')
     code, out, err = run_cli(capsys, "sweep", "--config", str(cfg_path))
     assert code == 2 and out == "" and "config.families[1]" in err
+
+
+def test_sweep_rejects_a_second_spelling_of_a_family(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"families": ["pow:2", "pow:2.0"], "cases": ["T31_general"]}')
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg_path))
+    assert code == 2 and out == "" and 'config.families[1]: repeated "pow:2.0"' in err
+
+
+def test_sweep_with_a_missing_config_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "sweep", "--config", str(tmp_path / "nope.json"))
+    assert code == 2 and out == "" and err.startswith("error: config: cannot read")
+
+
+@pytest.mark.parametrize("argv", [("sweep", "--config", "{config}"), ("errata",)], ids=["sweep", "errata"])
+def test_an_unwritable_out_exits_2(tmp_path, capsys, argv):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"families": ["pow:2"], "grid": {"a": [0.0], "b": [1.0]}, "cases": ["T31_general"]}')
+    out_path = tmp_path / "missing" / "report.json"
+    argv = [arg.replace("{config}", str(cfg_path)) for arg in argv]
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_path))
+    assert code == 2 and out == "" and err.startswith("error: cannot write")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_bound_labels_its_row_with_the_canonical_id(capsys, fmt):
+    argv = ("--a", "1", "--b", "2", "--lambda", "0.5", "--mu", "0.5", "--s", "1", "--q", "1", "--format", fmt)
+    code, out, _ = run_cli(capsys, "bound", "--case", "T31_general", "--f", "pow:2", *argv)
+    code_long, out_long, _ = run_cli(capsys, "bound", "--case", "T31_general", "--f", "pow:2.0", *argv)
+    assert code == code_long == 0
+    assert out_long == out
+    family = json.loads(out)["family"] if fmt == "json" else out.splitlines()[1].split(",")[0]
+    assert family == "pow:2"
+
+
+def _readme_cli_lines() -> list[list[str]]:
+    """The `hh-verify` lines of the README's CLI block, continuations joined."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n+```sh\n(.*?)^```", readme, re.S | re.M).group(1)
+    return [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+
+
+def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):
+    # Each documented command exits 0, except the sweep of the example
+    # config, whose documented T34_q1_* violations give it 1.
+    shutil.copy(Path(__file__).resolve().parents[1] / "sweep.example.json", tmp_path)
+    monkeypatch.chdir(tmp_path)
+    lines = _readme_cli_lines()
+    assert len(lines) == 9 and all(argv[0] == "hh-verify" for argv in lines)
+    for argv in lines:
+        code, _, err = run_cli(capsys, *argv[1:])
+        assert code == (1 if argv[1] == "sweep" else 0), (argv, err)
 
 
 def test_means_rejects_a_degenerate_interval(capsys):

@@ -8,6 +8,7 @@ from hhverify.errors import FunctionDomainError
 from hhverify.functions import (
     FunctionSpec,
     analytic_order,
+    canonical_id,
     certify_power_extended_s,
     check_extended_s_convex,
     convex_power_envelope,
@@ -221,6 +222,36 @@ def test_envelope_rules_reject_q_outside_finite_q_ge_1(q):
         derivative_q_envelope(from_id("exp", 0.0, 1.0), q)
     with pytest.raises(FunctionDomainError, match="finite q >= 1"):
         certify_power_extended_s(2.0, q)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=_FINITE)
+def test_power_ids_name_their_exact_power(p):
+    fid = make_power(p, 1.0, 2.0).fid
+    assert parse_id(fid) == ("pow", p)
+    assert from_id(fid, 1.0, 2.0).fid == fid
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=_FINITE)
+def test_const_ids_name_their_exact_constant(c):
+    fid = make_const(c, 1.0, 2.0).fid
+    assert parse_id(fid) == ("const", c)
+    assert from_id(fid, 1.0, 2.0).fid == fid
+
+
+def test_ids_are_spelled_short_when_exact():
+    assert make_power(2, 0, 1).fid == make_power(2.0, 0, 1).fid == "pow:2"
+    assert make_power(1.25, 0, 1).fid == "pow:1.25"
+    assert make_const(3, 0, 1).fid == "const:3"
+    assert make_power(1.0993794607775926, 1, 2).fid == "pow:1.0993794607775926"
+    assert certify_power_extended_s(1.0993794607775926, 1.0).target == "|d(pow:1.0993794607775926)|^1"
+    assert [canonical_id(f) for f in ("pow:2.0", "pow:1.50", "exp", "const:3e0")] == [
+        "pow:2", "pow:1.5", "exp", "const:3"
+    ]
 
 
 def test_parse_id():

@@ -12,7 +12,7 @@ import pytest
 import hhverify.harness as harness
 from hhverify.bounds import BoundCase, eval_case
 from hhverify.errors import ConfigError, PresetMismatchError, WrongBranchError
-from hhverify.functions import from_id
+from hhverify.functions import canonical_id, from_id, parse_id
 from hhverify.harness import CASE_KEYS, MEAN_KEYS, Report, SuiteConfig, erratum_scan, run_suite
 from hhverify.identity import BoundParams
 from hhverify.means import MEAN_THEOREMS, MeanParams, eval_mean_bound
@@ -75,11 +75,13 @@ PINNED_CONFIGS = {"paired": paired_x2_config, "mix": seeded_mix_config, "means":
 PINNED_DIGESTS = {
     ("paired", "json"): "a8d82db95f6bb1212c4dc87473aa17f8d1d91dae7768413f9cc07a0c8e378eea",
     ("paired", "csv"): "3210aa87aae2bf117a518a8024801ff30879f59b295b894fffd0dc0acd06ced3",
-    ("mix", "json"): "a5577a3fe670308f282484bbf5d246aefb1fb8b3bb0de506d333c64505bb31dd",
-    ("mix", "csv"): "f3a8e8006f8e41e39867714c2688a0672ff043bb7086ebca12859db7f26142b0",
-    # Recorded from the per-row `eval_mean_bound` sweep that preceded `add_mean_rows`.
-    ("means", "json"): "d153fd25722c6943f96003fcf32c2768c78b7e6f8096e3f164a14b8ab4bbe6a5",
-    ("means", "csv"): "89d9b74d54d6049dc7dc689d8e6d8d6821376f445956e886216c34b8ac6d9ad4",
+    # Re-recorded when mean rows took the exact id of x^s as their family
+    # (a drawn s such as 1.0993794607775926 had been labelled pow:1.09938);
+    # matched on (case, params), every other field was unchanged.
+    ("mix", "json"): "979be6860f2431ef024dd87b433a90d836fbde9cb07f2c3e3406f8338e013071",
+    ("mix", "csv"): "52d38323b671b166e6d93b93791c382ddf1832daadc6435d8aba59099beccdf5",
+    ("means", "json"): "d2d84eb9f7daaa2c9b83afbf5080328c8353a4e40114681de73e96869741ea14",
+    ("means", "csv"): "fddbf883261df14146ea859fd9f0c6835fcf0a4574dcce7673ec5e416ffe5050",
 }
 
 
@@ -181,6 +183,8 @@ OUT_OF_DOMAIN = [
     ({"mean_grid": {"s": [True]}}, "config.mean_grid.s[0]"),
     # A repeated name would emit each of its rows once per repeat.
     ({"families": ["exp", "exp"]}, "config.families[1]"),
+    # Two spellings of one function are one family.
+    ({"families": ["pow:2", "pow:2.0"]}, 'config.families[1]: repeated "pow:2.0"'),
     ({"cases": ["T31_general", "T33_q1", "T31_general"]}, "config.cases[2]"),
     ({"presets": ["E15", "E15"]}, "config.presets[1]"),
     ({"mean_theorems": ["T41", "T41"]}, "config.mean_theorems[1]"),
@@ -218,6 +222,32 @@ def test_a_branch_that_admits_nothing_is_skipped(monkeypatch):
 def test_config_rejects_bad_family_ids(fid):
     with pytest.raises(ConfigError, match=r"config.families\[1\]"):
         SuiteConfig.from_dict({"families": ["exp", fid]})
+
+
+def test_families_name_the_evaluated_function():
+    # A mean row names the x^s it evaluated, s spelled exactly, and a case
+    # or preset row the canonical id of its configured family.
+    cfg = SuiteConfig.from_dict(
+        {
+            "families": ["pow:2.0", "pow:1.50", "exp", "const:3e0"],
+            "grid": {"a": [1.0], "b": [2.0], "lambda": [0.5], "s": [1.0], "q": [1.0]},
+            "cases": ["T31_general"],
+            "presets": ["E15"],
+            "mean_theorems": list(MEAN_THEOREMS),
+            "mean_draws": 40,
+            "seed": 2,
+        }
+    )
+    assert cfg.families == ("pow:2", "pow:1.5", "exp", "const:3")
+    records = run_suite(cfg).records
+    means = [r for r in records if r["case"] in MEAN_THEOREMS]
+    assert len(means) > 40 and any(f"{r['params']['s']:g}" != r["family"][4:] for r in means)
+    for r in means:
+        assert parse_id(r["family"]) == ("pow", r["params"]["s"]), r
+    interval = [r for r in records if r["case"] not in MEAN_THEOREMS]
+    assert {r["family"] for r in interval} == set(cfg.families)
+    for r in interval:
+        assert r["family"] == canonical_id(r["family"]), r
 
 
 def test_config_from_file(tmp_path):
@@ -299,6 +329,13 @@ SCAN_PRESETS = [
     "C34x_qgt1_lambda_mu_tier1", "C34x_qgt1_lambda_mu_tier2", "C34x_qgt1_s1_tier1",
     "C34x_qgt1_s1_tier2", "C35_half", "C35_simpson", "C35_third", "E112", "E15", "E19",
 ]
+
+
+def test_every_unpinned_preset_has_scan_orders():
+    # The erratum scan indexes its s grid by a preset's s_range.
+    for pid, spec in PRESETS.items():
+        if spec.pin_s is None:
+            assert spec.s_range in harness._SCAN_S_BY_RANGE, pid
 
 
 def test_erratum_scan_items_in_order():
