@@ -2,14 +2,15 @@
 
 Panel rule is an embedded Gauss(7)/Kronrod(15) pair; the per-panel error
 estimate is the plain difference of the two rules, and the global estimate is
-the sum over panels.  The worst panel is bisected until the summed estimate
+the sum over panels.  The worst panel is split until the summed estimate
 meets the requested tolerance or the panel budget runs out, in which case the
 result is returned with ``converged=False`` rather than silently trusted.
 
 Integrable endpoint singularities (power weights with exponent in (-1, 0))
-are handled by geometrically grading the initial partition toward the
-offending endpoint with ratio 0.25 per level; the rule never samples panel
-endpoints, so the integrand is only ever evaluated at interior points.
+are graded on demand: ``integrate`` probes f at a and b, and a panel touching
+an endpoint where f is non-finite or raises is cut at ratio 0.25 toward that
+endpoint instead of at its midpoint.  Grading therefore goes only as deep as
+the error target asks.  The panel rule itself never samples panel edges.
 """
 
 from __future__ import annotations
@@ -60,10 +61,9 @@ DEFAULT_TOL = 1e-12
 ABS_FLOOR = 1e-14
 DEFAULT_PANEL_BUDGET = 1 << 20
 
-# Singular-endpoint grading: ratio 0.25 per level, stopping once the panel
-# adjacent to the singularity has shrunk by this factor.
+# Singular-endpoint grading: a panel touching a singular endpoint is cut this
+# fraction of its width away from that endpoint.
 _GRADE_RATIO = 0.25
-_GRADE_FLOOR = 1e-250
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def _sample(f: Callable[[float], float], x: float) -> float:
     return v
 
 
-def _gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+def _gk15_rule(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
     """One Gauss7/Kronrod15 application on [lo, hi] -> (K15 value, |K15-G7|)."""
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
@@ -92,19 +92,38 @@ def _gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, flo
     gauss = 0.0
     for i, x in enumerate(_XGK):
         if x == 0.0:
-            v = _sample(f, c)
+            v = f(c)
             kron += _WGK[i] * v
             gauss += _WG[3] * v
             continue
-        s = _sample(f, c - h * x) + _sample(f, c + h * x)
+        s = f(c - h * x) + f(c + h * x)
         kron += _WGK[i] * s
         if i % 2 == 1:
             gauss += _WG[i // 2] * s
     return h * kron, abs(h * (kron - gauss))
 
 
+def _gk15(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """``_gk15_rule`` on f, with the panel's value checked once.
+
+    Every node value reaches the value with a positive weight, so it is
+    finite only if all of them are.  On a failure the panel is redone node
+    by node through ``_sample``, which raises for the first bad node in
+    sampling order; node and summation order are the same either way, so
+    the result is too.
+    """
+    try:
+        value, err = _gk15_rule(f, lo, hi)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        pass
+    else:
+        if math.isfinite(value):
+            return value, err
+    return _gk15_rule(lambda x: _sample(f, x), lo, hi)
+
+
 def _splittable(lo: float, hi: float) -> bool:
-    """A panel may be bisected only while its children's quadrature nodes
+    """A panel may be split only while its children's quadrature nodes
     remain representable floats distinct from the panel edges."""
     return (hi - lo) > 1024.0 * math.ulp(max(abs(lo), abs(hi)))
 
@@ -115,25 +134,6 @@ def _probe_finite(f: Callable[[float], float], x: float) -> bool:
     except (ValueError, ZeroDivisionError, OverflowError):
         return False
     return math.isfinite(v)
-
-
-def _graded_points(lo: float, hi: float, toward_lo: bool) -> list[float]:
-    """Interior cut points clustering geometrically toward one endpoint.
-
-    Grading stops at the relative floor or where panel nodes would no longer
-    be representable as floats distinct from the endpoint (an endpoint at 0
-    benefits from denormals, so grading can go far deeper there).
-    """
-    width = hi - lo
-    endpoint = lo if toward_lo else hi
-    resolution = 1e-12 * max(abs(endpoint), 1e-300)
-    floor = max(width * _GRADE_FLOOR, resolution)
-    points = []
-    w = width * _GRADE_RATIO
-    while w > floor:
-        points.append(lo + w if toward_lo else hi - w)
-        w *= _GRADE_RATIO
-    return points
 
 
 def integrate(
@@ -166,12 +166,10 @@ def integrate(
             cuts.add(p)
     edges = sorted(cuts)
 
-    # Grade the outermost panels toward an endpoint where the integrand is
-    # singular (non-finite or raising when probed).
-    if not _probe_finite(f, a):
-        edges = sorted(set(edges) | set(_graded_points(edges[0], edges[1], True)))
-    if not _probe_finite(f, b):
-        edges = sorted(set(edges) | set(_graded_points(edges[-2], edges[-1], False)))
+    # An endpoint where the integrand is singular (non-finite or raising when
+    # probed) is graded toward as its panel is split.
+    lo_singular = not _probe_finite(f, edges[0])
+    hi_singular = not _probe_finite(f, edges[-1])
 
     evaluations = 0
     heap: list[tuple[float, float, float, float]] = []  # (-err, lo, hi, value)
@@ -196,19 +194,26 @@ def integrate(
             break
         neg_e, lo, hi, v = heapq.heappop(heap)
         live_err += neg_e
-        mid = 0.5 * (lo + hi)
-        if not _splittable(lo, hi) or mid <= lo or mid >= hi:
+        grade_lo = lo_singular and lo == edges[0]
+        grade_hi = hi_singular and hi == edges[-1]
+        if grade_lo == grade_hi:
+            cut = 0.5 * (lo + hi)
+        elif grade_lo:
+            cut = lo + _GRADE_RATIO * (hi - lo)
+        else:
+            cut = hi - _GRADE_RATIO * (hi - lo)
+        if not _splittable(lo, hi) or cut <= lo or cut >= hi:
             # Panel is at float resolution and cannot be refined further.
             done.append((neg_e, lo, hi, v))
             done_err += -neg_e
             continue
-        v1, e1 = _gk15(f, lo, mid)
-        v2, e2 = _gk15(f, mid, hi)
+        v1, e1 = _gk15(f, lo, cut)
+        v2, e2 = _gk15(f, cut, hi)
         evaluations += 30
         total_value += (v1 + v2) - v
         live_err += e1 + e2
-        heapq.heappush(heap, (-e1, lo, mid, v1))
-        heapq.heappush(heap, (-e2, mid, hi, v2))
+        heapq.heappush(heap, (-e1, lo, cut, v1))
+        heapq.heappush(heap, (-e2, cut, hi, v2))
 
     # Re-sum panels in position order for a deterministic, drift-free value.
     panels = sorted(heap + done, key=lambda p: p[1])

@@ -70,6 +70,19 @@ def test_oracle_equivalence_seeded():
         assert abs(closed - orc) <= 1e-9 * (1.0 + abs(orc))
 
 
+def test_oracle_with_a_vanishing_weight_and_negative_s():
+    # The weight ωt vanishes at t = 0 and s < 0, so the integrand is singular
+    # there and the oracle grades that endpoint on demand.
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        xi = float(rng.uniform())
+        om = float(rng.uniform(0.25, 2.0))
+        s = float(rng.uniform(-0.9, 0.0))
+        closed = moment_general(MomentSpec(xi, om, 0.0, s))
+        orc = moment_oracle(xi, om, 0.0, s)
+        assert abs(orc - closed) <= 1e-12 * (1.0 + abs(closed))
+
+
 def test_transcription_equivalence_grids():
     for case in MOMENT_CASES:
         for xi in np.linspace(0.0, 1.0, 50):

@@ -9,7 +9,7 @@ from hhverify.errors import (
     NonFiniteIntegrandError,
 )
 from hhverify.functions import make_const, make_power
-from hhverify.quadrature import integrate, mean_integral
+from hhverify.quadrature import _WG, _WGK, _XGK, _gk15, integrate, mean_integral
 
 
 def test_polynomials_match_antiderivative():
@@ -57,6 +57,72 @@ def test_right_endpoint_singularity_is_honest():
     assert abs(res.value - 2.0) <= 10.0 * max(res.err_estimate, 1e-9)
 
 
+def test_singular_grading_stays_within_the_panel_budget():
+    # Grading happens as panels are split, so the budget bounds it too.
+    res = integrate(lambda t: t**-0.5, 0.0, 1.0, max_panels=64)
+    assert res.converged
+    assert abs(res.value - 2.0) <= 2e-12
+    assert res.evaluations <= 30 * 64
+
+
+def test_singular_grading_goes_only_as_deep_as_the_target():
+    res = integrate(lambda t: t**-0.5, 0.0, 1.0)
+    assert res.converged
+    assert math.isclose(res.value, 2.0, rel_tol=1e-12)
+    assert res.evaluations <= 2000
+
+
+def _gk15_reference(f, lo, hi):
+    c = 0.5 * (lo + hi)
+    h = 0.5 * (hi - lo)
+    kron = 0.0
+    gauss = 0.0
+    for i, x in enumerate(_XGK):
+        if x == 0.0:
+            v = f(c)
+            kron += _WGK[i] * v
+            gauss += _WG[3] * v
+            continue
+        s = f(c - h * x) + f(c + h * x)
+        kron += _WGK[i] * s
+        if i % 2 == 1:
+            gauss += _WG[i // 2] * s
+    return h * kron, abs(h * (kron - gauss))
+
+
+def test_gk15_is_bit_identical_to_the_node_loop():
+    rng = np.random.default_rng(23)
+    integrands = (
+        lambda t: 0.3 - 1.7 * t + 2.2 * t**3 - 0.4 * t**7,
+        lambda t: math.exp(-1.3 * t),
+        lambda t: abs(t - 0.37) * (1.0 + t * t),
+    )
+    for _ in range(300):
+        lo = float(rng.uniform(-3.0, 3.0))
+        hi = lo + float(10.0 ** rng.uniform(-9.0, 1.0))
+        for f in integrands:
+            value, err = _gk15(f, lo, hi)
+            ref_value, ref_err = _gk15_reference(f, lo, hi)
+            assert value == ref_value and err == ref_err
+
+
+@pytest.mark.parametrize("raise_later", [False, True])
+def test_gk15_names_the_first_bad_node_in_scan_order(raise_later):
+    # NaN past the cut; optionally a node sampled later also raises.  Either
+    # way the first NaN node in scan order is the one named.
+    first_nan = 0.5 + 0.5 * _XGK[0]
+    raising = 0.5 - 0.5 * _XGK[6]
+
+    def f(t):
+        if raise_later and t == raising:
+            raise ValueError("later node")
+        return t if t < 0.3 else math.nan
+
+    with pytest.raises(NonFiniteIntegrandError) as info:
+        _gk15(f, 0.0, 1.0)
+    assert str(info.value) == f"integrand not finite at {first_nan!r}"
+
+
 def test_linearity():
     f = lambda t: math.sin(3.0 * t)
     g = lambda t: t**3 - t
@@ -89,7 +155,8 @@ def test_invalid_tolerance():
 
 
 def test_interior_pole_raises():
-    with pytest.raises(NonFiniteIntegrandError):
+    # The pole is the centre node of the first panel; the message names it.
+    with pytest.raises(NonFiniteIntegrandError, match=r"integrand failed at 0\.5: "):
         integrate(lambda t: 1.0 / (t - 0.5), 0.0, 1.0)
 
 
