@@ -10,11 +10,20 @@ source: T33_q1 ships with the corrected prefactor 2^(s+1) (the as-printed
 this case), while T34_q1 ships as printed because its spot values are
 pinned that way; the validity sweep exposes its defect honestly.
 
+`case_formula` and `case_bound_from_values` take a, b, λ, μ and the
+derivative samples as floats or as float64 arrays (s and q stay floats),
+so one call evaluates a case over a whole block of rows.  When any of them
+is an array, every power of a per-row value goes through `moments.power`,
+which maps libm's pow over the array (on floats it is x ** y), and the
+arithmetic runs in the same order either way, so each array entry has
+exactly the bits of the float call for its row.
+
 A case row has one builder, `harness.add_interval_rows`: the sweep and
-the CLI's `bound` command both call it.  `eval_case` is the scalar
-reference the tests compare that builder with: its lhs runs its own
-quadrature and it labels no certificate.  `is_violation` is the one
-violation predicate, shared by `BoundResult.violated` and the report.
+the CLI's `bound` command both call it, and it makes one array call per
+(s, q) branch and case.  `eval_case` is the scalar reference the tests
+compare that builder with: its lhs runs its own quadrature and it labels
+no certificate.  `is_violation` is the one violation predicate, shared by
+`BoundResult.violated` and the report.
 """
 
 from __future__ import annotations
@@ -24,15 +33,18 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+import numpy as np
+
 from .errors import WrongBranchError
 from .functions import FunctionSpec
 from .identity import BoundParams, hh_lhs
-from .moments import holder_weight_integral, kernel_mass, moment_case
+from .moments import holder_weight_integral, kernel_mass, moment_case, power
 from .quadrature import DEFAULT_TOL
 
 __all__ = [
     "BoundCase",
     "BoundResult",
+    "MIDPOINT_CASES",
     "VIOLATION_TOL",
     "Q_BRANCH_EPS",
     "S_BRANCH_EPS",
@@ -100,6 +112,10 @@ _Q1_CASES = frozenset(
 _QGT1_CASES = frozenset(
     {BoundCase.T33_qgt1, BoundCase.T34_qgt1_tier1, BoundCase.T34_qgt1_tier2}
 )
+# The tier pairs `case_formula` shares a display between.
+_T32_TIERS = frozenset({BoundCase.T32_tier1, BoundCase.T32_tier2})
+_T34_Q1_TIERS = frozenset({BoundCase.T34_q1_tier1, BoundCase.T34_q1_tier2})
+_T34_QGT1_TIERS = frozenset({BoundCase.T34_qgt1_tier1, BoundCase.T34_qgt1_tier2})
 
 
 def branch_mismatch(case: BoundCase, s: float, q: float) -> str:
@@ -145,9 +161,23 @@ def case_bound_from_values(
     qa, qb, qm are |f'(a)|^q, |f'(b)|^q, |f'((a+b)/2)|^q.  Returns the bound
     together with a note naming the display used.  Raises WrongBranchError
     when (s, q) belong to another case.
+
+    a, b, lam, mu, qa, qb and qm may be float64 arrays, one entry per row;
+    the bound is then an array whose every entry has the bits the float
+    call for that row gives, and the note is one string for the block, or a
+    list of one per row when some rows, and not all, have a = b.
     """
-    case = BoundCase(case)
-    if b - a == 0.0:
+    if not isinstance(case, BoundCase):
+        case = BoundCase(case)
+    flat = b - a == 0.0
+    if isinstance(flat, np.ndarray):
+        if flat.all():
+            return np.zeros(flat.shape), "degenerate interval"
+        if flat.any():
+            check_branch(case, s, q)
+            bound, note = case_formula(case, a, b, lam, mu, s, q, qa, qb, qm)
+            return np.where(flat, 0.0, bound), np.where(flat, "degenerate interval", note).tolist()
+    elif flat:
         return 0.0, "degenerate interval"
     check_branch(case, s, q)
     return case_formula(case, a, b, lam, mu, s, q, qa, qb, qm)
@@ -156,6 +186,9 @@ def case_bound_from_values(
 def case_formula(case: BoundCase, a, b, lam, mu, s, q, qa, qb, qm) -> tuple[float, str]:
     """`case_bound_from_values` without its branch check, for a caller that
     settles the branch itself (the mean theorems, whose order may pass it)."""
+    # Every base of a power is built from lam, mu and the samples; when they
+    # are all floats, the builtin pow (x ** y) spares `power`'s call.
+    pw = pow if type(lam) is type(mu) is type(qa) is type(qb) is type(qm) is float else power
     width = b - a
     rho = 1.0 - 1.0 / q
     m_lam = kernel_mass(lam)
@@ -163,37 +196,39 @@ def case_formula(case: BoundCase, a, b, lam, mu, s, q, qa, qb, qm) -> tuple[floa
 
     if case is BoundCase.T31_s_minus1:
         c = TWO_LN2_MINUS_1
-        brackets = (c * qa + qb) ** (1.0 / q) + (qa + c * qb) ** (1.0 / q)
+        brackets = pw(c * qa + qb, 1.0 / q) + pw(qa + c * qb, 1.0 / q)
         return width / 2.0 ** (3.0 - 2.0 / q) * brackets, "s=-1 harmonic display"
 
     if case is BoundCase.T31_general:
         lam_block = (
-            moment_case((1, 1), 1.0 - lam, s) * qa
-            + moment_case((-1, 1), 1.0 - lam, s) * qb
+            moment_case((1.0, 1.0), 1.0 - lam, s) * qa
+            + moment_case((-1.0, 1.0), 1.0 - lam, s) * qb
         )
         mu_block = (
-            moment_case((1, 0), mu, s) * qa + moment_case((-1, 2), mu, s) * qb
+            moment_case((1.0, 0.0), mu, s) * qa + moment_case((-1.0, 2.0), mu, s) * qb
         )
         bound = width / 2.0 ** (s / q + 2.0) * (
-            m_lam**rho * lam_block ** (1.0 / q) + m_mu**rho * mu_block ** (1.0 / q)
+            pw(m_lam, rho) * pw(lam_block, 1.0 / q)
+            + pw(m_mu, rho) * pw(mu_block, 1.0 / q)
         )
         return bound, "general-s display via moment closed forms"
 
-    if case in (BoundCase.T32_tier1, BoundCase.T32_tier2):
+    if case in _T32_TIERS:
         qm_eff = qm
         note = "tier1 moment display"
         if case is BoundCase.T32_tier2:
             qm_eff = midpoint_envelope(s, qa, qb)
             note = "tier2 = tier1 with midpoint envelope (mechanical)"
         lam_block = (
-            moment_case((1, 0), 1.0 - lam, s) * qa
-            + moment_case((-1, 1), 1.0 - lam, s) * qm_eff
+            moment_case((1.0, 0.0), 1.0 - lam, s) * qa
+            + moment_case((-1.0, 1.0), 1.0 - lam, s) * qm_eff
         )
         mu_block = (
-            moment_case((1, 0), mu, s) * qm_eff + moment_case((-1, 1), mu, s) * qb
+            moment_case((1.0, 0.0), mu, s) * qm_eff + moment_case((-1.0, 1.0), mu, s) * qb
         )
         bound = width / 4.0 * (
-            m_lam**rho * lam_block ** (1.0 / q) + m_mu**rho * mu_block ** (1.0 / q)
+            pw(m_lam, rho) * pw(lam_block, 1.0 / q)
+            + pw(m_mu, rho) * pw(mu_block, 1.0 / q)
         )
         return bound, note
 
@@ -215,13 +250,13 @@ def case_formula(case: BoundCase, a, b, lam, mu, s, q, qa, qb, qm) -> tuple[floa
             / 2.0 ** (s / q + 2.0)
             * (1.0 / (s + 1.0)) ** (1.0 / q)
             * (
-                h_lam**rho * (w * qa + qb) ** (1.0 / q)
-                + h_mu**rho * (qa + w * qb) ** (1.0 / q)
+                pw(h_lam, rho) * pw(w * qa + qb, 1.0 / q)
+                + pw(h_mu, rho) * pw(qa + w * qb, 1.0 / q)
             )
         )
         return bound, "conjugate-exponent display"
 
-    if case in (BoundCase.T34_q1_tier1, BoundCase.T34_q1_tier2):
+    if case in _T34_Q1_TIERS:
         if case is BoundCase.T34_q1_tier1:
             bound = (
                 width
@@ -237,7 +272,7 @@ def case_formula(case: BoundCase, a, b, lam, mu, s, q, qa, qb, qm) -> tuple[floa
         )
         return bound, "q=1 tier2 via midpoint envelope (known-defective tier1)"
 
-    if case in (BoundCase.T34_qgt1_tier1, BoundCase.T34_qgt1_tier2):
+    if case in _T34_QGT1_TIERS:
         h_lam = holder_weight_integral(1.0 - lam, q)
         h_mu = holder_weight_integral(mu, q)
         inv_s1 = (1.0 / (s + 1.0)) ** (1.0 / q)
@@ -247,8 +282,8 @@ def case_formula(case: BoundCase, a, b, lam, mu, s, q, qa, qb, qm) -> tuple[floa
                 / 4.0
                 * inv_s1
                 * (
-                    h_lam**rho * (qa + qm) ** (1.0 / q)
-                    + h_mu**rho * (qm + qb) ** (1.0 / q)
+                    pw(h_lam, rho) * pw(qa + qm, 1.0 / q)
+                    + pw(h_mu, rho) * pw(qm + qb, 1.0 / q)
                 )
             )
             return bound, "conjugate-exponent tier1 display"
@@ -258,8 +293,8 @@ def case_formula(case: BoundCase, a, b, lam, mu, s, q, qa, qb, qm) -> tuple[floa
             / 2.0 ** (s / q + 2.0)
             * inv_s1
             * (
-                h_lam**rho * (w * qa + qb) ** (1.0 / q)
-                + h_mu**rho * (qa + w * qb) ** (1.0 / q)
+                pw(h_lam, rho) * pw(w * qa + qb, 1.0 / q)
+                + pw(h_mu, rho) * pw(qa + w * qb, 1.0 / q)
             )
         )
         return bound, "conjugate-exponent tier2 via midpoint envelope"
@@ -274,13 +309,14 @@ def derivative_values(f: FunctionSpec, a: float, b: float, q: float) -> tuple[fl
     return tuple(abs(f.deriv(x)) ** q for x in (a, b, 0.5 * (a + b)))
 
 
-def deviation_params(case: BoundCase, p: BoundParams) -> BoundParams:
-    """Parameters of the deviation a case controls.
+# Cases that bound the midpoint deviation, the lhs at λ = μ = 0, whatever
+# the row's weights; every other case bounds the lhs at the row's own.
+MIDPOINT_CASES = frozenset({BoundCase.T31_s_minus1})
 
-    T31_s_minus1 bounds the midpoint deviation, the lhs at λ = μ = 0; every
-    other case bounds the lhs at the row's own weights.
-    """
-    if case is BoundCase.T31_s_minus1:
+
+def deviation_params(case: BoundCase, p: BoundParams) -> BoundParams:
+    """Parameters of the deviation a case controls (see `MIDPOINT_CASES`)."""
+    if case in MIDPOINT_CASES:
         return BoundParams(p.a, p.b, 0.0, 0.0, p.s, p.q)
     return p
 

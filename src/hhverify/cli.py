@@ -46,7 +46,7 @@ def _interval_row(args, p: BoundParams, branch) -> int:
     cfg = SuiteConfig(tol=args.tol)
     f = from_id(args.f, p.a, p.b)
     report = Report()
-    add_interval_rows(report, cfg, f, mean_integral(f, p.a, p.b, cfg.tol), [(p.lam, p.mu)], [branch])
+    add_interval_rows(report, cfg, [(f, mean_integral(f, p.a, p.b, cfg.tol), [(p.lam, p.mu)])], [branch])
     return _emit_row(report, args.format)
 
 

@@ -17,6 +17,10 @@ class NonFiniteIntegrandError(HHVerifyError, ArithmeticError):
     """The integrand returned inf or nan at an interior sample point."""
 
 
+class QuadratureNonConvergenceError(HHVerifyError, ArithmeticError):
+    """Adaptive quadrature stopped short of its tolerance, so its value is not trusted."""
+
+
 class DegenerateIntervalError(HHVerifyError, ValueError):
     """An operation that divides by (b - a) received a = b."""
 

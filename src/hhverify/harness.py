@@ -6,10 +6,15 @@ row.  `Report.records` and `Report.violations` are views built from the
 columns on demand; the report writer reads the columns directly and writes
 the same bytes `json.dumps(indent=2)` or `csv.writer` would.  `Report` is
 the one place that knows what a record looks like, and `Report.add` the
-one way a row enters it.  Each row kind has one builder, which `run_suite`
-and the CLI's single-row commands both call: `add_interval_rows` (case and
-preset rows) and `add_mean_rows`.  `eval_case`, `eval_preset` and
-`eval_mean_bound` are the scalar reference the tests compare them with.
+one way a row enters it, one row at a time or a block of rows as columns.
+Each row kind has one builder, which `run_suite` and the CLI's single-row
+commands both call: `add_interval_rows` (case and preset rows) and
+`add_mean_rows`.  `add_interval_rows` evaluates each case once per (s, q)
+branch over the columns of every interval and weight pair of a family,
+since the closed forms take float64 arrays and give each entry the bits
+the float call for that row would (`moments.libm`); preset and mean rows
+are built one at a time.  `eval_case`, `eval_preset` and `eval_mean_bound`
+are the scalar reference the tests compare the builders with.
 A row's `family` is the `fid` of the `FunctionSpec` it evaluated: the
 config's canonical id, or `make_power(s, a, b)` for a mean row.
 """
@@ -29,11 +34,11 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .bounds import (
+    MIDPOINT_CASES,
     BoundCase,
     branch_mismatch,
     case_bound_from_values,
     derivative_values,
-    deviation_params,
     is_violation,
 )
 from .errors import ConfigError, FunctionDomainError, HHVerifyError
@@ -293,42 +298,49 @@ class Report:
         self._preset: list[str | None] = []
         self._certified: list[str] = []
         self._notes: list[str] = []
+        self._label_columns = (self._family, self._case, self._preset, self._certified, self._notes)
         self.errata: list[dict] = []
         self.summary: dict = {}
         self.oracle_residuals: dict = {}
 
     def add(
         self,
-        family: str,
-        case: str,
-        preset: str | None,
-        params: tuple[float, float, float, float, float, float],
-        lhs: float,
-        bound: float,
-        certified: str,
-        branch_notes: str,
+        family: str | list[str],
+        case: str | list[str],
+        preset: str | None | list[str | None],
+        params: tuple,
+        lhs: float | np.ndarray,
+        bound: float | np.ndarray,
+        certified: str | list[str],
+        branch_notes: str | list[str],
     ) -> None:
-        """Append one row.
+        """Append one row, or a block of rows given as columns.
 
         params is (a, b, lambda, mu, s, q); a param the record does not
         show (mu on a mean row) is passed as 0.0, which is where it sorts.
+        A float bound appends one row.  A float64 array bound appends one
+        row per entry, and every float given as a float (s and q, say) is
+        repeated down the block.  Each label (family, case, preset,
+        certified, branch_notes) is one value for every row, or a list
+        with one entry per row.
         """
-        self._floats.extend(params)
-        self._floats.extend((lhs, bound, bound - lhs))
-        self._family.append(family)
-        self._case.append(case)
-        self._preset.append(preset)
-        self._certified.append(certified)
-        self._notes.append(branch_notes)
+        if not isinstance(bound, np.ndarray):
+            self._floats.extend(params)
+            self._floats.extend((lhs, bound, bound - lhs))
+            self._family.append(family)
+            self._case.append(case)
+            self._preset.append(preset)
+            self._certified.append(certified)
+            self._notes.append(branch_notes)
+            return
+        columns = np.broadcast_arrays(*params, lhs, bound, bound - lhs)
+        self._floats.frombytes(np.column_stack(columns).reshape(-1).view(np.uint8))
+        labels = (family, case, preset, certified, branch_notes)
+        for column, label in zip(self._label_columns, labels):
+            column.extend(label if isinstance(label, list) else itertools.repeat(label, len(bound)))
 
     def _labels(self) -> dict[str, list]:
-        return {
-            "family": self._family,
-            "case": self._case,
-            "preset": self._preset,
-            "certified": self._certified,
-            "branch_notes": self._notes,
-        }
+        return dict(zip(("family", "case", "preset", "certified", "branch_notes"), self._label_columns))
 
     @property
     def record_count(self) -> int:
@@ -600,44 +612,63 @@ def _branches(
 def add_interval_rows(
     report: Report,
     cfg: SuiteConfig,
-    f: FunctionSpec,
-    mean: float,
-    pairs: list[tuple[float, float]],
+    intervals: list[tuple[FunctionSpec, float, list[tuple[float, float]]]],
     branches: list[tuple[float, float, list[BoundCase], list[PresetSpec]]],
 ) -> None:
-    """Append the case and preset rows of f on [f.lo, f.hi], labelled
-    `f.fid`, whose mean value is `mean`: each branch's at each
-    (lambda, mu) pair, less the preset rows whose weight pins the pair misses.
+    """Append the case and preset rows of one family over its intervals.
 
-    A branch is (s, q, cases, presets), settled on (s, q) by the caller.
-    Each lhs is shared by every row of its weight pair, and |f'|^q and the
-    certificate by every row of their (s, q).
+    Each interval is (f, mean, pairs): f on [f.lo, f.hi], labelled `f.fid`,
+    whose mean value is `mean`, with its (lambda, mu) weight pairs.  A
+    branch is (s, q, cases, presets), settled on (s, q) by the caller.  Each
+    case of a branch is one `case_bound_from_values` call over the columns
+    of every (interval, pair) row; a preset row is evaluated on its own and
+    left out where its weight pins miss the pair.  Each lhs is shared by
+    every row of its interval and weight pair, and |f'|^q and the
+    certificate by every row of their interval and (s, q).
     """
-    a, b = f.lo, f.hi
-    lhs_at: dict[tuple[float, float], float] = {}
+    if not intervals:
+        return
+    sizes = [len(pairs) for _, _, pairs in intervals]
+    rows = [(i, lam, mu) for i, (_, _, pairs) in enumerate(intervals) for lam, mu in pairs]
+    a = np.repeat([f.lo for f, _, _ in intervals], sizes)
+    b = np.repeat([f.hi for f, _, _ in intervals], sizes)
+    lam = np.array([w for _, w, _ in rows], dtype=np.float64)
+    mu = np.array([w for _, _, w in rows], dtype=np.float64)
+    fid = intervals[0][0].fid
+    lhs_at: dict[tuple[int, float, float], float] = {}
 
-    def lhs(parent: BoundCase, p: BoundParams) -> float:
-        w = deviation_params(parent, p)
-        key = (w.lam, w.mu)
+    def lhs(i: int, parent: BoundCase, l: float, m: float, s: float, q: float) -> float:
+        """|lhs| of interval i at the weights `parent` bounds, for a row at (l, m)."""
+        if parent in MIDPOINT_CASES:
+            l = m = 0.0
+        key = (i, l, m)
         if key not in lhs_at:
-            lhs_at[key] = abs(hh_lhs(f, w, cfg.tol, mean))
+            f, mean, _ = intervals[i]
+            lhs_at[key] = abs(hh_lhs(f, BoundParams(f.lo, f.hi, l, m, s, q), cfg.tol, mean))
         return lhs_at[key]
 
-    add, fid = report.add, f.fid
+    add = report.add
     for s, q, cases, specs in branches:
-        qa, qb, qm = derivative_values(f, a, b, q)
-        cert = certificate_status(f, s, q, cfg.convexity_samples, cfg.seed)
-        for lam, mu in pairs:
-            p = BoundParams(a, b, lam, mu, s, q)
-            params = (a, b, lam, mu, s, q)
-            for case in cases:
-                bound, note = case_bound_from_values(case, a, b, lam, mu, s, q, qa, qb, qm)
-                add(fid, case.value, None, params, lhs(case, p), bound, cert, note)
+        values = [derivative_values(f, f.lo, f.hi, q) for f, _, _ in intervals]
+        qa, qb, qm = np.repeat(np.array(values, dtype=np.float64), sizes, axis=0).T
+        certs = [certificate_status(f, s, q, cfg.convexity_samples, cfg.seed) for f, _, _ in intervals]
+        cert = [c for c, n in zip(certs, sizes) for _ in range(n)]
+        params = (a, b, lam, mu, s, q)
+        lhs_columns: dict[bool, np.ndarray] = {}  # keyed by `case in MIDPOINT_CASES`
+        for case in cases:
+            midpoint = case in MIDPOINT_CASES
+            if midpoint not in lhs_columns:
+                lhs_columns[midpoint] = np.array([lhs(i, case, l, m, s, q) for i, l, m in rows])
+            bound, note = case_bound_from_values(case, a, b, lam, mu, s, q, qa, qb, qm)
+            add(fid, case.value, None, params, lhs_columns[midpoint], bound, cert, note)
+        for i, l, m in rows:
+            f = intervals[i][0]
             for spec in specs:
-                if spec.weight_mismatch(lam, mu):
+                if spec.weight_mismatch(l, m):
                     continue
-                bound = spec.display(a, b, lam, mu, s, q, qa, qb, qm)
-                add(fid, spec.parent.value, spec.pid, params, lhs(spec.parent, p), bound, cert, spec.branch_notes)
+                bound = spec.display(f.lo, f.hi, l, m, s, q, *values[i])
+                add(fid, spec.parent.value, spec.pid, (f.lo, f.hi, l, m, s, q),
+                    lhs(i, spec.parent, l, m, s, q), bound, certs[i], spec.branch_notes)
 
 
 def add_mean_rows(
@@ -676,13 +707,15 @@ def run_suite(cfg: SuiteConfig) -> Report:
     specs = [PRESETS[pid] for pid in cfg.presets]
     for fid in cfg.families:
         branches = _branches(fid, cfg, cases, specs)
+        resolved = []
         for (a, b), pairs in intervals.items():
             try:
                 f = from_id(fid, a, b)
                 mean = mean_integral(f, a, b, cfg.tol)
             except HHVerifyError:
                 continue
-            add_interval_rows(report, cfg, f, mean, pairs, branches)
+            resolved.append((f, mean, pairs))
+        add_interval_rows(report, cfg, resolved, branches)
 
     # Mean-inequality sweep.
     grid = itertools.product(cfg.mean_a, cfg.mean_b, cfg.mean_s, cfg.mean_q, cfg.mean_lam)

@@ -7,17 +7,34 @@ displays; the (ω, η) = (-1, 2) display is shipped in corrected form — its
 final bracket must read (s+2)ξ, which follows from substituting into the
 general formula — and the verbatim transcription stays available behind a
 flag so the erratum scan can measure the discrepancy.
+
+`kernel_mass`, `moment_case` and `holder_weight_integral` take ξ as a float
+or as a float64 array, one entry per row (s and q stay floats), so a sweep
+evaluates a whole block of rows in one call.  Each formula is written once
+for both: its arithmetic runs in the same order on a float as on every
+element of an array, and on an array every power, exp and log of a per-row
+value goes through `libm` (pow through `power`), which maps the platform
+libm over it element by element; on a float they are the float operations
+themselves, and powers of s and q alone are always floats.  numpy's own
+power, exp and log are vectorised approximations that differ from libm in
+the last bit on a few percent of inputs (even x**2 and x**0.5 take their
+own fast paths), so only this keeps each array element bit-identical to the
+float the same row would give on its own.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import (
     HolderExponentError,
     MomentParameterError,
     NonIntegrableSingularityError,
+    QuadratureNonConvergenceError,
 )
 from .quadrature import DEFAULT_TOL, integrate
 
@@ -30,6 +47,8 @@ __all__ = [
     "moment_harmonic",
     "moment_oracle",
     "holder_weight_integral",
+    "libm",
+    "power",
 ]
 
 # s may not approach the harmonic pole; exact s = -1 goes to moment_harmonic.
@@ -46,8 +65,7 @@ class MomentSpec:
     s: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.xi <= 1.0:
-            raise MomentParameterError(f"xi must lie in [0, 1], got {self.xi!r}")
+        _check_xi(self.xi)
         if self.omega == 0.0 or not math.isfinite(self.omega):
             raise MomentParameterError("omega must be nonzero and finite")
         if self.eta < 0.0:
@@ -56,6 +74,42 @@ class MomentSpec:
             raise MomentParameterError("need omega + eta >= 0 so the weight is nonnegative")
         if self.s < -1.0:
             raise MomentParameterError(f"s must be >= -1, got {self.s!r}")
+
+
+def libm(fn, x, *args):
+    """fn(x, *args) for a float x; for a float64 array x, fn on each element
+    with the same float args, so each element has the bits the float gives."""
+    if not isinstance(x, np.ndarray):
+        return fn(x, *args)
+    values = map(fn, x.tolist(), *map(itertools.repeat, args))
+    return np.fromiter(values, np.float64, x.size).reshape(x.shape)
+
+
+def power(x, y: float):
+    """x ** y for a float x, or libm's pow on each element of an array x.
+
+    pow(x, 1) = x and pow(x, 0) = 1 exactly, so an array skips the calls
+    for those exponents (q = 1 gives both).
+    """
+    if not isinstance(x, np.ndarray):
+        return x ** y
+    if y == 1.0:
+        return x
+    if y == 0.0:
+        return np.ones_like(x)
+    return libm(math.pow, x, y)
+
+
+def _check_xi(xi) -> None:
+    """Raise MomentParameterError naming the first ξ outside [0, 1]."""
+    if isinstance(xi, np.ndarray):
+        outside = ~((xi >= 0.0) & (xi <= 1.0))
+        if not outside.any():
+            return
+        xi = float(xi[outside][0])
+    elif 0.0 <= xi <= 1.0:
+        return
+    raise MomentParameterError(f"xi must lie in [0, 1], got {xi!r}")
 
 
 def kernel_mass(xi: float) -> float:
@@ -82,32 +136,36 @@ def moment_general(m: MomentSpec) -> float:
 def moment_case(case: tuple[float, float], xi: float, s: float, verbatim: bool = False) -> float:
     """Special-case displays of `moment_general` for the four named (ω, η).
 
-    With ``verbatim=True`` the (-1, 2) case reproduces the published bracket
-    "(s+2)η" instead of the corrected "(s+2)ξ"; every other case is identical
-    either way.  Must agree with `moment_general` (verbatim=False).
+    ξ is a float or a float64 array.  With ``verbatim=True`` the (-1, 2)
+    case reproduces the published bracket "(s+2)η" instead of the corrected
+    "(s+2)ξ"; every other case is identical either way.  Must agree with
+    `moment_general` (verbatim=False).
     """
-    if not 0.0 <= xi <= 1.0:
-        raise MomentParameterError(f"xi must lie in [0, 1], got {xi!r}")
+    if isinstance(xi, float) and 0.0 <= xi <= 1.0:
+        pw = pow  # the float path of `power`, without its call
+    else:
+        _check_xi(xi)
+        pw = power
     if s < S_MIN:
         raise MomentParameterError(f"s={s!r} too close to -1; use moment_harmonic")
     s2 = (s + 1.0) * (s + 2.0)
-    key = (float(case[0]), float(case[1]))
+    key = tuple(case)  # (1, 0) == (1.0, 0.0)
     if key == (1.0, 0.0):
-        return (2.0 * xi ** (s + 2.0) - (s + 2.0) * xi + s + 1.0) / s2
+        return (2.0 * pw(xi, s + 2.0) - (s + 2.0) * xi + s + 1.0) / s2
     if key == (1.0, 1.0):
         return (
-            2.0 * (xi + 1.0) ** (s + 2.0)
+            2.0 * pw(xi + 1.0, s + 2.0)
             - ((s + 2.0) * xi - s) * 2.0 ** (s + 1.0)
             - (s + 2.0) * xi
             - 1.0
         ) / s2
     if key == (-1.0, 1.0):
-        return (2.0 * (1.0 - xi) ** (s + 2.0) + (s + 2.0) * xi - 1.0) / s2
+        return (2.0 * pw(1.0 - xi, s + 2.0) + (s + 2.0) * xi - 1.0) / s2
     if key == (-1.0, 2.0):
         # Corrected bracket is (s+2)ξ; the verbatim display prints (s+2)η with η = 2.
         last = (s + 2.0) * (2.0 if verbatim else xi)
         return (
-            2.0 * (2.0 - xi) ** (s + 2.0)
+            2.0 * pw(2.0 - xi, s + 2.0)
             + ((s + 2.0) * xi - 2.0) * 2.0 ** (s + 1.0)
             + last
             - s
@@ -122,8 +180,7 @@ def moment_harmonic(xi: float, omega: float, eta: float) -> float:
     Integrable only when the weight is positive on (0, 1) or its zero sits
     exactly at the kernel zero t = ξ (matching first-order zeros cancel).
     """
-    if not 0.0 <= xi <= 1.0:
-        raise MomentParameterError(f"xi must lie in [0, 1], got {xi!r}")
+    _check_xi(xi)
     if omega == 0.0:
         raise MomentParameterError("omega must be nonzero")
     w0 = eta
@@ -155,7 +212,10 @@ def moment_oracle(
 
     Independent cross-check for the closed forms.  A weight vanishing at
     t = 1 is reflected (u = 1 - t) so the singular point lands at 0, where
-    float resolution is effectively unbounded.
+    float resolution is effectively unbounded.  Raises
+    QuadratureNonConvergenceError when the quadrature stops short of `tol`
+    (for s near -1 the panels reach their width floor first): its error
+    estimate then understates the missing tail, so no value is returned.
     """
     if omega + eta == 0.0:
         # |ξ - (1-u)| ((ω+η) - ωu)^s = |(1-ξ) - u| (-ω u)^s exactly.
@@ -164,28 +224,33 @@ def moment_oracle(
     def f(t: float) -> float:
         return abs(xi - t) * (omega * t + eta) ** s
 
-    return integrate(f, 0.0, 1.0, tol, breakpoints=(xi,)).value
+    res = integrate(f, 0.0, 1.0, tol, breakpoints=(xi,))
+    if not res.converged:
+        raise QuadratureNonConvergenceError(
+            f"moment oracle did not converge to tol={tol!r} (error estimate "
+            f"{res.err_estimate!r} after {res.evaluations} evaluations)"
+        )
+    return res.value
+
+
+def _exp_r_log(base: float, r: float) -> float:
+    """base^r as exp(r·log(base)), 0 at base 0, for r > 0 and base in [0, 1]."""
+    if isinstance(base, np.ndarray):
+        return libm(_exp_r_log, base, r)
+    return math.exp(r * math.log(base)) if base > 0.0 else 0.0
 
 
 def holder_weight_integral(xi: float, q: float) -> float:
-    """Closed form of ∫₀¹ |ξ - t|^(q/(q-1)) dt for q > 1.
+    """Closed form of ∫₀¹ |ξ - t|^(q/(q-1)) dt for q > 1, ξ a float or array.
 
     Powers of bases in [0, 1] with the large exponent (2q-1)/(q-1) are taken
     through exp/log so they underflow to zero instead of overflowing.
     """
-    if not 0.0 <= xi <= 1.0:
-        raise MomentParameterError(f"xi must lie in [0, 1], got {xi!r}")
+    if not (isinstance(xi, float) and 0.0 <= xi <= 1.0):
+        _check_xi(xi)
     if q < 1.0 + 1e-9:
         raise HolderExponentError(
             f"q={q!r} too close to 1 for the conjugate exponent; use a q = 1 branch"
         )
     r = (2.0 * q - 1.0) / (q - 1.0)
-
-    def pw(base: float) -> float:
-        if base <= 0.0:
-            return 0.0
-        if base >= 1.0:
-            return 1.0
-        return math.exp(r * math.log(base))
-
-    return (q - 1.0) / (2.0 * q - 1.0) * (pw(xi) + pw(1.0 - xi))
+    return (q - 1.0) / (2.0 * q - 1.0) * (_exp_r_log(xi, r) + _exp_r_log(1.0 - xi, r))

@@ -10,7 +10,11 @@ Integrable endpoint singularities (power weights with exponent in (-1, 0))
 are graded on demand: ``integrate`` probes f at a and b, and a panel touching
 an endpoint where f is non-finite or raises is cut at ratio 0.25 toward that
 endpoint instead of at its midpoint.  Grading therefore goes only as deep as
-the error target asks.  The panel rule itself never samples panel edges.
+the error target asks, and never below panels `_MIN_WIDTH` wide: a panel
+whose cut would make a narrower one is kept whole, with its error estimate,
+so the result is returned with converged=False rather than evaluating f
+at subnormal nodes (where t^s overflows for s near -1).  The panel rule
+itself never samples panel edges.
 """
 
 from __future__ import annotations
@@ -64,6 +68,10 @@ DEFAULT_PANEL_BUDGET = 1 << 20
 # Singular-endpoint grading: a panel touching a singular endpoint is cut this
 # fraction of its width away from that endpoint.
 _GRADE_RATIO = 0.25
+# No panel narrower than this is made.  GK15's outermost nodes lie 0.0043 of
+# a panel's width inside its edges, so every node is a normal float, where
+# t^s is finite for every s > -1.
+_MIN_WIDTH = 1e-300
 
 
 @dataclass(frozen=True)
@@ -202,7 +210,7 @@ def integrate(
             cut = lo + _GRADE_RATIO * (hi - lo)
         else:
             cut = hi - _GRADE_RATIO * (hi - lo)
-        if not _splittable(lo, hi) or cut <= lo or cut >= hi:
+        if not _splittable(lo, hi) or min(cut - lo, hi - cut) < _MIN_WIDTH:
             # Panel is at float resolution and cannot be refined further.
             done.append((neg_e, lo, hi, v))
             done_err += -neg_e

@@ -9,12 +9,13 @@ import pytest
 from hhverify.bounds import (
     BoundCase,
     VIOLATION_TOL,
+    branch_mismatch,
     case_bound_from_values,
     eval_case,
     midpoint_envelope,
 )
 from hhverify.cli import main
-from hhverify.errors import WrongBranchError
+from hhverify.errors import MomentParameterError, WrongBranchError
 from hhverify.functions import from_id, make_const, make_power
 from hhverify.identity import BoundParams
 from hhverify.quadrature import mean_integral
@@ -211,3 +212,59 @@ def test_result_serialization_shape(capsys):
     assert row[header.index("case")] == "T31_general"
     assert header[header.index("a"):header.index("lhs")] == ["a", "b", "lambda", "mu", "s", "q"]
     assert len(row) == len(header)
+
+
+def _seeded_rows(n=400, seed=11):
+    """Seeded (a, b, lambda, mu, qa, qb, qm) columns; lambda and mu include
+    exact 0, 0.5 and 1, which hit every branch of the Hölder weight's power."""
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 2.0, n)
+    b = a + rng.uniform(0.05, 3.0, n)
+    lam, mu = rng.uniform(size=(2, n))
+    edges = np.array([0.0, 0.5, 1.0])
+    lam[:9], mu[:9] = np.repeat(edges, 3), np.tile(edges, 3)
+    qa, qb, qm = rng.uniform(0.0, 4.0, size=(3, n))
+    qa[9] = qb[9] = qm[9] = 0.0
+    return a, b, lam, mu, qa, qb, qm
+
+
+def _admitted(case):
+    for s in ((-1.0,) if case is BoundCase.T31_s_minus1 else (-0.9, 0.0, 0.5, 1.0)):
+        for q in (1.0, 1.5, 2.0, 4.0):
+            if not branch_mismatch(case, s, q):
+                yield s, q
+
+
+@pytest.mark.parametrize("case", list(BoundCase))
+def test_array_call_is_bit_identical_to_the_float_calls(case):
+    a, b, lam, mu, qa, qb, qm = _seeded_rows()
+    branches = list(_admitted(case))
+    assert branches
+    for s, q in branches:
+        bound, note = case_bound_from_values(case, a, b, lam, mu, s, q, qa, qb, qm)
+        assert isinstance(note, str) and bound.dtype == np.float64
+        for i, row in enumerate(zip(a.tolist(), b.tolist(), lam.tolist(), mu.tolist())):
+            ref = case_bound_from_values(case, *row, s, q, qa[i].item(), qb[i].item(), qm[i].item())
+            assert (bound[i].item(), note) == ref, (case, s, q, i)
+
+
+def test_array_call_keeps_the_float_errors():
+    a, b, lam, mu, qa, qb, qm = _seeded_rows(n=20)
+    with pytest.raises(WrongBranchError):
+        case_bound_from_values(BoundCase.T33_q1, a, b, lam, mu, 0.5, 2.0, qa, qb, qm)
+    lam[7] = 1.25
+    with pytest.raises(MomentParameterError, match=r"got -0\.25"):
+        case_bound_from_values(BoundCase.T31_general, a, b, lam, mu, 0.5, 2.0, qa, qb, qm)
+
+
+def test_array_call_marks_degenerate_rows():
+    # A row with a = b gets bound 0 and its own note, as the float call gives it.
+    a, b, lam, mu, qa, qb, qm = _seeded_rows(n=12)
+    b[2] = a[2]
+    bound, notes = case_bound_from_values(BoundCase.T32_tier2, a, b, lam, mu, 0.5, 2.0, qa, qb, qm)
+    ref = [case_bound_from_values(BoundCase.T32_tier2, *row[:4], 0.5, 2.0, *row[4:])
+           for row in zip(a.tolist(), b.tolist(), lam.tolist(), mu.tolist(), qa.tolist(), qb.tolist(), qm.tolist())]
+    assert list(zip(bound.tolist(), notes)) == ref
+    assert notes[2] == "degenerate interval" != notes[1]
+    bound, note = case_bound_from_values(BoundCase.T33_q1, a, a, lam, mu, 0.5, 2.0, qa, qb, qm)
+    assert note == "degenerate interval" and not bound.any()

@@ -29,6 +29,12 @@ def test_moment_command(capsys):
     assert doc["residual"] <= 1e-9
 
 
+def test_moment_command_refuses_a_nonconverged_oracle(capsys):
+    code, out, err = run_cli(capsys, "moment", "--xi", "0.3", "--omega", "1", "--eta", "0", "--s", "-0.99")
+    assert code == 2 and out == ""
+    assert err.startswith("error: moment oracle did not converge to tol=1e-12 (error estimate ")
+
+
 def test_harmonic_command(capsys):
     code, out, _ = run_cli(capsys, "harmonic", "--xi", "1", "--omega", "1", "--eta", "1")
     doc = json.loads(out)

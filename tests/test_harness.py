@@ -66,7 +66,27 @@ def all_means_config():
     )
 
 
-PINNED_CONFIGS = {"paired": paired_x2_config, "mix": seeded_mix_config, "means": all_means_config}
+def seeded_draws_config():
+    """Seeded draws plus a small grid over three families, every case and a
+    few presets, at s in {-1, 0.5, 1} and q in {1, 1.5, 2}."""
+    return SuiteConfig.from_dict(
+        {
+            "families": ["pow:2", "pow:1.5", "exp"],
+            "grid": {"a": [0.5], "b": [2.0], "lambda": [0.0, 0.5, 1.0], "s": [-1.0, 0.5, 1.0], "q": [1.0, 1.5, 2.0]},
+            "draws": 30,
+            "seed": 9,
+            "cases": "all",
+            "presets": ["C31_s_minus1_q1", "C32_q1", "C33_s1", "C33x_midpoint_qgt1", "C34x_qgt1_s1_tier2", "E15"],
+        }
+    )
+
+
+PINNED_CONFIGS = {
+    "paired": paired_x2_config,
+    "mix": seeded_mix_config,
+    "means": all_means_config,
+    "draws": seeded_draws_config,
+}
 
 # sha256 of the reports as the record-dict writer (json.dump(indent=2) and a
 # csv.writer loop) wrote them, on x86-64 Linux with CPython 3.11 and
@@ -82,6 +102,9 @@ PINNED_DIGESTS = {
     ("mix", "csv"): "52d38323b671b166e6d93b93791c382ddf1832daadc6435d8aba59099beccdf5",
     ("means", "json"): "d2d84eb9f7daaa2c9b83afbf5080328c8353a4e40114681de73e96869741ea14",
     ("means", "csv"): "fddbf883261df14146ea859fd9f0c6835fcf0a4574dcce7673ec5e416ffe5050",
+    # Recorded while case rows were still evaluated one call per row.
+    ("draws", "json"): "a00a8ebf0407a631a0e3bbb1855276557bd8d6933c39313f7a7da20db868beba",
+    ("draws", "csv"): "6c86d94dc497661c7572d604933102a40eae8e5e129d72dd04783a22da2e8ae2",
 }
 
 
@@ -582,6 +605,52 @@ def test_sweep_rows_match_the_scalar_path():
         assert (rec["lhs"], rec["bound"], rec["slack"], rec["branch_notes"]) == (
             res.lhs, res.bound, res.slack, res.branch_notes
         ), key
+
+
+def test_seeded_sweep_rows_match_the_scalar_path():
+    # The twin of the test above over many intervals: every case and preset
+    # row of the seeded draws equals eval_case/eval_preset on its own params.
+    cfg = seeded_draws_config()
+    records = run_suite(cfg).records
+    assert {r["case"] for r in records} == {c.value for c in BoundCase}
+    assert {r["preset"] for r in records} - {None} == set(cfg.presets)
+    assert len({(r["params"]["a"], r["params"]["b"]) for r in records}) > 30
+    functions = {}
+    for r in records:
+        p = BoundParams(*(r["params"][key] for key in CASE_KEYS))
+        key = (r["family"], p.a, p.b)
+        if key not in functions:
+            functions[key] = from_id(r["family"], p.a, p.b)
+        f = functions[key]
+        if r["preset"] is None:
+            res = eval_case(r["case"], f, p, cfg.tol)
+        else:
+            res = eval_preset(r["preset"], f, p, cfg.tol)
+        assert (r["lhs"], r["bound"], r["slack"], r["branch_notes"]) == (
+            res.lhs, res.bound, res.slack, res.branch_notes
+        ), r
+
+
+def test_each_case_is_one_call_per_family_and_branch(monkeypatch):
+    calls = collections.Counter()
+    evaluate = harness.case_bound_from_values
+
+    def counted(case, *args):
+        calls[case, args[4], args[5]] += 1
+        return evaluate(case, *args)
+
+    monkeypatch.setattr(harness, "case_bound_from_values", counted)
+    cfg = seeded_draws_config()
+    report = run_suite(cfg)
+    # Each (s, q) branch admits its cases for every family: one call each.
+    expected = collections.Counter()
+    for case in BoundCase:
+        for s in cfg.s_values:
+            for q in cfg.q_values:
+                if not harness.branch_mismatch(case, s, q):
+                    expected[case, s, q] = len(cfg.families)
+    assert calls == expected
+    assert report.record_count > 30 * sum(calls.values())
 
 
 def test_sweep_mean_rows_match_the_scalar_path():

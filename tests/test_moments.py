@@ -9,16 +9,19 @@ from hhverify.errors import (
     HolderExponentError,
     MomentParameterError,
     NonIntegrableSingularityError,
+    QuadratureNonConvergenceError,
 )
 from hhverify.moments import (
     MOMENT_CASES,
     MomentSpec,
     holder_weight_integral,
     kernel_mass,
+    libm,
     moment_case,
     moment_general,
     moment_harmonic,
     moment_oracle,
+    power,
 )
 from hhverify.quadrature import integrate
 
@@ -157,3 +160,59 @@ def test_moment_nonnegative_and_bounded(xi, s, om, eta):
     # |ξ-t| <= 1, so the moment is at most the full weight integral
     full = ((om + eta) ** (s + 1.0) - eta ** (s + 1.0)) / (om * (s + 1.0))
     assert value <= full * (1.0 + 1e-12) + 1e-12
+
+
+def _xi_column(n=2000, seed=5):
+    """Seeded ξ in [0, 1] with the exact 0, 0.5 and 1 at its head."""
+    xi = np.random.default_rng(seed).uniform(size=n)
+    xi[:3] = (0.0, 0.5, 1.0)
+    return xi
+
+
+@pytest.mark.parametrize("verbatim", [False, True])
+@pytest.mark.parametrize("case", MOMENT_CASES)
+def test_moment_case_array_is_bit_identical(case, verbatim):
+    xi = _xi_column()
+    for s in (-0.9, 0.0, 0.5, 1.0):
+        values = moment_case(case, xi, s, verbatim=verbatim)
+        assert values.tolist() == [moment_case(case, x, s, verbatim=verbatim) for x in xi.tolist()]
+
+
+def test_holder_weight_and_kernel_mass_arrays_are_bit_identical():
+    xi = _xi_column()
+    for q in (1.5, 2.0, 4.0, 1.0 + 1e-6):
+        values = holder_weight_integral(xi, q)
+        assert values.tolist() == [holder_weight_integral(x, q) for x in xi.tolist()]
+    assert kernel_mass(xi).tolist() == [kernel_mass(x) for x in xi.tolist()]
+
+
+def test_power_maps_libm_pow_over_arrays():
+    # numpy's own power differs from libm in the last bit on a few percent
+    # of these; `power` must give exactly the float result, fast paths included.
+    x = np.random.default_rng(9).uniform(0.0, 3.0, 5000)
+    x[:2] = (0.0, 1.0)
+    for y in (2.5, 2.0, 0.5, 1.0 / 3.0, 1.0, 0.0):
+        assert power(x, y).tolist() == [v**y for v in x.tolist()], y
+        assert power(float(x[7]), y) == float(x[7]) ** y
+    assert power(x, 1.0).dtype == power(x, 0.0).dtype == np.float64
+    assert libm(math.exp, -x).tolist() == [math.exp(-v) for v in x.tolist()]
+    assert libm(math.exp, 0.25) == math.exp(0.25)
+
+
+@pytest.mark.parametrize("bad", [-1e-12, 1.5, math.nan])
+def test_array_xi_outside_unit_interval_raises_like_the_float(bad):
+    xi = _xi_column(n=10)
+    xi[6] = bad
+    for call in (lambda x: moment_case((1, 1), x, 0.5), lambda x: holder_weight_integral(x, 2.0)):
+        with pytest.raises(MomentParameterError) as scalar:
+            call(bad)
+        with pytest.raises(MomentParameterError) as array:
+            call(xi)
+        assert str(array.value) == str(scalar.value)
+
+
+def test_oracle_refuses_a_nonconverged_value():
+    # Near the harmonic pole the singular panel reaches its width floor
+    # before the tolerance, so the oracle has no value to give.
+    with pytest.raises(QuadratureNonConvergenceError, match="did not converge"):
+        moment_oracle(0.3, 1.0, 0.0, -0.99)

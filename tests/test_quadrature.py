@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -164,6 +165,22 @@ def test_budget_exhaustion_reports_nonconverged():
     res = integrate(lambda t: math.sin(1.0 / (t + 1e-3)), 0.0, 1.0, tol=1e-14, max_panels=64)
     assert not res.converged
     assert res.err_estimate > 0.0
+
+
+def test_grading_stops_at_the_width_floor_near_the_pole():
+    # t^-0.99 needs panels far below the normal float range; grading stops
+    # at the floor, so no node is subnormal (where t^s overflows) and the
+    # result comes back unconverged instead of raising.
+    nodes = []
+
+    def f(t):
+        nodes.append(t)
+        return t**-0.99
+
+    res = integrate(f, 0.0, 1.0)
+    assert not res.converged
+    assert math.isfinite(res.value) and res.err_estimate > 0.0
+    assert min(t for t in nodes if t > 0.0) >= sys.float_info.min
 
 
 def test_mean_integral_examples():
