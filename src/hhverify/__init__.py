@@ -24,7 +24,6 @@ from .bounds import BoundCase, BoundResult, eval_case
 from .presets import PRESETS, eval_preset
 from .means import (
     MeanParams,
-    arithmetic_mean,
     eval_mean_bound,
     generalized_log_mean,
     mean_lhs,

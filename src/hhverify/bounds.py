@@ -21,8 +21,9 @@ exactly the bits of the float call for its row.
 A case row has one builder, `harness.add_interval_rows`: the sweep and
 the CLI's `bound` command both call it, and it makes one array call per
 (s, q) branch and case.  `eval_case` is the scalar reference the tests
-compare that builder with: its lhs runs its own quadrature and it labels
-no certificate.  `is_violation` is the one violation predicate, shared by
+compare that builder with; it labels no certificate.  Both take the lhs
+from `identity.hh_lhs`, the one lhs routine, so the two agree bit for bit.
+`is_violation` is the one violation predicate, shared by
 `BoundResult.violated` and the report.
 """
 
@@ -35,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import WrongBranchError
+from .errors import FunctionDomainError, WrongBranchError
 from .functions import FunctionSpec
 from .identity import BoundParams, hh_lhs
 from .moments import holder_weight_integral, kernel_mass, moment_case, power
@@ -52,7 +53,7 @@ __all__ = [
     "case_bound_from_values",
     "case_formula",
     "check_branch",
-    "deviation_params",
+    "deviation_weights",
     "derivative_values",
     "eval_case",
     "is_violation",
@@ -303,10 +304,20 @@ def case_formula(case: BoundCase, a, b, lam, mu, s, q, qa, qb, qm) -> tuple[floa
 
 
 def derivative_values(f: FunctionSpec, a: float, b: float, q: float) -> tuple[float, float, float]:
-    """(|f'(a)|^q, |f'(b)|^q, |f'(m)|^q), m = (a+b)/2, for the bound formulas."""
-    if f.deriv is None:
+    """(|f'(a)|^q, |f'(b)|^q, |f'(m)|^q), m = (a+b)/2, for the bound formulas.
+
+    Raises FunctionDomainError when one of them overflows or is not finite.
+    """
+    df = f.deriv
+    if df is None:
         raise WrongBranchError(f"{f.fid} carries no derivative")
-    return tuple(abs(f.deriv(x)) ** q for x in (a, b, 0.5 * (a + b)))
+    try:
+        qa, qb, qm = abs(df(a)) ** q, abs(df(b)) ** q, abs(df(0.5 * (a + b))) ** q
+    except OverflowError as exc:
+        raise FunctionDomainError(f"|{f.fid}'|^{q:g} overflows on [{a!r}, {b!r}]") from exc
+    if not (math.isfinite(qa) and math.isfinite(qb) and math.isfinite(qm)):
+        raise FunctionDomainError(f"|{f.fid}'|^{q:g} is not finite on [{a!r}, {b!r}]")
+    return qa, qb, qm
 
 
 # Cases that bound the midpoint deviation, the lhs at λ = μ = 0, whatever
@@ -314,20 +325,18 @@ def derivative_values(f: FunctionSpec, a: float, b: float, q: float) -> tuple[fl
 MIDPOINT_CASES = frozenset({BoundCase.T31_s_minus1})
 
 
-def deviation_params(case: BoundCase, p: BoundParams) -> BoundParams:
-    """Parameters of the deviation a case controls (see `MIDPOINT_CASES`)."""
-    if case in MIDPOINT_CASES:
-        return BoundParams(p.a, p.b, 0.0, 0.0, p.s, p.q)
-    return p
+def deviation_weights(case: BoundCase, lam: float, mu: float) -> tuple[float, float]:
+    """The (λ, μ) of the deviation a case controls (see `MIDPOINT_CASES`)."""
+    return (0.0, 0.0) if case in MIDPOINT_CASES else (lam, mu)
 
 
 def eval_case(case: BoundCase | str, f: FunctionSpec, p: BoundParams, tol: float = DEFAULT_TOL) -> BoundResult:
-    """Evaluate one bound case: lhs by quadrature, bound from closed forms.
+    """Evaluate one bound case: lhs from `hh_lhs`, bound from closed forms.
 
     Raises WrongBranchError when (s, q) belong to another case.
     """
     case = BoundCase(case)
-    lhs = abs(hh_lhs(f, deviation_params(case, p), tol))
+    lhs = abs(hh_lhs(f, p.a, p.b, *deviation_weights(case, p.lam, p.mu), tol))
     qa, qb, qm = derivative_values(f, p.a, p.b, p.q)
     bound, note = case_bound_from_values(case, p.a, p.b, p.lam, p.mu, p.s, p.q, qa, qb, qm)
     return BoundResult(lhs, bound, bound - lhs, case.value, branch_notes=note)

@@ -29,7 +29,6 @@ from .identity import BoundParams, check_identity, hh_lhs, identity_rhs
 from .means import MEAN_SPECS, MEAN_THEOREMS, MeanParams
 from .moments import MomentSpec, moment_general, moment_harmonic, moment_oracle
 from .presets import PRESETS
-from .quadrature import mean_integral
 
 
 def _emit_row(report: Report, fmt: str) -> int:
@@ -41,12 +40,16 @@ def _emit_row(report: Report, fmt: str) -> int:
     return 1 if report.violation_count else 0
 
 
+def _raise_first(errors: list[HHVerifyError]) -> None:
+    """A single-row command's builder skips its one row on error; raise it."""
+    if errors:
+        raise errors[0]
+
+
 def _interval_row(args, p: BoundParams, branch) -> int:
     """Print the one row `branch`, a settled (s, q, cases, presets), gives at p."""
-    cfg = SuiteConfig(tol=args.tol)
-    f = from_id(args.f, p.a, p.b)
     report = Report()
-    add_interval_rows(report, cfg, [(f, mean_integral(f, p.a, p.b, cfg.tol), [(p.lam, p.mu)])], [branch])
+    _raise_first(add_interval_rows(report, SuiteConfig(), [(from_id(args.f, p.a, p.b), [(p.lam, p.mu)])], [branch]))
     return _emit_row(report, args.format)
 
 
@@ -102,7 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("preset", help="evaluate one catalog preset")
@@ -114,7 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=None)
     p.add_argument("--s", type=float, default=None)
     p.add_argument("--q", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("means", help="evaluate one mean-inequality theorem")
@@ -188,7 +189,7 @@ def _dispatch(args) -> int:
     if args.command == "identity":
         params = BoundParams(args.a, args.b, args.lam, args.mu, 1.0, 1.0)
         f = from_id(args.f, params.a, params.b)
-        lhs = hh_lhs(f, params, args.tol)
+        lhs = hh_lhs(f, params.a, params.b, params.lam, params.mu, args.tol)
         rhs = identity_rhs(f, params, args.tol)
         residual = check_identity(f, params, args.tol)
         print(json.dumps({"lhs": lhs, "rhs": rhs, "residual": residual}, indent=2))
@@ -212,7 +213,7 @@ def _dispatch(args) -> int:
         if problem:
             raise WrongBranchError(problem)
         report = Report()
-        add_mean_rows(report, (args.theorem,), [(mp.a, mp.b, mp.s, mp.q, mp.lam)])
+        _raise_first(add_mean_rows(report, (args.theorem,), [(mp.a, mp.b, mp.s, mp.q, mp.lam)]))
         return _emit_row(report, args.format)
 
     if args.command == "certify":

@@ -5,7 +5,9 @@ A function g is extended s-convex on an interval, for s in [-1, 1], when
     g(λx + (1-λ)y) <= λ^s g(x) + (1-λ)^s g(y)    for all x, y, λ in (0, 1).
 
 s = 1 is ordinary convexity, s = 0 allows the P-convex doubling bound, and
-s = -1 is the Godunova-Levin class.  Only this module spells and parses
+s = -1 is the Godunova-Levin class.  Each registry spec carries its exact
+mean over any [a, b] in its domain, written without cancellation, which is
+what `identity.hh_lhs` subtracts.  Only this module spells and parses
 registry ids ("exp", "pow:<p>", "const:<c>"), a parameter as `{:g}` writes
 it when that reads back exactly and as `repr` otherwise, so the registry's
 `from_id(f.fid, f.lo, f.hi)` rebuilds f.  Two analytic rules certify |f'|^q for
@@ -58,6 +60,9 @@ class FunctionSpec:
     hi: float
     eval: Callable[[float], float]
     deriv: Optional[Callable[[float], float]]
+    # (a, b) ↦ (1/(b-a))∫ₐᵇ f for lo <= a < b <= hi, exact up to rounding;
+    # None for a spec with no closed form.
+    mean: Optional[Callable[[float, float], float]] = None
 
     def midpoint(self) -> float:
         return 0.5 * (self.lo + self.hi)
@@ -108,19 +113,60 @@ def make_power(p: float, lo: float, hi: float) -> FunctionSpec:
             return 1.0
         return p * x ** (p - 1.0)
 
-    return FunctionSpec(_spell("pow", p), float(lo), float(hi), f, df)
+    def mean(a: float, b: float) -> float:
+        if b <= 0.0:
+            # Mirrored: x ↦ -x maps [a, b] onto [-b, -a]; p is an integer here.
+            return (-1.0) ** p * _power_mean(p, -b, -a)
+        if a < 0.0:
+            # Summed over [a, 0] and [0, b]; p is an integer >= 1 here.
+            return (b ** (p + 1.0) - a ** (p + 1.0)) / ((p + 1.0) * (b - a))
+        return _power_mean(p, a, b)
+
+    return FunctionSpec(_spell("pow", p), float(lo), float(hi), f, df, mean)
+
+
+def _power_mean(p: float, a: float, b: float) -> float:
+    """(1/(b-a))∫ₐᵇ x^p dx for 0 <= a < b, without cancellation.
+
+    b^(p+1) - a^(p+1) = a^(p+1)·expm1((p+1)·log1p(w/a)), w = b - a, except
+    where that exponent exceeds 1 in size: there the direct difference
+    loses at most a bit or two, while expm1 would magnify the rounding of
+    its argument (and overflow sooner).  The direct form raises to p, not
+    to the rounded p + 1, whose error grows with |log b|.
+    """
+    if a == 0.0:
+        return b**p / (p + 1.0)
+    w = b - a
+    r = w / a
+    if p == -1.0:
+        return math.log1p(r) / w
+    e = (p + 1.0) * math.log1p(r)
+    if abs(e) > 1.0:
+        return (b**p * b - a**p * a) / ((p + 1.0) * w)
+    return a**p * (math.expm1(e) / ((p + 1.0) * r))
+
+
+def _exp_mean(a: float, b: float) -> float:
+    """(1/(b-a))∫ₐᵇ e^x dx = e^b·(1 - e^(-w))/w, w = b - a.
+
+    Written from e^b, not e^a·expm1(w)/w: the rounding of w, up to
+    ε·|b|/2, would pass into e^w as a relative error of that size (205 ulp
+    on [1.3, 600.1]), while 1 - e^(-w) barely depends on it.
+    """
+    w = b - a
+    return math.exp(b) * (-math.expm1(-w) / w)
 
 
 def make_exp(lo: float, hi: float) -> FunctionSpec:
     if lo >= hi:
         raise FunctionDomainError(f"need lo < hi, got [{lo!r}, {hi!r}]")
-    return FunctionSpec("exp", float(lo), float(hi), math.exp, math.exp)
+    return FunctionSpec("exp", float(lo), float(hi), math.exp, math.exp, _exp_mean)
 
 
 def make_const(c: float, lo: float, hi: float) -> FunctionSpec:
     if lo >= hi:
         raise FunctionDomainError(f"need lo < hi, got [{lo!r}, {hi!r}]")
-    return FunctionSpec(_spell("const", c), float(lo), float(hi), lambda x: c, lambda x: 0.0)
+    return FunctionSpec(_spell("const", c), float(lo), float(hi), lambda x: c, lambda x: 0.0, lambda a, b: c)
 
 
 def parse_id(fid: str) -> tuple[str, Optional[float]]:

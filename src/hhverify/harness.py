@@ -13,8 +13,10 @@ commands both call: `add_interval_rows` (case and preset rows) and
 branch over the columns of every interval and weight pair of a family,
 since the closed forms take float64 arrays and give each entry the bits
 the float call for that row would (`moments.libm`); preset and mean rows
-are built one at a time.  `eval_case`, `eval_preset` and `eval_mean_bound`
-are the scalar reference the tests compare the builders with.
+are built one at a time.  Every row's lhs comes from `identity.hh_lhs`
+over the function's exact mean, so no sweep row runs a quadrature.
+`eval_case`, `eval_preset` and `eval_mean_bound` are the scalar reference
+the tests compare the builders with; they call the same `hh_lhs`.
 A row's `family` is the `fid` of the `FunctionSpec` it evaluated: the
 config's canonical id, or `make_power(s, a, b)` for a mean row.
 """
@@ -57,9 +59,9 @@ from .functions import (
     parse_id,
     power_rule_holds,
 )
-from .identity import BoundParams, hh_lhs
+from .identity import hh_lhs
 # `eval_mean_bound` is not called here either; `perfbench/tracer.py` patches it here.
-from .means import MEAN_SPECS, MEAN_THEOREMS, MeanParams, eval_mean_bound, mean_lhs, t42_verbatim_gap
+from .means import MEAN_SPECS, MEAN_THEOREMS, eval_mean_bound, t42_verbatim_gap
 from .moments import (
     MOMENT_CASES,
     MomentSpec,
@@ -69,7 +71,6 @@ from .moments import (
     moment_oracle,
 )
 from .presets import PRESETS, VERBATIM_DISPLAYS, PresetSpec
-from .quadrature import mean_integral
 
 __all__ = ["SuiteConfig", "Report", "certificate_status", "add_interval_rows", "add_mean_rows",
            "run_suite", "erratum_scan"]
@@ -154,6 +155,9 @@ class SuiteConfig:
     mean_draws: int = 0
     moment_oracle_draws: int = 0
     convexity_samples: int = 32
+    # Quadrature tolerance of the moment oracle, and of the mean of a
+    # function with no closed form (only a hand-built FunctionSpec); every
+    # registry family's lhs is exact and does not read it.
     tol: float = 1e-12
     seed: int = 0
     out_format: str = "json"
@@ -612,94 +616,109 @@ def _branches(
 def add_interval_rows(
     report: Report,
     cfg: SuiteConfig,
-    intervals: list[tuple[FunctionSpec, float, list[tuple[float, float]]]],
+    intervals: list[tuple[FunctionSpec, list[tuple[float, float]]]],
     branches: list[tuple[float, float, list[BoundCase], list[PresetSpec]]],
-) -> None:
+) -> list[HHVerifyError]:
     """Append the case and preset rows of one family over its intervals.
 
-    Each interval is (f, mean, pairs): f on [f.lo, f.hi], labelled `f.fid`,
-    whose mean value is `mean`, with its (lambda, mu) weight pairs.  A
-    branch is (s, q, cases, presets), settled on (s, q) by the caller.  Each
-    case of a branch is one `case_bound_from_values` call over the columns
-    of every (interval, pair) row; a preset row is evaluated on its own and
-    left out where its weight pins miss the pair.  Each lhs is shared by
-    every row of its interval and weight pair, and |f'|^q and the
-    certificate by every row of their interval and (s, q).
+    Each interval is (f, pairs): f on [f.lo, f.hi], labelled `f.fid`, with
+    its (lambda, mu) weight pairs.  A branch is (s, q, cases, presets),
+    settled on (s, q) by the caller.  The lhs does not depend on (s, q), so
+    it is two `hh_lhs` columns shared by every branch: one at the rows'
+    weights, and one at (0, 0) for the `MIDPOINT_CASES`.  |f'|^q is
+    computed once per interval and q, the certificate once per interval
+    and (s, q).  Each case of a branch is one `case_bound_from_values`
+    call over the columns of every (interval, pair) row; a preset row is
+    evaluated on its own, indexes into the lhs columns, and is left out
+    where its weight pins miss the pair.
+
+    An interval whose lhs or |f'|^q cannot be evaluated (f or its mean
+    overflows, say) adds no rows; the error of each is returned.
     """
-    if not intervals:
-        return
-    sizes = [len(pairs) for _, _, pairs in intervals]
-    rows = [(i, lam, mu) for i, (_, _, pairs) in enumerate(intervals) for lam, mu in pairs]
-    a = np.repeat([f.lo for f, _, _ in intervals], sizes)
-    b = np.repeat([f.hi for f, _, _ in intervals], sizes)
+    q_values = dict.fromkeys(q for _, q, _, _ in branches)
+    kept, values, errors = [], [], []
+    lhs_at: dict[bool, list[float]] = {False: [], True: []}  # keyed by `case in MIDPOINT_CASES`
+    for f, pairs in intervals:
+        try:
+            lhs = [abs(hh_lhs(f, f.lo, f.hi, l, m, cfg.tol)) for l, m in pairs]
+            mid = abs(hh_lhs(f, f.lo, f.hi, 0.0, 0.0, cfg.tol))
+            values.append({q: derivative_values(f, f.lo, f.hi, q) for q in q_values})
+        except HHVerifyError as exc:
+            errors.append(exc)
+            continue
+        kept.append((f, pairs))
+        lhs_at[False] += lhs
+        lhs_at[True] += [mid] * len(pairs)
+    if not kept:
+        return errors
+    sizes = [len(pairs) for _, pairs in kept]
+    rows = [(i, lam, mu) for i, (_, pairs) in enumerate(kept) for lam, mu in pairs]
+    a = np.repeat([f.lo for f, _ in kept], sizes)
+    b = np.repeat([f.hi for f, _ in kept], sizes)
     lam = np.array([w for _, w, _ in rows], dtype=np.float64)
     mu = np.array([w for _, _, w in rows], dtype=np.float64)
-    fid = intervals[0][0].fid
-    lhs_at: dict[tuple[int, float, float], float] = {}
-
-    def lhs(i: int, parent: BoundCase, l: float, m: float, s: float, q: float) -> float:
-        """|lhs| of interval i at the weights `parent` bounds, for a row at (l, m)."""
-        if parent in MIDPOINT_CASES:
-            l = m = 0.0
-        key = (i, l, m)
-        if key not in lhs_at:
-            f, mean, _ = intervals[i]
-            lhs_at[key] = abs(hh_lhs(f, BoundParams(f.lo, f.hi, l, m, s, q), cfg.tol, mean))
-        return lhs_at[key]
+    lhs_columns = {key: np.array(column) for key, column in lhs_at.items()}
+    fid = kept[0][0].fid
 
     add = report.add
     for s, q, cases, specs in branches:
-        values = [derivative_values(f, f.lo, f.hi, q) for f, _, _ in intervals]
-        qa, qb, qm = np.repeat(np.array(values, dtype=np.float64), sizes, axis=0).T
-        certs = [certificate_status(f, s, q, cfg.convexity_samples, cfg.seed) for f, _, _ in intervals]
+        at_q = [v[q] for v in values]
+        qa, qb, qm = np.repeat(np.array(at_q, dtype=np.float64), sizes, axis=0).T
+        certs = [certificate_status(f, s, q, cfg.convexity_samples, cfg.seed) for f, _ in kept]
         cert = [c for c, n in zip(certs, sizes) for _ in range(n)]
         params = (a, b, lam, mu, s, q)
-        lhs_columns: dict[bool, np.ndarray] = {}  # keyed by `case in MIDPOINT_CASES`
         for case in cases:
-            midpoint = case in MIDPOINT_CASES
-            if midpoint not in lhs_columns:
-                lhs_columns[midpoint] = np.array([lhs(i, case, l, m, s, q) for i, l, m in rows])
             bound, note = case_bound_from_values(case, a, b, lam, mu, s, q, qa, qb, qm)
-            add(fid, case.value, None, params, lhs_columns[midpoint], bound, cert, note)
-        for i, l, m in rows:
-            f = intervals[i][0]
+            add(fid, case.value, None, params, lhs_columns[case in MIDPOINT_CASES], bound, cert, note)
+        for k, (i, l, m) in enumerate(rows):
+            f = kept[i][0]
             for spec in specs:
                 if spec.weight_mismatch(l, m):
                     continue
-                bound = spec.display(f.lo, f.hi, l, m, s, q, *values[i])
+                bound = spec.display(f.lo, f.hi, l, m, s, q, *at_q[i])
                 add(fid, spec.parent.value, spec.pid, (f.lo, f.hi, l, m, s, q),
-                    lhs(i, spec.parent, l, m, s, q), bound, certs[i], spec.branch_notes)
+                    lhs_at[spec.parent in MIDPOINT_CASES][k], bound, certs[i], spec.branch_notes)
+    return errors
 
 
 def add_mean_rows(
     report: Report, theorems: tuple[str, ...], tuples: list[tuple[float, float, float, float, float]]
-) -> None:
+) -> list[HHVerifyError]:
     """Append the row of each theorem at each (a, b, s, q, lambda) in
     `tuples` whose (s, q) lie on the theorem's branch.
 
-    The exact lhs, f = x^s (whose id labels the rows), |f'|^q at a, b and
-    the midpoint, and the analytic order of |f'|^q are shared by every
-    theorem of a tuple.
+    f = x^s (whose id labels the rows), its lhs from `hh_lhs` at μ = λ,
+    |f'|^q at a, b and the midpoint, and the analytic order of |f'|^q are
+    shared by every theorem of a tuple.  A tuple where x^s cannot be built
+    (a = b) or evaluated (an overflow) adds no rows; the error of each is
+    returned.
     """
     specs = [MEAN_SPECS[theorem] for theorem in theorems]
     add = report.add
+    errors = []
     for a, b, s, q, lam in tuples:
         admitted = [spec for spec in specs if not spec.branch_mismatch(s, q)]
         if not admitted:
             continue
-        f = make_power(s, a, b)
-        lhs = mean_lhs(MeanParams(a, b, s, q, lam))
-        values = derivative_values(f, a, b, q)
+        try:
+            f = make_power(s, a, b)
+            lhs = abs(hh_lhs(f, a, b, lam, lam))
+            values = derivative_values(f, a, b, q)
+        except HHVerifyError as exc:
+            errors.append(exc)
+            continue
         order = analytic_order("pow", s, a, q)
         for spec in admitted:
             bound, note = spec.bound(a, b, s, q, lam, *values)
             add(f.fid, spec.theorem, None, (a, b, lam, 0.0, s, q), lhs, bound, spec.certificate(s, order), note)
+    return errors
 
 
 def run_suite(cfg: SuiteConfig) -> Report:
     """Evaluate the configured cases/presets/theorems over the grid.
 
-    An interval whose function or mean value cannot be evaluated is skipped.
+    An interval whose function cannot be built, or whose lhs or |f'|^q
+    cannot be evaluated, is skipped whole; so is such a mean tuple.
     """
     report = Report()
     intervals = _bound_intervals(cfg)
@@ -710,11 +729,9 @@ def run_suite(cfg: SuiteConfig) -> Report:
         resolved = []
         for (a, b), pairs in intervals.items():
             try:
-                f = from_id(fid, a, b)
-                mean = mean_integral(f, a, b, cfg.tol)
+                resolved.append((from_id(fid, a, b), pairs))
             except HHVerifyError:
                 continue
-            resolved.append((f, mean, pairs))
         add_interval_rows(report, cfg, resolved, branches)
 
     # Mean-inequality sweep.

@@ -6,7 +6,10 @@ For differentiable f on [a, b] and weights λ, μ:
         = (b-a)/4 · ∫₀¹ [(1-λ-t) f'(ta + (1-t)m) + (μ-t) f'(tm + (1-t)b)] dt
 
 with m = (a+b)/2.  The left side (`hh_lhs`) is the quantity every bound in
-the catalog controls; it is kept signed here, callers take absolute values.
+the catalog controls, and this is the one place it is written: case,
+preset and mean rows (the Section 4 means are it at f = x^s) all take their
+lhs from `hh_lhs`, over the exact mean the function carries.  It is kept
+signed here, callers take absolute values.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import WrongBranchError
+from .errors import FunctionDomainError, WrongBranchError
 from .functions import FunctionSpec
 from .quadrature import DEFAULT_TOL, integrate, mean_integral
 
@@ -48,28 +51,25 @@ class BoundParams:
         return 0.5 * (self.a + self.b)
 
 
-def hh_lhs(
-    f: FunctionSpec,
-    p: BoundParams,
-    tol: float = DEFAULT_TOL,
-    mean: float | None = None,
-) -> float:
-    """Signed left-hand quantity; zero for a = b by continuous extension.
+def hh_lhs(f: FunctionSpec, a: float, b: float, lam: float, mu: float, tol: float = DEFAULT_TOL) -> float:
+    """Signed left-hand quantity on [a, b] at weights (λ, μ); zero for a = b
+    by continuous extension.
 
-    `mean` is (1/(b-a))∫f when the caller already has it (a sweep shares
-    one quadrature across every weight pair of an interval); otherwise it
-    is computed here to relative tolerance `tol`.
+    The mean is `f.mean(a, b)`, which every registry function carries in
+    closed form; only a spec built without one falls back to quadrature,
+    to relative tolerance `tol`.  Raises FunctionDomainError when a value
+    of f or the mean overflows or is not finite.
     """
-    if p.a == p.b:
+    if a == b:
         return 0.0
-    m = p.midpoint()
-    weighted = (
-        0.5 * p.lam * f.eval(p.a)
-        + 0.5 * p.mu * f.eval(p.b)
-        + 0.5 * (2.0 - p.lam - p.mu) * f.eval(m)
-    )
-    if mean is None:
-        mean = mean_integral(f, p.a, p.b, tol)
+    m = 0.5 * (a + b)
+    try:
+        weighted = 0.5 * lam * f.eval(a) + 0.5 * mu * f.eval(b) + 0.5 * (2.0 - lam - mu) * f.eval(m)
+        mean = mean_integral(f, a, b, tol) if f.mean is None else f.mean(a, b)
+    except OverflowError as exc:
+        raise FunctionDomainError(f"{f.fid} overflows on [{a!r}, {b!r}]") from exc
+    if not (math.isfinite(weighted) and math.isfinite(mean)):
+        raise FunctionDomainError(f"{f.fid} is not finite on [{a!r}, {b!r}]")
     return weighted - mean
 
 
@@ -94,4 +94,4 @@ def identity_rhs(f: FunctionSpec, p: BoundParams, tol: float = DEFAULT_TOL) -> f
 
 def check_identity(f: FunctionSpec, p: BoundParams, tol: float = DEFAULT_TOL) -> float:
     """|lhs - rhs|; at most ~10·tol for f with continuous f' on [a, b]."""
-    return abs(hh_lhs(f, p, tol) - identity_rhs(f, p, tol))
+    return abs(hh_lhs(f, p.a, p.b, p.lam, p.mu, tol) - identity_rhs(f, p, tol))

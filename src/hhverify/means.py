@@ -1,11 +1,12 @@
-"""Arithmetic and generalized logarithmic means, and bounds between them.
+"""Generalized logarithmic means, and bounds between means.
 
 L_s is the power-family mean with the logarithmic mean at s = -1 and the
-identric mean at s = 0; L_1 is the arithmetic mean.  The bounds control
+identric mean at s = 0; L_1 is the arithmetic mean A.  The bounds control
 | λ A(a^s, b^s) + (1-λ) A(a,b)^s - L_s(a,b)^s |, which is |hh_lhs| of
-f(x) = x^s at μ = λ.  Each theorem applies a Section 3 display to that f
-(as Dragomir & Agarwal, Appl. Math. Lett. 11, 1998) at the case order s'
-that `MEAN_SPECS` names: T41 -> T31_general and T42 -> T32_tier1 at
+f(x) = x^s at μ = λ, since L_s(a,b)^s is the mean of x^s over [a, b].
+Each theorem applies a Section 3 display to that f (as Dragomir &
+Agarwal, Appl. Math. Lett. 11, 1998) at the case order s' that
+`MEAN_SPECS` names: T41 -> T31_general and T42 -> T32_tier1 at
 s' = s - 1; T43_q1 -> the as-printed T33_q1, T44_q1 -> T34_q1_tier1 and
 T44_qgt1 -> T34_qgt1_tier1 at s' = s.  T43_qgt1 matches no case (its
 weight fits order s - 1, its prefactors order s) and is the one display
@@ -18,8 +19,10 @@ A mean row has one builder, `harness.add_mean_rows`, which the sweep and
 the CLI's `means` command both call; it settles each branch with
 `MeanSpec.branch_mismatch` and evaluates with `MeanSpec.bound` and
 `MeanSpec.certificate`, as `eval_mean_bound`, the scalar reference, does.
-Both take f = x^s from `functions.make_power`, whose id labels the row, and
-|f'|^q from `bounds.derivative_values`; the lhs is the closed form `mean_lhs`.
+Both take f = x^s from `functions.make_power`, whose id labels the row,
+|f'|^q from `bounds.derivative_values`, and the lhs from `identity.hh_lhs`
+on that f, over its exact mean: the routine case and preset rows use, so
+the lhs is written once.  `mean_lhs` is that call for one `MeanParams`.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from typing import Optional
 from .bounds import BoundCase, BoundResult, Q_BRANCH_EPS, branch_mismatch, case_formula, derivative_values
 from .errors import FunctionDomainError, WrongBranchError
 from .functions import analytic_order, make_power, power_rule_holds
+from .identity import hh_lhs
 from .moments import holder_weight_integral
 from .presets import VERBATIM_DISPLAYS, Display
 
@@ -39,7 +43,6 @@ __all__ = [
     "MeanSpec",
     "MEAN_SPECS",
     "MEAN_THEOREMS",
-    "arithmetic_mean",
     "generalized_log_mean",
     "mean_lhs",
     "mean_bound_from_values",
@@ -70,10 +73,6 @@ class MeanParams:
             raise WrongBranchError(f"need lambda in [0, 1], got {self.lam!r}")
 
 
-def arithmetic_mean(a: float, b: float) -> float:
-    return 0.5 * (a + b)
-
-
 def generalized_log_mean(a: float, b: float, s: float) -> float:
     """L_s(a, b) with its logarithmic (s=-1) and identric (s=0) branches."""
     if a <= 0.0 or b <= 0.0:
@@ -91,14 +90,8 @@ def generalized_log_mean(a: float, b: float, s: float) -> float:
 
 
 def mean_lhs(mp: MeanParams) -> float:
-    """|λ A(a^s, b^s) + (1-λ) A(a,b)^s - L_s(a,b)^s|."""
-    a, b, s, lam = mp.a, mp.b, mp.s, mp.lam
-    value = (
-        lam * arithmetic_mean(a**s, b**s)
-        + (1.0 - lam) * arithmetic_mean(a, b) ** s
-        - generalized_log_mean(a, b, s) ** s
-    )
-    return abs(value)
+    """|λ A(a^s, b^s) + (1-λ) A(a,b)^s - L_s(a,b)^s|: |hh_lhs| of x^s at μ = λ."""
+    return abs(hh_lhs(make_power(mp.s, mp.a, mp.b), mp.a, mp.b, mp.lam, mp.lam)) if mp.a < mp.b else 0.0
 
 
 def _case_display(case: BoundCase) -> Display:
@@ -220,7 +213,7 @@ def t42_verbatim_gap() -> float:
 
 
 def eval_mean_bound(theorem: str, mp: MeanParams) -> BoundResult:
-    """lhs = mean_lhs and the theorem's bound, certificate and note: the
+    """lhs = `mean_lhs` and the theorem's bound, certificate and note: the
     scalar reference for one mean row.
 
     No analytic order exceeds 1, so a row outside its parent's branch is

@@ -16,7 +16,8 @@ whose note is its erratum-scan note; the scan compares it with its parent.
 
 A preset row has one builder, `harness.add_interval_rows`, which the sweep
 and the CLI's `preset` command both call.  `eval_preset` is the scalar
-reference for one preset row, as `bounds.eval_case` is for a case row.
+reference for one preset row, as `bounds.eval_case` is for a case row;
+its lhs is `identity.hh_lhs` at the weights its parent case bounds.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-from .bounds import BoundCase, BoundResult, Q_BRANCH_EPS, derivative_values, deviation_params
+from .bounds import BoundCase, BoundResult, Q_BRANCH_EPS, derivative_values, deviation_weights
 from .errors import PresetMismatchError
 from .functions import FunctionSpec
 from .identity import BoundParams, hh_lhs
@@ -685,7 +686,7 @@ def eval_preset(pid: str, f: FunctionSpec, p: BoundParams, tol: float = DEFAULT_
         raise PresetMismatchError(f"unknown preset {pid!r}")
     spec = PRESETS[pid]
     spec.validate(p)
-    lhs = abs(hh_lhs(f, deviation_params(spec.parent, p), tol))
+    lhs = abs(hh_lhs(f, p.a, p.b, *deviation_weights(spec.parent, p.lam, p.mu), tol))
     qa, qb, qm = derivative_values(f, p.a, p.b, p.q)
     bound = spec.display(p.a, p.b, p.lam, p.mu, p.s, p.q, qa, qb, qm)
     return BoundResult(lhs, bound, bound - lhs, spec.parent.value, branch_notes=spec.branch_notes, preset=pid)

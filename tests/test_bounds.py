@@ -11,11 +11,12 @@ from hhverify.bounds import (
     VIOLATION_TOL,
     branch_mismatch,
     case_bound_from_values,
+    derivative_values,
     eval_case,
     midpoint_envelope,
 )
 from hhverify.cli import main
-from hhverify.errors import MomentParameterError, WrongBranchError
+from hhverify.errors import FunctionDomainError, MomentParameterError, WrongBranchError
 from hhverify.functions import from_id, make_const, make_power
 from hhverify.identity import BoundParams
 from hhverify.quadrature import mean_integral
@@ -268,3 +269,11 @@ def test_array_call_marks_degenerate_rows():
     assert notes[2] == "degenerate interval" != notes[1]
     bound, note = case_bound_from_values(BoundCase.T33_q1, a, a, lam, mu, 0.5, 2.0, qa, qb, qm)
     assert note == "degenerate interval" and not bound.any()
+
+
+def test_derivative_values_refuse_an_overflow():
+    # e^709.9 overflows itself; 2e200 squared overflows as |f'|^q.
+    with pytest.raises(FunctionDomainError, match="overflows"):
+        derivative_values(from_id("exp", 1.0, 709.9), 1.0, 709.9, 2.0)
+    with pytest.raises(FunctionDomainError, match="overflows"):
+        derivative_values(make_power(2, 1.0, 1e200), 1.0, 1e200, 2.0)

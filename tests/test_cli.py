@@ -194,6 +194,16 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["bound --case T31_general", "preset --preset E15"])
+def test_single_row_commands_take_no_tol(capsys, command):
+    # Their lhs is exact, so a quadrature tolerance would set nothing.
+    with pytest.raises(SystemExit) as exc:
+        main([*command.split(), "--f", "pow:2", "--a", "0", "--b", "1", "--lambda", "1", "--mu", "1",
+              "--s", "1", "--q", "1", "--tol", "1e-8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1e-8" in capsys.readouterr().err
+
+
 def test_parameter_error_exit_code(capsys):
     code, _, err = run_cli(
         capsys, "bound", "--case", "T33_qgt1", "--f", "pow:2",
@@ -332,6 +342,24 @@ def test_means_rejects_a_degenerate_interval(capsys):
         capsys, "means", "--theorem", "T41", "--a", "1", "--b", "1", "--s", "2", "--q", "1", "--lambda", "1"
     )
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "bound --case T31_general --f exp --a 1 --b 709.9 --lambda 0.5 --mu 0.5 --s 1 --q 2",
+        "preset --preset C32_q1 --f exp --a 1 --b 709.9",
+        "bound --case T31_general --f exp --a 1 --b 709 --lambda 0.5 --mu 0.5 --s 1 --q 2",
+        "means --theorem T41 --a 1 --b 1e200 --s 2 --q 1 --lambda 0.5",
+    ],
+    ids=["bound-f", "preset-f", "bound-derivative", "means-f"],
+)
+def test_an_overflow_exits_2(capsys, argv):
+    # An overflowing f value, mean or |f'|^q is a parameter error, not a
+    # traceback with the exit code of a violation.
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "overflows on [1.0, " in err
 
 
 def test_sweep_csv_output(tmp_path, capsys):

@@ -261,3 +261,59 @@ def test_parse_id():
     for bad in ("foo", "pow:abc", "pow:nan", "const:inf", "exp:1"):
         with pytest.raises(FunctionDomainError):
             parse_id(bad)
+
+
+def _exact_mean(fid: str, a: float, b: float):
+    """(1/(b-a))∫ₐᵇ f at 50 digits, on the float endpoints as given."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        lo, hi = mpmath.mpf(a), mpmath.mpf(b)
+        family, value = parse_id(fid)
+        if family == "exp":
+            return (mpmath.exp(hi) - mpmath.exp(lo)) / (hi - lo)
+        if family == "const":
+            return mpmath.mpf(value)
+        p = mpmath.mpf(value)
+        if p == -1:
+            return mpmath.log(hi / lo) / (hi - lo)
+        return (hi ** (p + 1) - lo ** (p + 1)) / ((p + 1) * (hi - lo))
+
+
+def _mean_intervals():
+    """(fid, a, b) at widths 1e-1 down to 1e-10: positive and zero left
+    endpoints, and for integer powers intervals across and left of 0; then
+    wide intervals, where x^p's mean is the direct difference."""
+    widths = [10.0**-k for k in range(1, 11)]
+    for fid in ("pow:0.5", "pow:1.5", "pow:2", "pow:3", "pow:-1", "pow:-2", "pow:0", "exp", "const:2.5"):
+        family, p = parse_id(fid)
+        for w in widths:
+            spans = [(a, a + w) for a in (0.3, 1.0, 7.5)]
+            if family != "pow" or p >= 1.0:
+                spans.append((0.0, w))
+            if family != "pow" or p in (2.0, 3.0):
+                spans += [(-w / 3.0, 2.0 * w / 3.0), (-w, 0.0), (-1.0 - w, -1.0)]
+            for a, b in spans:
+                yield fid, a, b
+        for a, b in ((1.0, 2.0), (1.0, 3.0), (0.01, 5.0), (3.0, 400.0)):
+            yield fid, a, b
+
+
+def test_exact_means_agree_with_mpmath_and_quadrature():
+    from hhverify.quadrature import ABS_FLOOR, mean_integral
+
+    eps = 2.0**-52
+    count = 0
+    for fid, a, b in _mean_intervals():
+        f = from_id(fid, a, b)
+        got = f.mean(a, b)
+        exact = _exact_mean(fid, a, b)
+        # The function's size on [a, b]: across 0, x^3's mean is far smaller.
+        scale = max(abs(float(exact)), abs(f.eval(a)), abs(f.eval(b)))
+        assert abs(got - exact) <= 4.0 * eps * scale, (fid, a, b, got, float(exact))
+        # GK15 aims at max(ABS_FLOOR, 1e-12·|∫f|) by its own error estimate,
+        # which is not a bound (x^1.5 on [0, 0.01] is 7e-12 off): 10x that.
+        gk15_target = max(ABS_FLOOR / (b - a), 1e-12 * scale)
+        assert abs(got - mean_integral(f, a, b)) <= 10.0 * gk15_target, (fid, a, b)
+        count += 1
+    assert count > 300

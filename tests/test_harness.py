@@ -95,16 +95,18 @@ PINNED_CONFIGS = {
 PINNED_DIGESTS = {
     ("paired", "json"): "a8d82db95f6bb1212c4dc87473aa17f8d1d91dae7768413f9cc07a0c8e378eea",
     ("paired", "csv"): "3210aa87aae2bf117a518a8024801ff30879f59b295b894fffd0dc0acd06ced3",
-    # Re-recorded when mean rows took the exact id of x^s as their family
-    # (a drawn s such as 1.0993794607775926 had been labelled pow:1.09938);
-    # matched on (case, params), every other field was unchanged.
-    ("mix", "json"): "979be6860f2431ef024dd87b433a90d836fbde9cb07f2c3e3406f8338e013071",
-    ("mix", "csv"): "52d38323b671b166e6d93b93791c382ddf1832daadc6435d8aba59099beccdf5",
-    ("means", "json"): "d2d84eb9f7daaa2c9b83afbf5080328c8353a4e40114681de73e96869741ea14",
-    ("means", "csv"): "fddbf883261df14146ea859fd9f0c6835fcf0a4574dcce7673ec5e416ffe5050",
-    # Recorded while case rows were still evaluated one call per row.
-    ("draws", "json"): "a00a8ebf0407a631a0e3bbb1855276557bd8d6933c39313f7a7da20db868beba",
-    ("draws", "csv"): "6c86d94dc497661c7572d604933102a40eae8e5e129d72dd04783a22da2e8ae2",
+    # The other six were re-recorded when every lhs came to take its mean
+    # from the closed form the function carries (case and preset rows had
+    # a GK15 mean, mean rows their own L_s formula).  Matched on (case,
+    # preset, family, params), only `lhs` and `slack` changed, by at most
+    # 1.4e-14; params, bound, family, certified, branch_notes and the
+    # violation flag were identical.  ("paired", x^2 on [0, 1], did not move.)
+    ("mix", "json"): "868d67ebe6f04ff6c3066708da65a21c29a321740c384a809c193ee53d07e214",
+    ("mix", "csv"): "d95f04f0fa29431906d2eccdfdf18a41dda320248e3a09f8e2457369ccfc5dc5",
+    ("means", "json"): "0886b32dfecfc5b1123cd7edf387ebd790af5685c405e1592b371866658fd206",
+    ("means", "csv"): "8cb3beb8443c073e4caf3e81ba67b5052257fef0ab4265a2d24affb1e76bb29f",
+    ("draws", "json"): "3f02a3a5c6d44f8742600896bb7170e06a5a03db869c9eabb1bc00ba936ea8f4",
+    ("draws", "csv"): "e90c84d2c31420c3758f56a1e369a3cec82ed440a8c5a74caf1d8db886807359",
 }
 
 
@@ -114,6 +116,17 @@ def test_report_bytes_are_pinned(tmp_path, name, fmt):
     path = tmp_path / f"report.{fmt}"
     run_suite(cfg).write(str(path), fmt)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_DIGESTS[name, fmt]
+
+
+def test_sweep_skips_an_overflowing_interval_whole():
+    # e^711 overflows in f and in the mean on [1, 711] and [710, 711]; only
+    # [1, 2] gives rows, and the sweep runs to the end.
+    cfg = SuiteConfig.from_dict(
+        {"families": ["exp"], "grid": {"a": [1.0, 710.0], "b": [2.0, 711.0], "q": [1.0, 2.0]},
+         "cases": "all", "presets": ["E15"]}
+    )
+    records = run_suite(cfg).records
+    assert records and {(r["params"]["a"], r["params"]["b"]) for r in records} == {(1.0, 2.0)}
 
 
 def test_paired_sweep_has_no_violations():

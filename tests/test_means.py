@@ -15,19 +15,12 @@ from hhverify.identity import BoundParams
 from hhverify.means import (
     MEAN_THEOREMS,
     MeanParams,
-    arithmetic_mean,
     eval_mean_bound,
     generalized_log_mean,
     mean_bound_from_values,
     mean_lhs,
 )
 from hhverify.presets import eval_preset
-
-
-def test_arithmetic_mean():
-    assert arithmetic_mean(2, 4) == 3.0
-    assert arithmetic_mean(1.3, 1.3) == 1.3
-    assert arithmetic_mean(1, 9) == 5.0
 
 
 def test_log_mean_branches():
@@ -68,6 +61,24 @@ def test_mean_lhs_examples():
     assert mean_lhs(MeanParams(1.3, 2.9, 1.0, 1, 0.37)) == pytest.approx(0.0, abs=1e-14)
     assert math.isclose(mean_lhs(MeanParams(1, 2, 2.0, 1, 1.0)), 1.0 / 6.0, rel_tol=1e-12)
     assert mean_lhs(MeanParams(1.7, 1.7, 1.4, 1, 0.6)) == pytest.approx(0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("width", [1e-2, 1e-4, 1e-6])
+def test_mean_lhs_on_narrow_intervals(width):
+    # The deviation is O(width²) while its terms are O(1), so an lhs that
+    # forms b^(s+1) - a^(s+1) directly has lost every digit by width 1e-6;
+    # the error must stay within a few ulp of the weighted sum's scale.
+    import mpmath
+
+    a, s, lam = 1.0, 0.5, 0.5
+    b = a + width
+    with mpmath.workdps(60):
+        lo, hi, p = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(s)
+        weighted = lam * (lo**p + hi**p) / 2 + (1 - lam) * ((lo + hi) / 2) ** p
+        exact = abs(weighted - (hi ** (p + 1) - lo ** (p + 1)) / ((p + 1) * (hi - lo)))
+    scale = lam * (a**s + b**s) / 2.0 + (1.0 - lam) * (0.5 * (a + b)) ** s
+    assert abs(mean_lhs(MeanParams(a, b, s, 1.0, lam)) - exact) <= 8.0 * 2.0**-52 * scale
+    assert eval_mean_bound("T41", MeanParams(a, b, s, 1.0, lam)).lhs == mean_lhs(MeanParams(a, b, s, 1.0, lam))
 
 
 def test_theorem_spot_values():
