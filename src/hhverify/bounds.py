@@ -22,7 +22,8 @@ A case row has one builder, `harness.add_interval_rows`: the sweep and
 the CLI's `bound` command both call it, and it makes one array call per
 (s, q) branch and case.  `eval_case` is the scalar reference the tests
 compare that builder with; it labels no certificate.  Both take the lhs
-from `identity.hh_lhs`, the one lhs routine, so the two agree bit for bit.
+from `identity.hh_lhs`, the one lhs routine, so the two agree bit for bit,
+and both refuse a bound that is not finite (`nonfinite_bound`).
 `is_violation` is the one violation predicate, shared by
 `BoundResult.violated` and the report.
 """
@@ -33,8 +34,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
-
-import numpy as np
 
 from .errors import FunctionDomainError, WrongBranchError
 from .functions import FunctionSpec
@@ -58,6 +57,7 @@ __all__ = [
     "eval_case",
     "is_violation",
     "midpoint_envelope",
+    "nonfinite_bound",
 ]
 
 VIOLATION_TOL = 1e-10
@@ -165,21 +165,10 @@ def case_bound_from_values(
 
     a, b, lam, mu, qa, qb and qm may be float64 arrays, one entry per row;
     the bound is then an array whose every entry has the bits the float
-    call for that row gives, and the note is one string for the block, or a
-    list of one per row when some rows, and not all, have a = b.
+    call for that row gives, and the note is one string for the block.
     """
     if not isinstance(case, BoundCase):
         case = BoundCase(case)
-    flat = b - a == 0.0
-    if isinstance(flat, np.ndarray):
-        if flat.all():
-            return np.zeros(flat.shape), "degenerate interval"
-        if flat.any():
-            check_branch(case, s, q)
-            bound, note = case_formula(case, a, b, lam, mu, s, q, qa, qb, qm)
-            return np.where(flat, 0.0, bound), np.where(flat, "degenerate interval", note).tolist()
-    elif flat:
-        return 0.0, "degenerate interval"
     check_branch(case, s, q)
     return case_formula(case, a, b, lam, mu, s, q, qa, qb, qm)
 
@@ -303,6 +292,11 @@ def case_formula(case: BoundCase, a, b, lam, mu, s, q, qa, qb, qm) -> tuple[floa
     raise WrongBranchError(f"unhandled case {case!r}")
 
 
+def nonfinite_bound(name: str, fid: str, a: float, b: float) -> FunctionDomainError:
+    """Refusal of a `name` row whose bound overflowed, which would read "holds"."""
+    return FunctionDomainError(f"{name} bound for {fid} is not finite on [{a!r}, {b!r}]")
+
+
 def derivative_values(f: FunctionSpec, a: float, b: float, q: float) -> tuple[float, float, float]:
     """(|f'(a)|^q, |f'(b)|^q, |f'(m)|^q), m = (a+b)/2, for the bound formulas.
 
@@ -339,4 +333,6 @@ def eval_case(case: BoundCase | str, f: FunctionSpec, p: BoundParams, tol: float
     lhs = abs(hh_lhs(f, p.a, p.b, *deviation_weights(case, p.lam, p.mu), tol))
     qa, qb, qm = derivative_values(f, p.a, p.b, p.q)
     bound, note = case_bound_from_values(case, p.a, p.b, p.lam, p.mu, p.s, p.q, qa, qb, qm)
+    if not math.isfinite(bound):
+        raise nonfinite_bound(case.value, f.fid, p.a, p.b)
     return BoundResult(lhs, bound, bound - lhs, case.value, branch_notes=note)

@@ -64,9 +64,6 @@ class FunctionSpec:
     # None for a spec with no closed form.
     mean: Optional[Callable[[float, float], float]] = None
 
-    def midpoint(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
 
 @dataclass(frozen=True)
 class ConvexityCertificate:

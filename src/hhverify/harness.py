@@ -42,6 +42,7 @@ from .bounds import (
     case_bound_from_values,
     derivative_values,
     is_violation,
+    nonfinite_bound,
 )
 from .errors import ConfigError, FunctionDomainError, HHVerifyError
 # `certify_power_extended_s` is not called here; it stays bound in this
@@ -157,7 +158,8 @@ class SuiteConfig:
     convexity_samples: int = 32
     # Quadrature tolerance of the moment oracle, and of the mean of a
     # function with no closed form (only a hand-built FunctionSpec); every
-    # registry family's lhs is exact and does not read it.
+    # registry family's lhs is exact and does not read it.  Relative only
+    # down to the quadrature's absolute floor of 1e-14 on the integral.
     tol: float = 1e-12
     seed: int = 0
     out_format: str = "json"
@@ -633,7 +635,8 @@ def add_interval_rows(
     where its weight pins miss the pair.
 
     An interval whose lhs or |f'|^q cannot be evaluated (f or its mean
-    overflows, say) adds no rows; the error of each is returned.
+    overflows, say) adds no rows, nor does a bound that is not finite; the
+    error of each is returned.
     """
     q_values = dict.fromkeys(q for _, q, _, _ in branches)
     kept, values, errors = [], [], []
@@ -668,14 +671,24 @@ def add_interval_rows(
         cert = [c for c, n in zip(certs, sizes) for _ in range(n)]
         params = (a, b, lam, mu, s, q)
         for case in cases:
-            bound, note = case_bound_from_values(case, a, b, lam, mu, s, q, qa, qb, qm)
-            add(fid, case.value, None, params, lhs_columns[case in MIDPOINT_CASES], bound, cert, note)
+            with np.errstate(over="ignore"):  # an overflowed bound is left out below
+                bound, note = case_bound_from_values(case, a, b, lam, mu, s, q, qa, qb, qm)
+            lhs, ok = lhs_columns[case in MIDPOINT_CASES], np.isfinite(bound)
+            if not ok.all():  # a bound that is not finite would read "holds"
+                errors += [nonfinite_bound(case.value, fid, lo, hi) for lo, hi in zip(a[~ok].tolist(), b[~ok].tolist())]
+                add(fid, case.value, None, (a[ok], b[ok], lam[ok], mu[ok], s, q), lhs[ok], bound[ok],
+                    list(itertools.compress(cert, ok)), note)
+                continue
+            add(fid, case.value, None, params, lhs, bound, cert, note)
         for k, (i, l, m) in enumerate(rows):
             f = kept[i][0]
             for spec in specs:
                 if spec.weight_mismatch(l, m):
                     continue
                 bound = spec.display(f.lo, f.hi, l, m, s, q, *at_q[i])
+                if not math.isfinite(bound):
+                    errors.append(nonfinite_bound(spec.pid, fid, f.lo, f.hi))
+                    continue
                 add(fid, spec.parent.value, spec.pid, (f.lo, f.hi, l, m, s, q),
                     lhs_at[spec.parent in MIDPOINT_CASES][k], bound, certs[i], spec.branch_notes)
     return errors
@@ -690,8 +703,8 @@ def add_mean_rows(
     f = x^s (whose id labels the rows), its lhs from `hh_lhs` at μ = λ,
     |f'|^q at a, b and the midpoint, and the analytic order of |f'|^q are
     shared by every theorem of a tuple.  A tuple where x^s cannot be built
-    (a = b) or evaluated (an overflow) adds no rows; the error of each is
-    returned.
+    (a = b) or evaluated (an overflow) adds no rows, and a row whose bound
+    is not finite is left out; the error of each is returned.
     """
     specs = [MEAN_SPECS[theorem] for theorem in theorems]
     add = report.add
@@ -710,6 +723,9 @@ def add_mean_rows(
         order = analytic_order("pow", s, a, q)
         for spec in admitted:
             bound, note = spec.bound(a, b, s, q, lam, *values)
+            if not math.isfinite(bound):
+                errors.append(nonfinite_bound(spec.theorem, f.fid, a, b))
+                continue
             add(f.fid, spec.theorem, None, (a, b, lam, 0.0, s, q), lhs, bound, spec.certificate(s, order), note)
     return errors
 
@@ -718,7 +734,8 @@ def run_suite(cfg: SuiteConfig) -> Report:
     """Evaluate the configured cases/presets/theorems over the grid.
 
     An interval whose function cannot be built, or whose lhs or |f'|^q
-    cannot be evaluated, is skipped whole; so is such a mean tuple.
+    cannot be evaluated, is skipped whole; so is such a mean tuple, and a
+    row whose bound is not finite.
     """
     report = Report()
     intervals = _bound_intervals(cfg)

@@ -9,7 +9,7 @@ with m = (a+b)/2.  The left side (`hh_lhs`) is the quantity every bound in
 the catalog controls, and this is the one place it is written: case,
 preset and mean rows (the Section 4 means are it at f = x^s) all take their
 lhs from `hh_lhs`, over the exact mean the function carries.  It is kept
-signed here, callers take absolute values.
+signed here, callers take absolute values.  `BoundParams` needs a < b.
 """
 
 from __future__ import annotations
@@ -34,10 +34,8 @@ class BoundParams:
     q: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise WrongBranchError(f"need finite a, b, got a={self.a!r} b={self.b!r}")
-        if not self.a <= self.b:
-            raise WrongBranchError(f"need a <= b, got a={self.a!r} b={self.b!r}")
+        if not -math.inf < self.a < self.b < math.inf:
+            raise WrongBranchError(f"need finite a < b, got a={self.a!r} b={self.b!r}")
         if not 0.0 <= self.lam <= 1.0:
             raise WrongBranchError(f"need lambda in [0, 1], got {self.lam!r}")
         if not 0.0 <= self.mu <= 1.0:
@@ -46,9 +44,6 @@ class BoundParams:
             raise WrongBranchError(f"need s in [-1, 1], got {self.s!r}")
         if not 1.0 <= self.q < math.inf:
             raise WrongBranchError(f"need finite q >= 1, got {self.q!r}")
-
-    def midpoint(self) -> float:
-        return 0.5 * (self.a + self.b)
 
 
 def hh_lhs(f: FunctionSpec, a: float, b: float, lam: float, mu: float, tol: float = DEFAULT_TOL) -> float:
@@ -75,12 +70,10 @@ def hh_lhs(f: FunctionSpec, a: float, b: float, lam: float, mu: float, tol: floa
 
 def identity_rhs(f: FunctionSpec, p: BoundParams, tol: float = DEFAULT_TOL) -> float:
     """Kernel-weighted integral of f' that the identity equates to `hh_lhs`."""
-    if p.a == p.b:
-        return 0.0
     if f.deriv is None:
         raise WrongBranchError(f"{f.fid} carries no derivative")
     a, b = p.a, p.b
-    m = p.midpoint()
+    m = 0.5 * (a + b)
     df = f.deriv
 
     def integrand(t: float) -> float:

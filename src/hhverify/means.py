@@ -16,13 +16,12 @@ otherwise `unchecked`; nothing is sampled.  A row at s' = s > 1 lies past
 its parent's s' <= 1 branch: it is evaluated but `unchecked`, and that is
 where the violations T43_q1 and T44_q1 inherit from their parents lie.
 A mean row has one builder, `harness.add_mean_rows`, which the sweep and
-the CLI's `means` command both call; it settles each branch with
-`MeanSpec.branch_mismatch` and evaluates with `MeanSpec.bound` and
-`MeanSpec.certificate`, as `eval_mean_bound`, the scalar reference, does.
-Both take f = x^s from `functions.make_power`, whose id labels the row,
-|f'|^q from `bounds.derivative_values`, and the lhs from `identity.hh_lhs`
-on that f, over its exact mean: the routine case and preset rows use, so
-the lhs is written once.  `mean_lhs` is that call for one `MeanParams`.
+the CLI's `means` command both call; `eval_mean_bound`, the scalar
+reference, takes its steps for one tuple: `MeanSpec.branch_mismatch`, f =
+x^s built once by `functions.make_power` (its id labels the row), the lhs
+from `identity.hh_lhs` on f (the routine case and preset rows use),
+|f'|^q from `bounds.derivative_values`, `MeanSpec.bound` (refused when not
+finite) and `MeanSpec.certificate`.  `MeanParams` needs 0 < a < b.
 """
 
 from __future__ import annotations
@@ -31,7 +30,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .bounds import BoundCase, BoundResult, Q_BRANCH_EPS, branch_mismatch, case_formula, derivative_values
+from .bounds import (BoundCase, BoundResult, Q_BRANCH_EPS, branch_mismatch, case_formula, derivative_values,
+                     nonfinite_bound)
 from .errors import FunctionDomainError, WrongBranchError
 from .functions import analytic_order, make_power, power_rule_holds
 from .identity import hh_lhs
@@ -45,7 +45,6 @@ __all__ = [
     "MEAN_THEOREMS",
     "generalized_log_mean",
     "mean_lhs",
-    "mean_bound_from_values",
     "eval_mean_bound",
 ]
 
@@ -63,8 +62,8 @@ class MeanParams:
     lam: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.a <= self.b < math.inf:
-            raise FunctionDomainError(f"need finite 0 < a <= b, got a={self.a!r} b={self.b!r}")
+        if not 0.0 < self.a < self.b < math.inf:
+            raise FunctionDomainError(f"need finite 0 < a < b, got a={self.a!r} b={self.b!r}")
         if not 0.0 < self.s < math.inf:
             raise WrongBranchError(f"need finite s > 0, got {self.s!r}")
         if not 1.0 <= self.q < math.inf:
@@ -91,7 +90,7 @@ def generalized_log_mean(a: float, b: float, s: float) -> float:
 
 def mean_lhs(mp: MeanParams) -> float:
     """|λ A(a^s, b^s) + (1-λ) A(a,b)^s - L_s(a,b)^s|: |hh_lhs| of x^s at μ = λ."""
-    return abs(hh_lhs(make_power(mp.s, mp.a, mp.b), mp.a, mp.b, mp.lam, mp.lam)) if mp.a < mp.b else 0.0
+    return abs(hh_lhs(make_power(mp.s, mp.a, mp.b), mp.a, mp.b, mp.lam, mp.lam))
 
 
 def _case_display(case: BoundCase) -> Display:
@@ -182,21 +181,6 @@ MEAN_SPECS: dict[str, MeanSpec] = {
 MEAN_THEOREMS = tuple(MEAN_SPECS)
 
 
-def mean_bound_from_values(
-    theorem: str, a: float, b: float, s: float, q: float, lam: float
-) -> tuple[float, str]:
-    """Bound value for one theorem variant; returns (bound, display note)."""
-    spec = MEAN_SPECS.get(theorem)
-    if spec is None:
-        raise WrongBranchError(f"unknown mean theorem {theorem!r}")
-    problem = spec.branch_mismatch(s, q)
-    if problem:
-        raise WrongBranchError(problem)
-    if b - a == 0.0:
-        return 0.0, "degenerate interval"
-    return spec.bound(a, b, s, q, lam, *derivative_values(make_power(s, a, b), a, b, q))
-
-
 def t42_verbatim_gap() -> float:
     """Deviation of the general-q T42 bracket as printed (2λ^(s+2)) from the
     2λ^(s+1) of its q = 1 display, over a fixed (s, q, λ) grid."""
@@ -213,13 +197,20 @@ def t42_verbatim_gap() -> float:
 
 
 def eval_mean_bound(theorem: str, mp: MeanParams) -> BoundResult:
-    """lhs = `mean_lhs` and the theorem's bound, certificate and note: the
-    scalar reference for one mean row.
+    """The theorem's lhs, bound, certificate and note at `mp`: the scalar
+    reference for one mean row.
 
     No analytic order exceeds 1, so a row outside its parent's branch is
     `unchecked`.
     """
-    bound, note = mean_bound_from_values(theorem, mp.a, mp.b, mp.s, mp.q, mp.lam)
-    lhs = mean_lhs(mp)
-    certificate = MEAN_SPECS[theorem].certificate(mp.s, analytic_order("pow", mp.s, mp.a, mp.q))
+    spec = MEAN_SPECS.get(theorem)
+    problem = spec.branch_mismatch(mp.s, mp.q) if spec else f"unknown mean theorem {theorem!r}"
+    if problem:
+        raise WrongBranchError(problem)
+    f = make_power(mp.s, mp.a, mp.b)
+    lhs = abs(hh_lhs(f, mp.a, mp.b, mp.lam, mp.lam))
+    bound, note = spec.bound(mp.a, mp.b, mp.s, mp.q, mp.lam, *derivative_values(f, mp.a, mp.b, mp.q))
+    if not math.isfinite(bound):
+        raise nonfinite_bound(theorem, f.fid, mp.a, mp.b)
+    certificate = spec.certificate(mp.s, analytic_order("pow", mp.s, mp.a, mp.q))
     return BoundResult(lhs, bound, bound - lhs, theorem, certificate, note)

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-from .bounds import BoundCase, BoundResult, Q_BRANCH_EPS, derivative_values, deviation_weights
+from .bounds import BoundCase, BoundResult, Q_BRANCH_EPS, derivative_values, deviation_weights, nonfinite_bound
 from .errors import PresetMismatchError
 from .functions import FunctionSpec
 from .identity import BoundParams, hh_lhs
@@ -689,4 +689,6 @@ def eval_preset(pid: str, f: FunctionSpec, p: BoundParams, tol: float = DEFAULT_
     lhs = abs(hh_lhs(f, p.a, p.b, *deviation_weights(spec.parent, p.lam, p.mu), tol))
     qa, qb, qm = derivative_values(f, p.a, p.b, p.q)
     bound = spec.display(p.a, p.b, p.lam, p.mu, p.s, p.q, qa, qb, qm)
+    if not math.isfinite(bound):
+        raise nonfinite_bound(pid, f.fid, p.a, p.b)
     return BoundResult(lhs, bound, bound - lhs, spec.parent.value, branch_notes=spec.branch_notes, preset=pid)

@@ -155,8 +155,10 @@ def integrate(
     """Integrate f over [a, b] to relative tolerance ``tol``.
 
     ``breakpoints`` pre-split the initial partition (kinks, branch points).
-    The target is ``max(ABS_FLOOR, tol * |integral|)``; when the panel budget
-    is exhausted first, the best estimate is returned with converged=False.
+    The target is ``max(ABS_FLOOR, tol * |integral|)``, so a small integral
+    is only absolutely accurate: ``mean_integral`` of x^1.5 on [0, 1e-3]
+    (∫ = 1.3e-8) is 1.3e-9 relative off at tol 1e-12.  When the panel
+    budget is exhausted first, the best estimate is returned with converged=False.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise InvalidToleranceError(f"tolerance must be positive, got {tol!r}")
@@ -232,9 +234,7 @@ def integrate(
 
 def mean_integral(f, a: float, b: float, tol: float = DEFAULT_TOL) -> float:
     """Average value of f over [a, b]: integral divided by the length."""
-    if a == b:
-        raise DegenerateIntervalError("mean integral undefined for a == b")
-    if a > b:
+    if not a < b:
         raise DegenerateIntervalError(f"need a < b, got a={a!r} b={b!r}")
     eval_fn = f.eval if hasattr(f, "eval") else f
     res = integrate(eval_fn, a, b, tol)

@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,8 +67,9 @@ def test_const_function_all_cases_zero():
 
 
 def test_degenerate_interval():
-    r = eval_case(BoundCase.T31_general, make_power(2, 0, 2), BoundParams(1, 1, 0.5, 0.5, 1, 1))
-    assert r.lhs == r.bound == r.slack == 0.0
+    # Every row has a < b, as the builders and the CLI already require.
+    with pytest.raises(WrongBranchError, match="a < b"):
+        eval_case(BoundCase.T31_general, make_power(2, 0, 2), BoundParams(1, 1, 0.5, 0.5, 1, 1))
 
 
 def test_wrong_branch_errors():
@@ -258,17 +262,13 @@ def test_array_call_keeps_the_float_errors():
         case_bound_from_values(BoundCase.T31_general, a, b, lam, mu, 0.5, 2.0, qa, qb, qm)
 
 
-def test_array_call_marks_degenerate_rows():
-    # A row with a = b gets bound 0 and its own note, as the float call gives it.
-    a, b, lam, mu, qa, qb, qm = _seeded_rows(n=12)
-    b[2] = a[2]
-    bound, notes = case_bound_from_values(BoundCase.T32_tier2, a, b, lam, mu, 0.5, 2.0, qa, qb, qm)
-    ref = [case_bound_from_values(BoundCase.T32_tier2, *row[:4], 0.5, 2.0, *row[4:])
-           for row in zip(a.tolist(), b.tolist(), lam.tolist(), mu.tolist(), qa.tolist(), qb.tolist(), qm.tolist())]
-    assert list(zip(bound.tolist(), notes)) == ref
-    assert notes[2] == "degenerate interval" != notes[1]
-    bound, note = case_bound_from_values(BoundCase.T33_q1, a, a, lam, mu, 0.5, 2.0, qa, qb, qm)
-    assert note == "degenerate interval" and not bound.any()
+def test_closed_forms_bench_tool_passes():
+    # The tool exits 1 when an array entry differs from its float call.
+    tool = Path(__file__).resolve().parents[1] / "tools" / "closed_forms_bench.py"
+    proc = subprocess.run([sys.executable, "-B", str(tool), "--rows", "500"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["bit_identical"] is True
 
 
 def test_derivative_values_refuse_an_overflow():

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import re
 import shlex
 import shutil
@@ -9,10 +10,14 @@ from pathlib import Path
 
 import pytest
 
+from hhverify.bounds import eval_case
 from hhverify.cli import main
+from hhverify.errors import HHVerifyError
+from hhverify.functions import make_exp, make_power
 from hhverify.harness import SuiteConfig, run_suite
-from hhverify.means import MEAN_THEOREMS
-from hhverify.presets import PRESETS
+from hhverify.identity import BoundParams
+from hhverify.means import MEAN_SPECS, MEAN_THEOREMS, MeanParams, eval_mean_bound
+from hhverify.presets import PRESETS, eval_preset
 
 
 def run_cli(capsys, *argv):
@@ -360,6 +365,56 @@ def test_an_overflow_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "overflows on [1.0, " in err
+
+
+_X2 = make_power(2, 0, 2)  # x² on [0, 2], which holds every interval below
+# Each row kind (case, preset, mean) on each input every row path refuses:
+# (kind, input, CLI argv, scalar reference call, message).  The sweep and the
+# single-row commands share the builders, so the CLI stands for both.
+REFUSALS = [
+    ("case", "a=b", "bound --case T31_general --f pow:2 --a 1 --b 1 --lambda 0.5 --mu 0.5 --s 1 --q 1",
+     lambda: eval_case("T31_general", _X2, BoundParams(1, 1, 0.5, 0.5, 1, 1)), "need finite a < b"),
+    ("case", "off-branch", "bound --case T33_qgt1 --f pow:2 --a 0 --b 1 --lambda 0.5 --mu 0.5 --s 1 --q 1",
+     lambda: eval_case("T33_qgt1", _X2, BoundParams(0, 1, 0.5, 0.5, 1, 1)), "needs q >= 1"),
+    ("case", "overflowing-f", "bound --case T31_general --f exp --a 1 --b 711 --lambda 0.5 --mu 0.5 --s 1 --q 1",
+     lambda: eval_case("T31_general", make_exp(1, 711), BoundParams(1, 711, 0.5, 0.5, 1, 1)), "exp overflows"),
+    ("case", "overflowing-bound",
+     "bound --case T31_general --f exp --a 1 --b 709.7 --lambda 0.5 --mu 0.5 --s 1 --q 1",
+     lambda: eval_case("T31_general", make_exp(1.0, 709.7), BoundParams(1.0, 709.7, 0.5, 0.5, 1, 1)),
+     r"T31_general bound for exp is not finite on \[1\.0, 709\.7\]"),
+    ("preset", "a=b", "preset --preset C32_q1 --f pow:2 --a 1 --b 1",
+     lambda: eval_preset("C32_q1", _X2, BoundParams(1, 1, 0.5, 0.5, 1, 1)), "need finite a < b"),
+    ("preset", "off-branch", "preset --preset C32_q1 --f pow:2 --a 0 --b 1 --q 2",
+     lambda: eval_preset("C32_q1", _X2, BoundParams(0, 1, 0.5, 0.5, 1, 2)), "pins q = 1"),
+    ("preset", "overflowing-f", "preset --preset C32_q1 --f exp --a 1 --b 711",
+     lambda: eval_preset("C32_q1", make_exp(1, 711), BoundParams(1, 711, 0.5, 0.5, 1, 1)), "exp overflows"),
+    ("preset", "overflowing-bound", "preset --preset C32_q1 --f exp --a 1 --b 709.7",
+     lambda: eval_preset("C32_q1", make_exp(1.0, 709.7), BoundParams(1.0, 709.7, 0.5, 0.5, 1, 1)),
+     r"C32_q1 bound for exp is not finite on \[1\.0, 709\.7\]"),
+    ("mean", "a=b", "means --theorem T41 --a 1 --b 1 --s 2 --q 1 --lambda 1",
+     lambda: eval_mean_bound("T41", MeanParams(1, 1, 2, 1, 1)), "need finite 0 < a < b"),
+    ("mean", "off-branch", "means --theorem T43_qgt1 --a 1 --b 2 --s 1 --q 1 --lambda 0.5",
+     lambda: eval_mean_bound("T43_qgt1", MeanParams(1, 2, 1, 1, 0.5)), "needs q > 1"),
+    ("mean", "overflowing-f", "means --theorem T41 --a 1 --b 1e200 --s 2 --q 1 --lambda 0.5",
+     lambda: eval_mean_bound("T41", MeanParams(1, 1e200, 2, 1, 0.5)), "pow:2 overflows"),
+    ("mean", "overflowing-bound", "means --theorem T41 --a 1 --b 2 --s 2 --q 1 --lambda 0.5",
+     lambda: eval_mean_bound("T41", MeanParams(1.0, 2.0, 2, 1, 0.5)),
+     r"T41 bound for pow:2 is not finite on \[1\.0, 2\.0\]"),
+]
+
+
+@pytest.mark.parametrize("kind,given,argv,scalar,message", REFUSALS, ids=[f"{k}-{g}" for k, g, *_ in REFUSALS])
+def test_every_row_path_refuses(capsys, monkeypatch, kind, given, argv, scalar, message):
+    if (kind, given) == ("mean", "overflowing-bound"):
+        # No mean tuple with a finite lhs has a bound that is not finite
+        # (the exact mean of x^s overflows first), so a display that
+        # returns inf stands in for one.
+        monkeypatch.setitem(MEAN_SPECS, "T41", dataclasses.replace(MEAN_SPECS["T41"], display=lambda *_: math.inf))
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert re.search(message, err), err
+    with pytest.raises(HHVerifyError, match=message):
+        scalar()
 
 
 def test_sweep_csv_output(tmp_path, capsys):

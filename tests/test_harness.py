@@ -10,8 +10,8 @@ import re
 import pytest
 
 import hhverify.harness as harness
-from hhverify.bounds import BoundCase, eval_case
-from hhverify.errors import ConfigError, PresetMismatchError, WrongBranchError
+from hhverify.bounds import BoundCase, branch_mismatch, eval_case
+from hhverify.errors import ConfigError, FunctionDomainError, PresetMismatchError, WrongBranchError
 from hhverify.functions import canonical_id, from_id, parse_id
 from hhverify.harness import CASE_KEYS, MEAN_KEYS, Report, SuiteConfig, erratum_scan, run_suite
 from hhverify.identity import BoundParams
@@ -127,6 +127,27 @@ def test_sweep_skips_an_overflowing_interval_whole():
     )
     records = run_suite(cfg).records
     assert records and {(r["params"]["a"], r["params"]["b"]) for r in records} == {(1.0, 2.0)}
+
+
+def test_sweep_leaves_out_a_bound_that_is_not_finite():
+    # On [1, 709.7] e^x, its mean and |f'| are finite but every q = 1 bound
+    # overflows, which would read "holds".  Those rows are left out, each
+    # with its error, and the rows of [1, 2], which share their case blocks,
+    # are the ones a sweep of [1, 2] alone writes.
+    raw = {"families": ["exp"], "grid": {"a": [1.0], "b": [2.0, 709.7], "lambda": [0.5], "q": [1.0]},
+           "cases": "all", "presets": ["C32_q1"]}
+    records = run_suite(SuiteConfig.from_dict(raw)).records
+    raw["grid"]["b"] = [2.0]
+    assert records and records == run_suite(SuiteConfig.from_dict(raw)).records
+    cases = [case for case in BoundCase if not branch_mismatch(case, 1.0, 1.0)]
+    intervals = [(from_id("exp", 1.0, b), [(0.5, 0.5)]) for b in (2.0, 709.7)]
+    report = Report()
+    errors = harness.add_interval_rows(report, SuiteConfig(), intervals, [(1.0, 1.0, cases, [PRESETS["C32_q1"]])])
+    assert report.record_count == len(cases) + 1
+    assert [str(e) for e in errors] == [
+        f"{name} bound for exp is not finite on [1.0, 709.7]" for name in [c.value for c in cases] + ["C32_q1"]
+    ]
+    assert all(isinstance(e, FunctionDomainError) for e in errors)
 
 
 def test_paired_sweep_has_no_violations():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hhverify.errors import FunctionDomainError
+from hhverify.errors import FunctionDomainError, WrongBranchError
 from hhverify.functions import FunctionSpec, from_id, make_const, make_exp, make_power
 from hhverify.identity import BoundParams, check_identity, hh_lhs, identity_rhs
 
@@ -77,9 +77,12 @@ def test_reflection_preserves_abs_lhs():
 
 
 def test_degenerate_interval_returns_zero():
+    # hh_lhs, a numeric helper, extends to a = b; BoundParams, and so every
+    # row path and identity_rhs, refuses it.
     f = make_power(2, 0, 1)
     assert hh_lhs(f, 0.5, 0.5, 1, 1) == 0.0
-    assert identity_rhs(f, BoundParams(0.5, 0.5, 1, 1, 1, 1)) == 0.0
+    with pytest.raises(WrongBranchError, match="a < b"):
+        identity_rhs(f, BoundParams(0.5, 0.5, 1, 1, 1, 1))
 
 
 def test_overflow_is_a_domain_error():

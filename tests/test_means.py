@@ -17,7 +17,6 @@ from hhverify.means import (
     MeanParams,
     eval_mean_bound,
     generalized_log_mean,
-    mean_bound_from_values,
     mean_lhs,
 )
 from hhverify.presets import eval_preset
@@ -60,7 +59,8 @@ def test_log_mean_ordering_and_symmetry(a, b, s):
 def test_mean_lhs_examples():
     assert mean_lhs(MeanParams(1.3, 2.9, 1.0, 1, 0.37)) == pytest.approx(0.0, abs=1e-14)
     assert math.isclose(mean_lhs(MeanParams(1, 2, 2.0, 1, 1.0)), 1.0 / 6.0, rel_tol=1e-12)
-    assert mean_lhs(MeanParams(1.7, 1.7, 1.4, 1, 0.6)) == pytest.approx(0.0, abs=1e-14)
+    with pytest.raises(FunctionDomainError, match="0 < a < b"):  # a = b is no mean row
+        mean_lhs(MeanParams(1.7, 1.7, 1.4, 1, 0.6))
 
 
 @pytest.mark.parametrize("width", [1e-2, 1e-4, 1e-6])
@@ -106,7 +106,7 @@ def test_t41_matches_endpoint_pair_preset_on_power_functions():
                 continue
             for a, b in [(0.5, 1.0), (1.0, 2.0), (0.25, 3.0)]:
                 for lam in (0.0, 0.3, 0.7, 1.0):
-                    bound, _ = mean_bound_from_values("T41", a, b, s, q, lam)
+                    bound = eval_mean_bound("T41", MeanParams(a, b, s, q, lam)).bound
                     f = from_id(f"pow:{s}", a, b)
                     p = BoundParams(a, b, lam, lam, s - 1.0, q)
                     preset = eval_preset("C32_lambda_eq_mu", f, p)
@@ -127,7 +127,7 @@ def test_validity_sound_theorems_mini_sweep():
         lhs = mean_lhs(mp)
         theorems = ["T41", "T42"] + (["T43_qgt1", "T44_qgt1"] if q > 1 else [])
         for theorem in theorems:
-            bound, _ = mean_bound_from_values(theorem, a, b, s, q, lam)
+            bound = eval_mean_bound(theorem, mp).bound
             assert bound - lhs >= -1e-10 * (1.0 + abs(bound)), (theorem, s, q, a, b, lam)
 
 
@@ -195,7 +195,7 @@ PINNED_BOUNDS = {
 def test_derived_bounds_match_the_pinned_displays():
     for (theorem, s, q), values in PINNED_BOUNDS.items():
         for (a, b, lam), expected in zip(PINNED_POINTS, values):
-            bound, _ = mean_bound_from_values(theorem, a, b, s, q, lam)
+            bound = eval_mean_bound(theorem, MeanParams(a, b, s, q, lam)).bound
             assert abs(bound - expected) <= 1e-13 * abs(expected), (theorem, s, q, a, b, lam)
 
 
@@ -229,16 +229,16 @@ def test_q1_product_display_violations_are_not_certified():
 
 def test_branch_and_constraint_errors():
     with pytest.raises(WrongBranchError):
-        mean_bound_from_values("T43_qgt1", 1, 2, 1.0, 1.0, 0.5)
+        eval_mean_bound("T43_qgt1", MeanParams(1, 2, 1.0, 1.0, 0.5)).bound
     with pytest.raises(WrongBranchError):
-        mean_bound_from_values("T43_q1", 1, 2, 1.0, 2.0, 0.5)
+        eval_mean_bound("T43_q1", MeanParams(1, 2, 1.0, 2.0, 0.5)).bound
     with pytest.raises(WrongBranchError):
-        mean_bound_from_values("T41", 1, 2, 2.0, 3.0, 0.5)  # (s-1)q = 3
+        eval_mean_bound("T41", MeanParams(1, 2, 2.0, 3.0, 0.5)).bound  # (s-1)q = 3
     with pytest.raises(WrongBranchError):
-        mean_bound_from_values("T41", 1, 2, 2.5, 1.0, 0.5)  # s > 2
+        eval_mean_bound("T41", MeanParams(1, 2, 2.5, 1.0, 0.5)).bound  # s > 2
     for theorem in ("T41", "T42"):  # s' = s - 1 within 1e-6 of the moment pole
         with pytest.raises(WrongBranchError):
-            mean_bound_from_values(theorem, 1, 2, 1e-7, 1.0, 0.5)
+            eval_mean_bound(theorem, MeanParams(1, 2, 1e-7, 1.0, 0.5)).bound
     with pytest.raises(FunctionDomainError):
         MeanParams(-1.0, 2.0, 1.0, 1.0, 0.5)
     with pytest.raises(WrongBranchError):

@@ -9,7 +9,7 @@ draws are drawn, then evaluates each of the ten bound cases on all of them:
 once as one `case_bound_from_values` call over the columns, and once as
 one float call per row.  Each case runs at one (s, q) on its branch.
 Prints one JSON line: seconds for each path, summed over the cases, and
-whether every array entry equals its float call.
+whether every array entry equals its float call.  Exits 1 when one does not.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def main(argv=None) -> int:
         identical = identical and bound.tolist() == floats
     print(json.dumps({"evaluations": args.rows * len(BoundCase), "array_s": round(array_s, 4),
                       "float_s": round(float_s, 4), "bit_identical": identical}))
-    return 0
+    return 0 if identical else 1
 
 
 if __name__ == "__main__":
