@@ -1,22 +1,28 @@
 """Bound cases for the weighted trapezoid-midpoint deviation.
 
-Every case controls |hh_lhs| for functions whose derivative envelope |f'|^q
-is extended s-convex.  Formulas are assembled from the moment closed forms
-(the derivation path); `branch_notes` records which display produced the
-number.  Two q = 1 product-form displays are known to be misprinted at the
-source: T33_q1 ships with the corrected prefactor 2^(s+1) (the as-printed
-2^(s+2) version is numerically falsifiable; it is
-`presets.VERBATIM_DISPLAYS["T33_q1"]`, which the erratum scan compares with
-this case), while T34_q1 ships as printed because its spot values are
-pinned that way; the validity sweep exposes its defect honestly.
+Every case bounds |hh_lhs| for functions whose |f'|^q is extended
+s-convex, in three steps: the identity's kernels K_λ = 1 - λ - t and
+K_μ = μ - t, a kernel step, and the s-convexity envelope of |f'|^q.
+`CASES` holds one `CaseRow` per case: its q branch, its kernel step (a key
+of `KERNEL_STEPS`), its envelope blocks (L, R) from |f'|^q at a, b and
+(a+b)/2, its scale (divisor, factor) and its note.  `case_formula`
+evaluates the one bracket all ten share, (b - a)/divisor · factor ·
+(K_λ·L^p + K_μ·R^p), with (K_λ, K_μ, p) from the step; a quantity derived
+through the same steps, such as a log-space Hölder norm or a display's
+function-free lower limit, attaches to the `step` column.
 
-`case_formula` and `case_bound_from_values` take a, b, λ, μ and the
-derivative samples as floats or as float64 arrays (s and q stay floats),
-so one call evaluates a case over a whole block of rows.  When any of them
-is an array, every power of a per-row value goes through `moments.power`,
-which maps libm's pow over the array (on floats it is x ** y), and the
-arithmetic runs in the same order either way, so each array entry has
-exactly the bits of the float call for its row.
+Two q = 1 product-form displays are misprinted at the source.  T33_q1
+ships with the corrected prefactor 2^(s+1); the as-printed 2^(s+2) is
+falsifiable and is `presets.VERBATIM_DISPLAYS["T33_q1"]`, which the
+erratum scan compares with this case.  T34_q1 ships as printed, because
+its spot values are pinned that way; the validity sweep exposes its defect.
+
+a, b, λ, μ and the derivative samples may be float64 arrays, one entry per
+row (s and q stay floats).  Every power of a per-row value then goes
+through `moments.power`, libm's pow on each element, and the arithmetic
+runs in the float call's order, so each entry has the bits of the float
+call for its row.  x·1.0 and x^1 are exact, so a weight, factor or power
+of 1 in the bracket changes no bit.
 
 A case row has one builder, `harness.add_interval_rows`: the sweep and
 the CLI's `bound` command both call it, and it makes one array call per
@@ -31,6 +37,7 @@ and both refuse a bound that is not finite (`nonfinite_bound`).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -38,12 +45,15 @@ from typing import Optional
 from .errors import FunctionDomainError, WrongBranchError
 from .functions import FunctionSpec
 from .identity import BoundParams, hh_lhs
-from .moments import holder_weight_integral, kernel_mass, moment_case, power
+from .moments import Q_BRANCH_EPS, holder_weight_integral, kernel_mass, moment_case, power
 from .quadrature import DEFAULT_TOL
 
 __all__ = [
     "BoundCase",
     "BoundResult",
+    "CASES",
+    "CaseRow",
+    "KERNEL_STEPS",
     "MIDPOINT_CASES",
     "VIOLATION_TOL",
     "Q_BRANCH_EPS",
@@ -61,7 +71,6 @@ __all__ = [
 ]
 
 VIOLATION_TOL = 1e-10
-Q_BRANCH_EPS = 1e-9   # q < 1 + eps routes to q = 1 branches
 S_BRANCH_EPS = 1e-6   # s must stay this far above -1 except in the s = -1 case
 
 TWO_LN2_MINUS_1 = 2.0 * math.log(2.0) - 1.0
@@ -107,16 +116,103 @@ def midpoint_envelope(s: float, qa: float, qb: float) -> float:
     return 2.0 ** (-s) * (qa + qb)
 
 
-_Q1_CASES = frozenset(
-    {BoundCase.T33_q1, BoundCase.T34_q1_tier1, BoundCase.T34_q1_tier2}
-)
-_QGT1_CASES = frozenset(
-    {BoundCase.T33_qgt1, BoundCase.T34_qgt1_tier1, BoundCase.T34_qgt1_tier2}
-)
-# The tier pairs `case_formula` shares a display between.
-_T32_TIERS = frozenset({BoundCase.T32_tier1, BoundCase.T32_tier2})
-_T34_Q1_TIERS = frozenset({BoundCase.T34_q1_tier1, BoundCase.T34_q1_tier2})
-_T34_QGT1_TIERS = frozenset({BoundCase.T34_qgt1_tier1, BoundCase.T34_qgt1_tier2})
+# Kernel steps: (λ, μ, q, pw) -> (K_λ, K_μ, p), the weights of the two
+# envelope blocks and the power the blocks are raised to.  The weights are
+# (∫|K|)^(1-1/q) for "power-mean", (∫|K|^(q/(q-1)))^(1-1/q) for "holder",
+# ∫|K| for "product" (q = 1) and 1 for "harmonic" (s = -1).
+def _normed(n_lam, n_mu, q, pw):
+    rho = 1.0 - 1.0 / q
+    return pw(n_lam, rho), pw(n_mu, rho), 1.0 / q
+
+
+KERNEL_STEPS = {
+    "power-mean": lambda lam, mu, q, pw: _normed(kernel_mass(lam), kernel_mass(mu), q, pw),
+    "holder": lambda lam, mu, q, pw: _normed(holder_weight_integral(1.0 - lam, q), holder_weight_integral(mu, q), q, pw),
+    "product": lambda lam, mu, q, pw: (kernel_mass(lam), kernel_mass(mu), 1.0),
+    "harmonic": lambda lam, mu, q, pw: (1.0, 1.0, 1.0 / q),
+}
+
+
+# Envelopes: (λ, μ, s, A, B, M) -> (L, R).
+def _whole(lam, mu, s, qa, qb, qm):
+    """Kernel moments of the envelope over [a, b], from A and B."""
+    return (
+        moment_case((1.0, 1.0), 1.0 - lam, s) * qa + moment_case((-1.0, 1.0), 1.0 - lam, s) * qb,
+        moment_case((1.0, 0.0), mu, s) * qa + moment_case((-1.0, 2.0), mu, s) * qb,
+    )
+
+
+def _split(lam, mu, s, qa, qb, qm):
+    """Kernel moments of the envelope over each half, from A, M and B."""
+    return (
+        moment_case((1.0, 0.0), 1.0 - lam, s) * qa + moment_case((-1.0, 1.0), 1.0 - lam, s) * qm,
+        moment_case((1.0, 0.0), mu, s) * qm + moment_case((-1.0, 1.0), mu, s) * qb,
+    )
+
+
+def _split_midpoint(lam, mu, s, qa, qb, qm):
+    """`_split` with M replaced by its bound `midpoint_envelope`."""
+    return _split(lam, mu, s, qa, qb, midpoint_envelope(s, qa, qb))
+
+
+def _halves(lam, mu, s, qa, qb, qm):
+    """Envelope (A + M, M + B), one block per half."""
+    return qa + qm, qm + qb
+
+
+def _pair(weight):
+    """Envelope (w·A + B, A + w·B) with w = weight(s)."""
+
+    def blocks(lam, mu, s, qa, qb, qm):
+        w = weight(s)
+        return w * qa + qb, qa + w * qb
+
+    return blocks
+
+
+def _inv_s1(s, q):
+    return (1.0 / (s + 1.0)) ** (1.0 / q)
+
+
+@dataclass(frozen=True)
+class CaseRow:
+    """One bound case: (b - a)/divisor · factor · (K_λ·L^p + K_μ·R^p)."""
+
+    q_branch: str  # "1", ">1", or "" for any q
+    step: str  # a key of KERNEL_STEPS: (K_λ, K_μ, p)
+    envelope: Callable  # (λ, μ, s, A, B, M) -> (L, R)
+    scale: Callable  # (s, q) -> (divisor, factor)
+    note: str
+
+
+_T33 = _pair(lambda s: 2.0 ** (s + 1.0) - 1.0)
+_T34 = _pair(lambda s: 2.0**s + 1.0)
+_R = CaseRow
+CASES = {
+    BoundCase.T31_general: _R("", "power-mean", _whole, lambda s, q: (2.0 ** (s / q + 2.0), 1.0),
+                              "general-s display via moment closed forms"),
+    BoundCase.T31_s_minus1: _R("", "harmonic", _pair(lambda s: TWO_LN2_MINUS_1),
+                               lambda s, q: (2.0 ** (3.0 - 2.0 / q), 1.0), "s=-1 harmonic display"),
+    BoundCase.T32_tier1: _R("", "power-mean", _split, lambda s, q: (4.0, 1.0), "tier1 moment display"),
+    BoundCase.T32_tier2: _R("", "power-mean", _split_midpoint, lambda s, q: (4.0, 1.0),
+                            "tier2 = tier1 with midpoint envelope (mechanical)"),
+    BoundCase.T33_q1: _R("1", "product", _T33, lambda s, q: (2.0 ** (s + 1.0) * (s + 1.0), 1.0),
+                         "q=1 product display, corrected prefactor 2^(s+1)"),
+    BoundCase.T33_qgt1: _R(">1", "holder", _T33, lambda s, q: (2.0 ** (s / q + 2.0), _inv_s1(s, q)),
+                           "conjugate-exponent display"),
+    BoundCase.T34_q1_tier1: _R("1", "product", _halves, lambda s, q: (4.0 * (s + 1.0), 1.0),
+                               "q=1 product display as printed (known-defective)"),
+    BoundCase.T34_q1_tier2: _R("1", "product", _T34, lambda s, q: (2.0 ** (s + 2.0) * (s + 1.0), 1.0),
+                               "q=1 tier2 via midpoint envelope (known-defective tier1)"),
+    BoundCase.T34_qgt1_tier1: _R(">1", "holder", _halves, lambda s, q: (4.0, _inv_s1(s, q)),
+                                 "conjugate-exponent tier1 display"),
+    BoundCase.T34_qgt1_tier2: _R(">1", "holder", _T34, lambda s, q: (2.0 ** (s / q + 2.0), _inv_s1(s, q)),
+                                 "conjugate-exponent tier2 via midpoint envelope"),
+}
+
+# The cases that bound the midpoint deviation, the lhs at λ = μ = 0,
+# whatever the row's weights; every other case bounds the lhs at the row's own.
+MIDPOINT_CASES = frozenset(case for case, row in CASES.items() if row.step == "harmonic")
 
 
 def branch_mismatch(case: BoundCase, s: float, q: float) -> str:
@@ -125,15 +221,16 @@ def branch_mismatch(case: BoundCase, s: float, q: float) -> str:
     It depends on (s, q) alone, so a sweep settles it once per (s, q)
     instead of once per row.
     """
-    if case is BoundCase.T31_s_minus1:
-        return "" if s == -1.0 else f"T31_s_minus1 needs s = -1 exactly, got {s!r}"
+    row = CASES[case]
+    if row.step == "harmonic":  # the s = -1 display
+        return "" if s == -1.0 else f"{case.value} needs s = -1 exactly, got {s!r}"
     if s < -1.0 + S_BRANCH_EPS:
         return f"{case.value} needs s > -1 + 1e-6, got s={s!r}; s = -1 is T31_s_minus1 only"
     if s > 1.0:
         return f"{case.value} needs s <= 1, got s={s!r}"
-    if case in _Q1_CASES and q >= 1.0 + Q_BRANCH_EPS:
+    if row.q_branch == "1" and q >= 1.0 + Q_BRANCH_EPS:
         return f"{case.value} is a q = 1 branch, got q={q!r}"
-    if case in _QGT1_CASES and q < 1.0 + Q_BRANCH_EPS:
+    if row.q_branch == ">1" and q < 1.0 + Q_BRANCH_EPS:
         return f"{case.value} needs q >= 1 + 1e-9, got q={q!r}"
     return ""
 
@@ -179,117 +276,11 @@ def case_formula(case: BoundCase, a, b, lam, mu, s, q, qa, qb, qm) -> tuple[floa
     # Every base of a power is built from lam, mu and the samples; when they
     # are all floats, the builtin pow (x ** y) spares `power`'s call.
     pw = pow if type(lam) is type(mu) is type(qa) is type(qb) is type(qm) is float else power
-    width = b - a
-    rho = 1.0 - 1.0 / q
-    m_lam = kernel_mass(lam)
-    m_mu = kernel_mass(mu)
-
-    if case is BoundCase.T31_s_minus1:
-        c = TWO_LN2_MINUS_1
-        brackets = pw(c * qa + qb, 1.0 / q) + pw(qa + c * qb, 1.0 / q)
-        return width / 2.0 ** (3.0 - 2.0 / q) * brackets, "s=-1 harmonic display"
-
-    if case is BoundCase.T31_general:
-        lam_block = (
-            moment_case((1.0, 1.0), 1.0 - lam, s) * qa
-            + moment_case((-1.0, 1.0), 1.0 - lam, s) * qb
-        )
-        mu_block = (
-            moment_case((1.0, 0.0), mu, s) * qa + moment_case((-1.0, 2.0), mu, s) * qb
-        )
-        bound = width / 2.0 ** (s / q + 2.0) * (
-            pw(m_lam, rho) * pw(lam_block, 1.0 / q)
-            + pw(m_mu, rho) * pw(mu_block, 1.0 / q)
-        )
-        return bound, "general-s display via moment closed forms"
-
-    if case in _T32_TIERS:
-        qm_eff = qm
-        note = "tier1 moment display"
-        if case is BoundCase.T32_tier2:
-            qm_eff = midpoint_envelope(s, qa, qb)
-            note = "tier2 = tier1 with midpoint envelope (mechanical)"
-        lam_block = (
-            moment_case((1.0, 0.0), 1.0 - lam, s) * qa
-            + moment_case((-1.0, 1.0), 1.0 - lam, s) * qm_eff
-        )
-        mu_block = (
-            moment_case((1.0, 0.0), mu, s) * qm_eff + moment_case((-1.0, 1.0), mu, s) * qb
-        )
-        bound = width / 4.0 * (
-            pw(m_lam, rho) * pw(lam_block, 1.0 / q)
-            + pw(m_mu, rho) * pw(mu_block, 1.0 / q)
-        )
-        return bound, note
-
-    if case is BoundCase.T33_q1:
-        w = 2.0 ** (s + 1.0) - 1.0
-        bound = (
-            width
-            / (2.0 ** (s + 1.0) * (s + 1.0))
-            * (m_lam * (w * qa + qb) + m_mu * (qa + w * qb))
-        )
-        return bound, "q=1 product display, corrected prefactor 2^(s+1)"
-
-    if case is BoundCase.T33_qgt1:
-        w = 2.0 ** (s + 1.0) - 1.0
-        h_lam = holder_weight_integral(1.0 - lam, q)
-        h_mu = holder_weight_integral(mu, q)
-        bound = (
-            width
-            / 2.0 ** (s / q + 2.0)
-            * (1.0 / (s + 1.0)) ** (1.0 / q)
-            * (
-                pw(h_lam, rho) * pw(w * qa + qb, 1.0 / q)
-                + pw(h_mu, rho) * pw(qa + w * qb, 1.0 / q)
-            )
-        )
-        return bound, "conjugate-exponent display"
-
-    if case in _T34_Q1_TIERS:
-        if case is BoundCase.T34_q1_tier1:
-            bound = (
-                width
-                / (4.0 * (s + 1.0))
-                * (m_lam * (qa + qm) + m_mu * (qm + qb))
-            )
-            return bound, "q=1 product display as printed (known-defective)"
-        w = 2.0**s + 1.0
-        bound = (
-            width
-            / (2.0 ** (s + 2.0) * (s + 1.0))
-            * (m_lam * (w * qa + qb) + m_mu * (qa + w * qb))
-        )
-        return bound, "q=1 tier2 via midpoint envelope (known-defective tier1)"
-
-    if case in _T34_QGT1_TIERS:
-        h_lam = holder_weight_integral(1.0 - lam, q)
-        h_mu = holder_weight_integral(mu, q)
-        inv_s1 = (1.0 / (s + 1.0)) ** (1.0 / q)
-        if case is BoundCase.T34_qgt1_tier1:
-            bound = (
-                width
-                / 4.0
-                * inv_s1
-                * (
-                    pw(h_lam, rho) * pw(qa + qm, 1.0 / q)
-                    + pw(h_mu, rho) * pw(qm + qb, 1.0 / q)
-                )
-            )
-            return bound, "conjugate-exponent tier1 display"
-        w = 2.0**s + 1.0
-        bound = (
-            width
-            / 2.0 ** (s / q + 2.0)
-            * inv_s1
-            * (
-                pw(h_lam, rho) * pw(w * qa + qb, 1.0 / q)
-                + pw(h_mu, rho) * pw(qa + w * qb, 1.0 / q)
-            )
-        )
-        return bound, "conjugate-exponent tier2 via midpoint envelope"
-
-    raise WrongBranchError(f"unhandled case {case!r}")
+    row = CASES[case]
+    k_lam, k_mu, p = KERNEL_STEPS[row.step](lam, mu, q, pw)
+    left, right = row.envelope(lam, mu, s, qa, qb, qm)
+    divisor, factor = row.scale(s, q)
+    return (b - a) / divisor * factor * (k_lam * pw(left, p) + k_mu * pw(right, p)), row.note
 
 
 def nonfinite_bound(name: str, fid: str, a: float, b: float) -> FunctionDomainError:
@@ -312,11 +303,6 @@ def derivative_values(f: FunctionSpec, a: float, b: float, q: float) -> tuple[fl
     if not (math.isfinite(qa) and math.isfinite(qb) and math.isfinite(qm)):
         raise FunctionDomainError(f"|{f.fid}'|^{q:g} is not finite on [{a!r}, {b!r}]")
     return qa, qb, qm
-
-
-# Cases that bound the midpoint deviation, the lhs at λ = μ = 0, whatever
-# the row's weights; every other case bounds the lhs at the row's own.
-MIDPOINT_CASES = frozenset({BoundCase.T31_s_minus1})
 
 
 def deviation_weights(case: BoundCase, lam: float, mu: float) -> tuple[float, float]:

@@ -129,7 +129,10 @@ def _power_mean(p: float, a: float, b: float) -> float:
     where that exponent exceeds 1 in size: there the direct difference
     loses at most a bit or two, while expm1 would magnify the rounding of
     its argument (and overflow sooner).  The direct form raises to p, not
-    to the rounded p + 1, whose error grows with |log b|.
+    to the rounded p + 1, whose error grows with |log b|.  Where b^(p+1)
+    overflows but the mean does not, each term is divided by w before the
+    subtraction and the difference by p + 1 after it; (p+1)·w itself may
+    overflow.
     """
     if a == 0.0:
         return b**p / (p + 1.0)
@@ -139,7 +142,8 @@ def _power_mean(p: float, a: float, b: float) -> float:
         return math.log1p(r) / w
     e = (p + 1.0) * math.log1p(r)
     if abs(e) > 1.0:
-        return (b**p * b - a**p * a) / ((p + 1.0) * w)
+        direct = (b**p * b - a**p * a) / ((p + 1.0) * w)
+        return direct if math.isfinite(direct) else (b**p * (b / w) - a**p * (a / w)) / (p + 1.0)
     return a**p * (math.expm1(e) / ((p + 1.0) * r))
 
 

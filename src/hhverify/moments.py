@@ -41,6 +41,7 @@ from .quadrature import DEFAULT_TOL, integrate
 __all__ = [
     "MomentSpec",
     "MOMENT_CASES",
+    "Q_BRANCH_EPS",
     "kernel_mass",
     "moment_general",
     "moment_case",
@@ -53,6 +54,8 @@ __all__ = [
 
 # s may not approach the harmonic pole; exact s = -1 goes to moment_harmonic.
 S_MIN = -1.0 + 1e-6
+# q < 1 + Q_BRANCH_EPS has no conjugate exponent and takes the q = 1 branches.
+Q_BRANCH_EPS = 1e-9
 
 MOMENT_CASES = ((1.0, 0.0), (1.0, 1.0), (-1.0, 1.0), (-1.0, 2.0))
 
@@ -248,7 +251,7 @@ def holder_weight_integral(xi: float, q: float) -> float:
     """
     if not (isinstance(xi, float) and 0.0 <= xi <= 1.0):
         _check_xi(xi)
-    if q < 1.0 + 1e-9:
+    if q < 1.0 + Q_BRANCH_EPS:
         raise HolderExponentError(
             f"q={q!r} too close to 1 for the conjugate exponent; use a q = 1 branch"
         )

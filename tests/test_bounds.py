@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -251,6 +252,35 @@ def test_array_call_is_bit_identical_to_the_float_calls(case):
         for i, row in enumerate(zip(a.tolist(), b.tolist(), lam.tolist(), mu.tolist())):
             ref = case_bound_from_values(case, *row, s, q, qa[i].item(), qb[i].item(), qm[i].item())
             assert (bound[i].item(), note) == ref, (case, s, q, i)
+
+
+# sha256 of the array bounds and notes of `case_bound_from_values` over
+# `_seeded_rows()`, at every (s, q) that `_admitted` yields for the case.
+CASE_DIGESTS = {
+    "T31_general": "eba693096f9ed8a8c01cdfdea019bc39d86ac48149237627aed903d57a38aba0",
+    "T31_s_minus1": "c61184a80768380c33c128ab1bf08c3e9efdc4a68f872082f29f552f37591d53",
+    "T32_tier1": "332120f5984223efe92da041dbef672285f019ff3165b729585ecc7766ad2ec8",
+    "T32_tier2": "ea4f8ad49a5b5c47979e42e6155c8c711591719aa50a9828a6f3285228dfff12",
+    "T33_q1": "c6ca7e849de32a0bb840e2a4eed004bb1eaf66fac81e323735d1fa867cccb0ca",
+    "T33_qgt1": "baa373f48417222871eef2da48cb5bedd5acf7e847a7b890e2f692a0dce0f83e",
+    "T34_q1_tier1": "65507c349af332a39d90afc0b2cda5980ca0bbbf56c09868b5021a4cbbd02960",
+    "T34_q1_tier2": "57f97489c41fb98216b4063a2e8d83aa7c5a4f1b4ef356db9dd51e788a68c2e8",
+    "T34_qgt1_tier1": "ea8390cd6653b9fa8d7f1eba4bdae8b01ec13ebc9ef3b59aae24602bbe1a46cc",
+    "T34_qgt1_tier2": "81c0809616950828f75da638a6f7a582fb5b036cd0815742459f6c66113191c3",
+}
+
+
+@pytest.mark.parametrize("case", list(BoundCase))
+def test_case_bits_are_pinned_on_every_branch(case):
+    # The pinned reports reach neither s < 0, q = 4 nor edge weights in
+    # every case; these digests do.
+    columns = _seeded_rows()
+    digest = hashlib.sha256()
+    for s, q in _admitted(case):
+        bound, note = case_bound_from_values(case, *columns[:4], s, q, *columns[4:])
+        digest.update(bound.tobytes())
+        digest.update(note.encode())
+    assert digest.hexdigest() == CASE_DIGESTS[case.value]
 
 
 def test_array_call_keeps_the_float_errors():

@@ -341,6 +341,15 @@ def test_readme_cli_examples_run(tmp_path, capsys, monkeypatch):
         assert code == (1 if argv[1] == "sweep" else 0), (argv, err)
 
 
+def test_means_on_an_interval_whose_power_overflows(capsys):
+    # b^(s+1) overflows on [1, 1e300]; the lhs and the bound do not.
+    code, out, err = run_cli(
+        capsys, "means", "--theorem", "T41", "--a", "1", "--b", "1e300", "--s", "0.5", "--q", "1", "--lambda", "0.5"
+    )
+    assert code == 0, err
+    assert json.loads(out)["bound"] == 1.44620882993407e+299
+
+
 def test_means_rejects_a_degenerate_interval(capsys):
     # No sweep has a mean row with a = b, so neither does the single-row command.
     code, out, err = run_cli(

@@ -299,6 +299,15 @@ def _mean_intervals():
             yield fid, a, b
 
 
+def test_power_mean_survives_an_overflowing_difference():
+    # b^(p+1) = 1e450 overflows while the mean, (2/3)·1e150, does not.
+    got = make_power(0.5, 1.0, 1e300).mean(1.0, 1e300)
+    assert math.isfinite(got) and math.isclose(got, (2.0 / 3.0) * 1e150, rel_tol=1e-14)
+    # At b = 1.5e308, (p+1)·(b-a) overflows too.
+    got = make_power(0.5, 1.0, 1.5e308).mean(1.0, 1.5e308)
+    assert math.isclose(got, math.sqrt(1.5e308) / 1.5, rel_tol=1e-14)
+
+
 def test_exact_means_agree_with_mpmath_and_quadrature():
     from hhverify.quadrature import ABS_FLOOR, mean_integral
 

@@ -24,15 +24,13 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from hhverify.bounds import BoundCase, case_bound_from_values  # noqa: E402
+from hhverify.bounds import CASES, BoundCase, case_bound_from_values  # noqa: E402
 
-# One (s, q) on each case's branch.
-BRANCH = {
-    BoundCase.T31_s_minus1: (-1.0, 2.0),
-    BoundCase.T33_q1: (0.5, 1.0),
-    BoundCase.T34_q1_tier1: (0.5, 1.0),
-    BoundCase.T34_q1_tier2: (0.5, 1.0),
-}
+
+def branch(case: BoundCase) -> tuple[float, float]:
+    """One (s, q) on the case's branch, read from its `CASES` row."""
+    row = CASES[case]
+    return (-1.0 if row.step == "harmonic" else 0.5), (1.0 if row.q_branch == "1" else 2.0)
 
 
 def main(argv=None) -> int:
@@ -50,7 +48,7 @@ def main(argv=None) -> int:
     array_s = float_s = 0.0
     identical = True
     for case in BoundCase:
-        s, q = BRANCH.get(case, (0.5, 2.0))
+        s, q = branch(case)
         start = time.perf_counter()
         bound, _ = case_bound_from_values(case, a, b, lam, mu, s, q, qa, qb, qm)
         array_s += time.perf_counter() - start
