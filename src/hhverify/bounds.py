@@ -8,8 +8,8 @@ of `KERNEL_STEPS`), its envelope blocks (L, R) from |f'|^q at a, b and
 (a+b)/2, its scale (divisor, factor) and its note.  `case_formula`
 evaluates the one bracket all ten share, (b - a)/divisor · factor ·
 (K_λ·L^p + K_μ·R^p), with (K_λ, K_μ, p) from the step; a quantity derived
-through the same steps, such as a log-space Hölder norm or a display's
-function-free lower limit, attaches to the `step` column.
+through the same steps, such as the Hölder step's `moments.holder_norm` or
+a display's function-free lower limit, attaches to the `step` column.
 
 Two q = 1 product-form displays are misprinted at the source.  T33_q1
 ships with the corrected prefactor 2^(s+1); the as-printed 2^(s+2) is
@@ -45,7 +45,7 @@ from typing import Optional
 from .errors import FunctionDomainError, WrongBranchError
 from .functions import FunctionSpec
 from .identity import BoundParams, hh_lhs
-from .moments import Q_BRANCH_EPS, holder_weight_integral, kernel_mass, moment_case, power
+from .moments import Q_BRANCH_EPS, holder_norm, kernel_mass, moment_case, power
 from .quadrature import DEFAULT_TOL
 
 __all__ = [
@@ -118,16 +118,12 @@ def midpoint_envelope(s: float, qa: float, qb: float) -> float:
 
 # Kernel steps: (λ, μ, q, pw) -> (K_λ, K_μ, p), the weights of the two
 # envelope blocks and the power the blocks are raised to.  The weights are
-# (∫|K|)^(1-1/q) for "power-mean", (∫|K|^(q/(q-1)))^(1-1/q) for "holder",
-# ∫|K| for "product" (q = 1) and 1 for "harmonic" (s = -1).
-def _normed(n_lam, n_mu, q, pw):
-    rho = 1.0 - 1.0 / q
-    return pw(n_lam, rho), pw(n_mu, rho), 1.0 / q
-
-
+# (∫|K|)^(1-1/q) for "power-mean", the conjugate-exponent norm
+# (∫|K|^(q/(q-1)))^(1-1/q) from `moments.holder_norm` for "holder", ∫|K|
+# for "product" (q = 1) and 1 for "harmonic" (s = -1).
 KERNEL_STEPS = {
-    "power-mean": lambda lam, mu, q, pw: _normed(kernel_mass(lam), kernel_mass(mu), q, pw),
-    "holder": lambda lam, mu, q, pw: _normed(holder_weight_integral(1.0 - lam, q), holder_weight_integral(mu, q), q, pw),
+    "power-mean": lambda lam, mu, q, pw: (pw(kernel_mass(lam), 1.0 - 1.0 / q), pw(kernel_mass(mu), 1.0 - 1.0 / q), 1.0 / q),
+    "holder": lambda lam, mu, q, pw: (holder_norm(1.0 - lam, q), holder_norm(mu, q), 1.0 / q),
     "product": lambda lam, mu, q, pw: (kernel_mass(lam), kernel_mass(mu), 1.0),
     "harmonic": lambda lam, mu, q, pw: (1.0, 1.0, 1.0 / q),
 }

@@ -115,8 +115,15 @@ def make_power(p: float, lo: float, hi: float) -> FunctionSpec:
             # Mirrored: x ↦ -x maps [a, b] onto [-b, -a]; p is an integer here.
             return (-1.0) ** p * _power_mean(p, -b, -a)
         if a < 0.0:
-            # Summed over [a, 0] and [0, b]; p is an integer >= 1 here.
-            return (b ** (p + 1.0) - a ** (p + 1.0)) / ((p + 1.0) * (b - a))
+            # Summed over [a, 0] and [0, b]; p is an integer >= 1 here.  Where
+            # that overflows, each term is divided by b - a first, as in
+            # `_power_mean`, through halves: b - a itself may overflow.
+            half = 0.5 * b - 0.5 * a
+            try:
+                direct = (b ** (p + 1.0) - a ** (p + 1.0)) / ((p + 1.0) * (b - a))
+            except OverflowError:
+                direct = math.inf
+            return direct if math.isfinite(direct) else (b**p * (0.5 * b / half) - a**p * (0.5 * a / half)) / (p + 1.0)
         return _power_mean(p, a, b)
 
     return FunctionSpec(_spell("pow", p), float(lo), float(hi), f, df, mean)

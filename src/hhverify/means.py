@@ -35,7 +35,7 @@ from .bounds import (BoundCase, BoundResult, Q_BRANCH_EPS, branch_mismatch, case
 from .errors import FunctionDomainError, WrongBranchError
 from .functions import analytic_order, make_power, power_rule_holds
 from .identity import hh_lhs
-from .moments import holder_weight_integral
+from .moments import holder_norm
 from .presets import VERBATIM_DISPLAYS, Display
 
 __all__ = [
@@ -104,7 +104,7 @@ def _d_t43_qgt1(a, b, lam, mu, s, q, qa, qb, qm):
         (b - a)
         / 2.0 ** (s / q + 2.0)
         * (1.0 / (s + 1.0)) ** (1.0 / q)
-        * holder_weight_integral(lam, q) ** (1.0 - 1.0 / q)
+        * holder_norm(lam, q)
         * ((w * qa + qb) ** (1.0 / q) + (qa + w * qb) ** (1.0 / q))
     )
 

@@ -8,15 +8,16 @@ final bracket must read (s+2)ξ, which follows from substituting into the
 general formula — and the verbatim transcription stays available behind a
 flag so the erratum scan can measure the discrepancy.
 
-`kernel_mass`, `moment_case` and `holder_weight_integral` take ξ as a float
-or as a float64 array, one entry per row (s and q stay floats), so a sweep
-evaluates a whole block of rows in one call.  Each formula is written once
-for both: its arithmetic runs in the same order on a float as on every
-element of an array, and on an array every power, exp and log of a per-row
-value goes through `libm` (pow through `power`), which maps the platform
-libm over it element by element; on a float they are the float operations
-themselves, and powers of s and q alone are always floats.  numpy's own
-power, exp and log are vectorised approximations that differ from libm in
+`holder_norm` is the kernel's conjugate-exponent norm, the weight of every
+q > 1 Hölder display.  It, `kernel_mass`, `moment_case` and
+`holder_weight_integral` take ξ as a float or as a float64 array, one
+entry per row (s and q stay floats), so a sweep evaluates a whole block of
+rows in one call.  Each formula is written once for both: its arithmetic
+runs in the same order on a float as on every element of an array, and on
+an array every power of a per-row value goes through `power`, which maps
+the platform libm's pow over it element by element; on a float it is the
+float power itself, and powers of s and q alone are always floats.
+numpy's own power is a vectorised approximation that differs from libm in
 the last bit on a few percent of inputs (even x**2 and x**0.5 take their
 own fast paths), so only this keeps each array element bit-identical to the
 float the same row would give on its own.
@@ -48,6 +49,7 @@ __all__ = [
     "moment_harmonic",
     "moment_oracle",
     "holder_weight_integral",
+    "holder_norm",
     "libm",
     "power",
 ]
@@ -115,6 +117,14 @@ def _check_xi(xi) -> None:
     raise MomentParameterError(f"xi must lie in [0, 1], got {xi!r}")
 
 
+def _checked_pw(xi):
+    """`pow` for a float ξ in [0, 1], else `power` once ξ is checked."""
+    if isinstance(xi, float) and 0.0 <= xi <= 1.0:
+        return pow  # the float path of `power`, without its call
+    _check_xi(xi)
+    return power
+
+
 def kernel_mass(xi: float) -> float:
     """∫₀¹ |ξ - t| dt, the unweighted kernel mass ξ² - ξ + 1/2."""
     return xi * xi - xi + 0.5
@@ -144,11 +154,7 @@ def moment_case(case: tuple[float, float], xi: float, s: float, verbatim: bool =
     "(s+2)ξ"; every other case is identical either way.  Must agree with
     `moment_general` (verbatim=False).
     """
-    if isinstance(xi, float) and 0.0 <= xi <= 1.0:
-        pw = pow  # the float path of `power`, without its call
-    else:
-        _check_xi(xi)
-        pw = power
+    pw = _checked_pw(xi)
     if s < S_MIN:
         raise MomentParameterError(f"s={s!r} too close to -1; use moment_harmonic")
     s2 = (s + 1.0) * (s + 2.0)
@@ -236,24 +242,36 @@ def moment_oracle(
     return res.value
 
 
-def _exp_r_log(base: float, r: float) -> float:
-    """base^r as exp(r·log(base)), 0 at base 0, for r > 0 and base in [0, 1]."""
-    if isinstance(base, np.ndarray):
-        return libm(_exp_r_log, base, r)
-    return math.exp(r * math.log(base)) if base > 0.0 else 0.0
+def _holder_pw(xi, q: float):
+    """`_checked_pw(ξ)`, after refusing a q with no conjugate exponent."""
+    pw = _checked_pw(xi)
+    if q < 1.0 + Q_BRANCH_EPS:
+        raise HolderExponentError(f"q={q!r} too close to 1 for the conjugate exponent; use a q = 1 branch")
+    return pw
 
 
 def holder_weight_integral(xi: float, q: float) -> float:
     """Closed form of ∫₀¹ |ξ - t|^(q/(q-1)) dt for q > 1, ξ a float or array.
 
-    Powers of bases in [0, 1] with the large exponent (2q-1)/(q-1) are taken
-    through exp/log so they underflow to zero instead of overflowing.
+    Its bases lie in [0, 1], so the large exponent (2q-1)/(q-1) can only
+    underflow, to 0, never overflow.
     """
-    if not (isinstance(xi, float) and 0.0 <= xi <= 1.0):
-        _check_xi(xi)
-    if q < 1.0 + Q_BRANCH_EPS:
-        raise HolderExponentError(
-            f"q={q!r} too close to 1 for the conjugate exponent; use a q = 1 branch"
-        )
+    pw = _holder_pw(xi, q)
     r = (2.0 * q - 1.0) / (q - 1.0)
-    return (q - 1.0) / (2.0 * q - 1.0) * (_exp_r_log(xi, r) + _exp_r_log(1.0 - xi, r))
+    return (q - 1.0) / (2.0 * q - 1.0) * (pw(xi, r) + pw(1.0 - xi, r))
+
+
+def holder_norm(xi: float, q: float) -> float:
+    """(∫₀¹ |ξ - t|^(q/(q-1)) dt)^(1-1/q) for q > 1, ξ a float or array.
+
+    With ρ = (q-1)/q, r = (2q-1)/(q-1), M = max(ξ, 1-ξ) and m = min(ξ, 1-ξ)
+    it is ((q-1)/(2q-1))^ρ · M^((2q-1)/q) · (1 + (m/M)^r)^ρ, which tends to
+    M as q -> 1; the integral itself underflows to 0 once q - 1 < ~1e-3.
+    ρ is (q-1)/q because 1 - 1/q loses about 8 digits at q - 1 = 1e-8.
+    """
+    pw = _holder_pw(xi, q)
+    hi, lo = (np.maximum, np.minimum) if isinstance(xi, np.ndarray) else (max, min)
+    big, small = hi(xi, 1.0 - xi), lo(xi, 1.0 - xi)
+    rho = (q - 1.0) / q
+    r = (2.0 * q - 1.0) / (q - 1.0)
+    return ((q - 1.0) / (2.0 * q - 1.0)) ** rho * pw(big, (2.0 * q - 1.0) / q) * pw(1.0 + pw(small / big, r), rho)

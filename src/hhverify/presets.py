@@ -4,7 +4,8 @@ Each preset carries two evaluation paths: its printed display (transcription)
 and its parent case at the pinned parameters (derivation).  For most entries
 the two agree to roundoff; `kind="weakening"` marks displays that the source
 derives through an extra power-sum collapse, so they sit above the parent
-value by design and only validity, not equality, can be checked.
+value by design and only validity, not equality, can be checked.  Every
+q > 1 display takes its kernel norm from `moments.holder_norm`.
 
 Displays shipped here are corrected where the printed version demonstrably
 contradicts its own derivation (a sign slip, one wrong exponent, and the
@@ -30,7 +31,7 @@ from .bounds import BoundCase, BoundResult, Q_BRANCH_EPS, derivative_values, dev
 from .errors import PresetMismatchError
 from .functions import FunctionSpec
 from .identity import BoundParams, hh_lhs
-from .moments import holder_weight_integral, kernel_mass
+from .moments import holder_norm, kernel_mass
 from .quadrature import DEFAULT_TOL
 
 __all__ = [
@@ -76,11 +77,6 @@ def _poly_outer_s1(lam: float) -> float:
 
 def _poly_inner_s1(lam: float) -> float:
     return 2.0 - 3.0 * lam + 2.0 * lam**3
-
-
-def _lampow(lam: float, q: float) -> float:
-    """λ^r + (1-λ)^r with r = (2q-1)/(q-1), via the guarded closed form."""
-    return holder_weight_integral(lam, q) * (2.0 * q - 1.0) / (q - 1.0)
 
 
 def _rho(q: float) -> float:
@@ -364,13 +360,11 @@ def _d_c32x_s1_tier2(a, b, lam, mu, s, q, qa, qb, qm):
 
 def _d_c33x_lambda_mu_qgt1(a, b, lam, mu, s, q, qa, qb, qm):
     w = 2.0 ** (s + 1.0) - 1.0
-    r = _rho(q)
     return (
         (b - a)
         / 2.0 ** (s / q + 2.0)
-        * ((q - 1.0) / (2.0 * q - 1.0)) ** r
         * (1.0 / (s + 1.0)) ** (1.0 / q)
-        * _lampow(lam, q) ** r
+        * holder_norm(lam, q)
         * ((w * qa + qb) ** (1.0 / q) + (qa + w * qb) ** (1.0 / q))
     )
 
@@ -380,7 +374,7 @@ def _d_c33x_boundary_qgt1(a, b, lam, mu, s, q, qa, qb, qm):
     return (
         (b - a)
         / 2.0 ** (s / q + 2.0)
-        * ((q - 1.0) / (2.0 * q - 1.0)) ** _rho(q)
+        * holder_norm(0.0, q)
         * (1.0 / (s + 1.0)) ** (1.0 / q)
         * ((w * qa + qb) ** (1.0 / q) + (qa + w * qb) ** (1.0 / q))
     )
@@ -400,14 +394,12 @@ def _d_c33x_s1_q1_verbatim(a, b, lam, mu, s, q, qa, qb, qm):
 
 
 def _d_c33x_s1_qgt1(a, b, lam, mu, s, q, qa, qb, qm):
-    r = _rho(q)
     return (
         (b - a)
         / 2.0 ** (2.0 / q + 2.0)
-        * ((q - 1.0) / (2.0 * q - 1.0)) ** r
         * (
-            _lampow(lam, q) ** r * (3.0 * qa + qb) ** (1.0 / q)
-            + _lampow(mu, q) ** r * (qa + 3.0 * qb) ** (1.0 / q)
+            holder_norm(lam, q) * (3.0 * qa + qb) ** (1.0 / q)
+            + holder_norm(mu, q) * (qa + 3.0 * qb) ** (1.0 / q)
         )
     )
 
@@ -417,14 +409,7 @@ def _d_c33x_s1_q1_lambda_mu(a, b, lam, mu, s, q, qa, qb, qm):
 
 
 def _d_c33x_s1_qgt1_lambda_mu(a, b, lam, mu, s, q, qa, qb, qm):
-    r = _rho(q)
-    return (
-        ((q - 1.0) / (2.0 * q - 1.0)) ** r
-        * (b - a)
-        / 2.0 ** (2.0 / q)
-        * _lampow(lam, q) ** r
-        * (qa + qb) ** (1.0 / q)
-    )
+    return (b - a) / 2.0 ** (2.0 / q) * holder_norm(lam, q) * (qa + qb) ** (1.0 / q)
 
 
 def _d_c34x_q1_lambda_mu_tier1(a, b, lam, mu, s, q, qa, qb, qm):
@@ -442,26 +427,22 @@ def _d_c34x_q1_lambda_mu_tier2(a, b, lam, mu, s, q, qa, qb, qm):
 
 
 def _d_c34x_qgt1_lambda_mu_tier1(a, b, lam, mu, s, q, qa, qb, qm):
-    r = _rho(q)
     return (
         (b - a)
         / 4.0
-        * ((q - 1.0) / (2.0 * q - 1.0)) ** r
         * (1.0 / (s + 1.0)) ** (1.0 / q)
-        * _lampow(lam, q) ** r
+        * holder_norm(lam, q)
         * ((qa + qm) ** (1.0 / q) + (qm + qb) ** (1.0 / q))
     )
 
 
 def _d_c34x_qgt1_lambda_mu_tier2(a, b, lam, mu, s, q, qa, qb, qm):
     w = 2.0**s + 1.0
-    r = _rho(q)
     return (
         (b - a)
         / 2.0 ** (s / q + 2.0)
-        * ((q - 1.0) / (2.0 * q - 1.0)) ** r
         * (1.0 / (s + 1.0)) ** (1.0 / q)
-        * _lampow(lam, q) ** r
+        * holder_norm(lam, q)
         * ((w * qa + qb) ** (1.0 / q) + (qa + w * qb) ** (1.0 / q))
     )
 
@@ -479,14 +460,12 @@ def _d_c34x_q1_s1_tier2(a, b, lam, mu, s, q, qa, qb, qm):
 
 
 def _d_c34x_qgt1_s1_tier1(a, b, lam, mu, s, q, qa, qb, qm):
-    r = _rho(q)
     return (
         (b - a)
         / 2.0 ** (1.0 / q + 2.0)
-        * ((q - 1.0) / (2.0 * q - 1.0)) ** r
         * (
-            _lampow(lam, q) ** r * (qm + qa) ** (1.0 / q)
-            + _lampow(mu, q) ** r * (qm + qb) ** (1.0 / q)
+            holder_norm(lam, q) * (qm + qa) ** (1.0 / q)
+            + holder_norm(mu, q) * (qm + qb) ** (1.0 / q)
         )
     )
 

@@ -350,6 +350,36 @@ def test_means_on_an_interval_whose_power_overflows(capsys):
     assert json.loads(out)["bound"] == 1.44620882993407e+299
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "bound --case T33_qgt1 --f pow:2 --a 1 --b 4 --lambda 0.3 --mu 0.6 --s 1 --q 1.0001",
+        "means --theorem T43_qgt1 --a 1 --b 4 --s 0.5 --q 1.0001 --lambda 0.3",
+        "means --theorem T44_qgt1 --a 1 --b 4 --s 0.5 --q 1.0001 --lambda 0.3",
+        "preset --preset C33x_lambda_mu_qgt1 --f pow:2 --a 1 --b 4 --lambda 0.3 --s 1 --q 1.0001",
+    ],
+    ids=["T33_qgt1", "T43_qgt1", "T44_qgt1", "C33x_lambda_mu_qgt1"],
+)
+def test_holder_rows_hold_just_above_q_1(capsys, argv):
+    # The conjugate-exponent integral underflows to 0 here; its norm tends
+    # to max(ξ, 1 - ξ) and must not turn a certified row into a violation.
+    code, out, err = run_cli(capsys, *argv.split())
+    doc = json.loads(out)
+    assert code == 0 and doc["certified"] == "certified-analytic" and not doc["violation"], err
+    if argv.startswith("bound"):
+        assert math.isclose(doc["bound"], 4.757973411239618, rel_tol=1e-12)
+
+
+def test_bound_on_a_mixed_sign_interval_whose_power_overflows(capsys):
+    # b^2 overflows on [-1e200, 1e200]; the mean of x is 0, and so is the lhs.
+    code, out, err = run_cli(
+        capsys, "bound", "--case", "T31_general", "--f", "pow:1", "--a=-1e200", "--b", "1e200",
+        "--lambda", "0.5", "--mu", "0.5", "--s", "1", "--q", "1",
+    )
+    assert code == 0, err
+    assert json.loads(out)["lhs"] == 0.0
+
+
 def test_means_rejects_a_degenerate_interval(capsys):
     # No sweep has a mean row with a = b, so neither does the single-row command.
     code, out, err = run_cli(

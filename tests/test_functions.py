@@ -308,6 +308,19 @@ def test_power_mean_survives_an_overflowing_difference():
     assert math.isclose(got, math.sqrt(1.5e308) / 1.5, rel_tol=1e-14)
 
 
+def test_mixed_sign_power_mean_survives_an_overflowing_difference():
+    # Across 0, b^(p+1) and a^(p+1) overflow while the mean does not.
+    assert make_power(1, -1e200, 1e200).mean(-1e200, 1e200) == 0.0
+    assert make_power(3, -1e100, 1e100).mean(-1e100, 1e100) == 0.0
+    got = make_power(2, -1e150, 1e120).mean(-1e150, 1e120)
+    exact = float(_exact_mean("pow:2", -1e150, 1e120))
+    assert math.isclose(exact, 3.33e299, rel_tol=1e-3)
+    assert abs(got - exact) <= 4.0 * math.ulp(exact), (got, exact)
+    # Here b - a overflows too; the mean of x is (a + b)/2.
+    got = make_power(1, -1e308, 1.5e308).mean(-1e308, 1.5e308)
+    assert abs(got - 2.5e307) <= 4.0 * math.ulp(2.5e307), got
+
+
 def test_exact_means_agree_with_mpmath_and_quadrature():
     from hhverify.quadrature import ABS_FLOOR, mean_integral
 

@@ -14,6 +14,7 @@ from hhverify.errors import (
 from hhverify.moments import (
     MOMENT_CASES,
     MomentSpec,
+    holder_norm,
     holder_weight_integral,
     kernel_mass,
     libm,
@@ -56,6 +57,27 @@ def test_holder_extreme_exponent_underflows_cleanly():
     q = 1.0 + 1e-8
     val = holder_weight_integral(0.5, q)
     assert 0.0 <= val < 1e-9
+
+
+def _holder_norm_exact(xi, q):
+    """(∫₀¹ |ξ - t|^(q/(q-1)) dt)^(1-1/q) at 50 digits, on the float ξ and q as given."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        x, q = mpmath.mpf(xi), mpmath.mpf(q)
+        r = (2 * q - 1) / (q - 1)
+        return float(((q - 1) / (2 * q - 1) * (x**r + (1 - x) ** r)) ** ((q - 1) / q))
+
+
+def test_holder_norm_agrees_with_mpmath():
+    # q - 1 from 1e-9, where the integral itself underflows to 0, to 10.
+    rng = np.random.default_rng(17)
+    steps = 1.0 + 10.0 ** np.linspace(-9.0, 1.0, 41)
+    points = [(xi, float(q)) for xi in (0.0, 0.5, 1.0, 1e-6, 1.0 - 1e-6) for q in steps]
+    points += [(float(xi), float(1.0 + 10.0**e)) for xi, e in zip(rng.uniform(size=300), rng.uniform(-9.0, 1.0, 300))]
+    for xi, q in points:
+        exact = _holder_norm_exact(xi, q)
+        assert abs(holder_norm(xi, q) - exact) <= 4.0 * math.ulp(exact), (xi, q)
 
 
 def test_oracle_equivalence_seeded():
@@ -138,6 +160,8 @@ def test_parameter_errors():
         moment_general(MomentSpec(0.5, 1, 1, -1.0))
     with pytest.raises(HolderExponentError):
         holder_weight_integral(0.5, 1.0)
+    with pytest.raises(HolderExponentError):
+        holder_norm(0.5, 1.0)
 
 
 def test_harmonic_divergence_detected():
@@ -181,8 +205,9 @@ def test_moment_case_array_is_bit_identical(case, verbatim):
 def test_holder_weight_and_kernel_mass_arrays_are_bit_identical():
     xi = _xi_column()
     for q in (1.5, 2.0, 4.0, 1.0 + 1e-6):
-        values = holder_weight_integral(xi, q)
-        assert values.tolist() == [holder_weight_integral(x, q) for x in xi.tolist()]
+        for fn in (holder_weight_integral, holder_norm):
+            values = fn(xi, q)
+            assert values.tolist() == [fn(x, q) for x in xi.tolist()], (fn, q)
     assert kernel_mass(xi).tolist() == [kernel_mass(x) for x in xi.tolist()]
 
 
@@ -203,7 +228,11 @@ def test_power_maps_libm_pow_over_arrays():
 def test_array_xi_outside_unit_interval_raises_like_the_float(bad):
     xi = _xi_column(n=10)
     xi[6] = bad
-    for call in (lambda x: moment_case((1, 1), x, 0.5), lambda x: holder_weight_integral(x, 2.0)):
+    for call in (
+        lambda x: moment_case((1, 1), x, 0.5),
+        lambda x: holder_weight_integral(x, 2.0),
+        lambda x: holder_norm(x, 2.0),
+    ):
         with pytest.raises(MomentParameterError) as scalar:
             call(bad)
         with pytest.raises(MomentParameterError) as array:
