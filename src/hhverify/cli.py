@@ -145,17 +145,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _fill_preset_params(spec, lam, mu, s, q) -> tuple[float, float, float, float]:
+    """Each omitted param at its pin, else λ = 0.5, μ = λ, s = 1 and q = 1."""
     if lam is None:
-        lam = spec.pin_lam if spec.pin_lam is not None else 0.5
+        lam = spec.pinned_weights(0.5, 0.5)[0]
     if mu is None:
-        if spec.pin_mu == "lam":
-            mu = lam
-        elif spec.pin_mu is not None:
-            mu = spec.pin_mu
-        else:
-            mu = lam
+        mu = spec.pinned_weights(lam, lam)[1]
     if s is None:
-        s = spec.pin_s if spec.pin_s is not None else min(spec.s_range[1], 1.0)
+        s = spec.pin_s if spec.pin_s is not None else 1.0
     if q is None:
         q = 1.0 if spec.pin_q in (None, "1") else 2.0
     return lam, mu, s, q
@@ -189,7 +185,7 @@ def _dispatch(args) -> int:
     if args.command == "identity":
         params = BoundParams(args.a, args.b, args.lam, args.mu, 1.0, 1.0)
         f = from_id(args.f, params.a, params.b)
-        lhs = hh_lhs(f, params.a, params.b, params.lam, params.mu, args.tol)
+        lhs = hh_lhs(f, params.a, params.b, params.lam, params.mu)
         rhs = identity_rhs(f, params, args.tol)
         residual = check_identity(f, params, args.tol)
         print(json.dumps({"lhs": lhs, "rhs": rhs, "residual": residual}, indent=2))

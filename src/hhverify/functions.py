@@ -61,7 +61,7 @@ class FunctionSpec:
     eval: Callable[[float], float]
     deriv: Optional[Callable[[float], float]]
     # (a, b) ↦ (1/(b-a))∫ₐᵇ f for lo <= a < b <= hi, exact up to rounding;
-    # None for a spec with no closed form.
+    # None for a spec with no closed form, whose lhs `hh_lhs` refuses.
     mean: Optional[Callable[[float, float], float]] = None
 
 

@@ -9,12 +9,13 @@ the one place that knows what a record looks like, and `Report.add` the
 one way a row enters it, one row at a time or a block of rows as columns.
 Each row kind has one builder, which `run_suite` and the CLI's single-row
 commands both call: `add_interval_rows` (case and preset rows) and
-`add_mean_rows`.  `add_interval_rows` evaluates each case once per (s, q)
-branch over the columns of every interval and weight pair of a family,
-since the closed forms take float64 arrays and give each entry the bits
-the float call for that row would (`moments.libm`); preset and mean rows
-are built one at a time.  Every row's lhs comes from `identity.hh_lhs`
-over the function's exact mean, so no sweep row runs a quadrature.
+`add_mean_rows`.  `add_interval_rows` evaluates each case, and each preset
+over the rows its weight pins admit, once per (s, q) branch over the
+columns of every interval and weight pair of a family, since the case
+formulas and the preset displays take float64 arrays and give each entry
+the bits the float call for that row would (`moments.libm`); mean rows are
+built one at a time.  Every row's lhs comes from `identity.hh_lhs` over
+the function's exact mean, so no sweep row runs a quadrature.
 `eval_case`, `eval_preset` and `eval_mean_bound` are the scalar reference
 the tests compare the builders with; they call the same `hh_lhs`.
 A row's `family` is the `fid` of the `FunctionSpec` it evaluated: the
@@ -156,10 +157,9 @@ class SuiteConfig:
     mean_draws: int = 0
     moment_oracle_draws: int = 0
     convexity_samples: int = 32
-    # Quadrature tolerance of the moment oracle, and of the mean of a
-    # function with no closed form (only a hand-built FunctionSpec); every
-    # registry family's lhs is exact and does not read it.  Relative only
-    # down to the quadrature's absolute floor of 1e-14 on the integral.
+    # Quadrature tolerance of the moment oracle, the only quadrature a sweep
+    # runs (every lhs is exact).  Relative only down to the quadrature's
+    # absolute floor of 1e-14 on the integral.
     tol: float = 1e-12
     seed: int = 0
     out_format: str = "json"
@@ -624,15 +624,18 @@ def add_interval_rows(
     """Append the case and preset rows of one family over its intervals.
 
     Each interval is (f, pairs): f on [f.lo, f.hi], labelled `f.fid`, with
-    its (lambda, mu) weight pairs.  A branch is (s, q, cases, presets),
-    settled on (s, q) by the caller.  The lhs does not depend on (s, q), so
-    it is two `hh_lhs` columns shared by every branch: one at the rows'
-    weights, and one at (0, 0) for the `MIDPOINT_CASES`.  |f'|^q is
-    computed once per interval and q, the certificate once per interval
-    and (s, q).  Each case of a branch is one `case_bound_from_values`
-    call over the columns of every (interval, pair) row; a preset row is
-    evaluated on its own, indexes into the lhs columns, and is left out
-    where its weight pins miss the pair.
+    its (lambda, mu) weight pairs, and each (interval, pair) is a row.  A
+    branch is (s, q, cases, presets), settled on (s, q) by the caller.  The
+    lhs does not depend on (s, q), so it is two `hh_lhs` columns shared by
+    every branch: one at the rows' weights, and one at (0, 0) for the
+    `MIDPOINT_CASES`.  |f'|^q is computed once per interval and q, the
+    certificate once per interval and (s, q).
+
+    Case and preset rows take one block path.  Per branch, each case is one
+    `case_bound_from_values` call over the columns of every row, and each
+    preset one `display` call over the rows whose weights meet its pins
+    (`PresetSpec.weights_match`).  A row whose bound is not finite, which
+    would read "holds", is refused, and each block is one `Report.add`.
 
     An interval whose lhs or |f'|^q cannot be evaluated (f or its mean
     overflows, say) adds no rows, nor does a bound that is not finite; the
@@ -643,8 +646,8 @@ def add_interval_rows(
     lhs_at: dict[bool, list[float]] = {False: [], True: []}  # keyed by `case in MIDPOINT_CASES`
     for f, pairs in intervals:
         try:
-            lhs = [abs(hh_lhs(f, f.lo, f.hi, l, m, cfg.tol)) for l, m in pairs]
-            mid = abs(hh_lhs(f, f.lo, f.hi, 0.0, 0.0, cfg.tol))
+            lhs = [abs(hh_lhs(f, f.lo, f.hi, l, m)) for l, m in pairs]
+            mid = abs(hh_lhs(f, f.lo, f.hi, 0.0, 0.0))
             values.append({q: derivative_values(f, f.lo, f.hi, q) for q in q_values})
         except HHVerifyError as exc:
             errors.append(exc)
@@ -655,42 +658,33 @@ def add_interval_rows(
     if not kept:
         return errors
     sizes = [len(pairs) for _, pairs in kept]
-    rows = [(i, lam, mu) for i, (_, pairs) in enumerate(kept) for lam, mu in pairs]
     a = np.repeat([f.lo for f, _ in kept], sizes)
     b = np.repeat([f.hi for f, _ in kept], sizes)
-    lam = np.array([w for _, w, _ in rows], dtype=np.float64)
-    mu = np.array([w for _, _, w in rows], dtype=np.float64)
+    lam, mu = np.array([w for _, pairs in kept for w in pairs], dtype=np.float64).reshape(-1, 2).T
     lhs_columns = {key: np.array(column) for key, column in lhs_at.items()}
+    every_row = np.arange(len(a))
     fid = kept[0][0].fid
 
-    add = report.add
     for s, q, cases, specs in branches:
-        at_q = [v[q] for v in values]
-        qa, qb, qm = np.repeat(np.array(at_q, dtype=np.float64), sizes, axis=0).T
+        qa, qb, qm = np.repeat(np.array([v[q] for v in values], dtype=np.float64), sizes, axis=0).T
         certs = [certificate_status(f, s, q, cfg.convexity_samples, cfg.seed) for f, _ in kept]
-        cert = [c for c, n in zip(certs, sizes) for _ in range(n)]
-        params = (a, b, lam, mu, s, q)
-        for case in cases:
-            with np.errstate(over="ignore"):  # an overflowed bound is left out below
-                bound, note = case_bound_from_values(case, a, b, lam, mu, s, q, qa, qb, qm)
-            lhs, ok = lhs_columns[case in MIDPOINT_CASES], np.isfinite(bound)
-            if not ok.all():  # a bound that is not finite would read "holds"
-                errors += [nonfinite_bound(case.value, fid, lo, hi) for lo, hi in zip(a[~ok].tolist(), b[~ok].tolist())]
-                add(fid, case.value, None, (a[ok], b[ok], lam[ok], mu[ok], s, q), lhs[ok], bound[ok],
-                    list(itertools.compress(cert, ok)), note)
-                continue
-            add(fid, case.value, None, params, lhs, bound, cert, note)
-        for k, (i, l, m) in enumerate(rows):
-            f = kept[i][0]
-            for spec in specs:
-                if spec.weight_mismatch(l, m):
-                    continue
-                bound = spec.display(f.lo, f.hi, l, m, s, q, *at_q[i])
-                if not math.isfinite(bound):
-                    errors.append(nonfinite_bound(spec.pid, fid, f.lo, f.hi))
-                    continue
-                add(fid, spec.parent.value, spec.pid, (f.lo, f.hi, l, m, s, q),
-                    lhs_at[spec.parent in MIDPOINT_CASES][k], bound, certs[i], spec.branch_notes)
+        cert = np.repeat(np.array(certs, dtype=object), sizes)
+        blocks = [(case, None, every_row) for case in cases]
+        blocks += [(spec.parent, spec, np.flatnonzero(spec.weights_match(lam, mu))) for spec in specs]
+        for case, spec, rows in blocks:
+            columns = (a[rows], b[rows], lam[rows], mu[rows], s, q, qa[rows], qb[rows], qm[rows])
+            with np.errstate(over="ignore"):  # an overflowed bound is refused below
+                if spec is None:
+                    bound, note = case_bound_from_values(case, *columns)
+                else:
+                    bound, note = spec.display(*columns), spec.branch_notes
+            ok = np.isfinite(bound)  # a bound that is not finite would read "holds"
+            preset = None if spec is None else spec.pid
+            errors += [nonfinite_bound(preset or case.value, fid, lo, hi)
+                       for lo, hi in zip(a[rows[~ok]].tolist(), b[rows[~ok]].tolist())]
+            rows = rows[ok]
+            report.add(fid, case.value, preset, (a[rows], b[rows], lam[rows], mu[rows], s, q),
+                       lhs_columns[case in MIDPOINT_CASES][rows], bound[ok], cert[rows].tolist(), note)
     return errors
 
 
@@ -845,22 +839,13 @@ def _moment_pairs(case: tuple[float, float], verbatim: bool = False):
 
 def _display_pairs(spec: PresetSpec, s_list, q_list):
     """(display, parent case) values on [0, 1] over the spec's pinned grid."""
-    lam_list = [spec.pin_lam] if spec.pin_lam is not None else _SCAN_LAM
+    weights = dict.fromkeys(spec.pinned_weights(lam, mu) for lam in _SCAN_LAM for mu in _SCAN_LAM)
     for s in s_list:
         for q in q_list:
-            for lam in lam_list:
-                if spec.pin_mu == "lam":
-                    mu_list = [lam]
-                elif spec.pin_mu is not None:
-                    mu_list = [spec.pin_mu]
-                else:
-                    mu_list = _SCAN_LAM
-                for mu in mu_list:
-                    for qa, qb, qm in _SCAN_SYNTH:
-                        derived, _ = case_bound_from_values(
-                            spec.parent, 0.0, 1.0, lam, mu, s, q, qa, qb, qm
-                        )
-                        yield spec.display(0.0, 1.0, lam, mu, s, q, qa, qb, qm), derived
+            for lam, mu in weights:
+                for qa, qb, qm in _SCAN_SYNTH:
+                    derived, _ = case_bound_from_values(spec.parent, 0.0, 1.0, lam, mu, s, q, qa, qb, qm)
+                    yield spec.display(0.0, 1.0, lam, mu, s, q, qa, qb, qm), derived
 
 
 def erratum_scan() -> Report:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import FunctionDomainError, WrongBranchError
 from .functions import FunctionSpec
-from .quadrature import DEFAULT_TOL, integrate, mean_integral
+from .quadrature import DEFAULT_TOL, integrate
 
 __all__ = ["BoundParams", "hh_lhs", "identity_rhs", "check_identity"]
 
@@ -46,21 +46,23 @@ class BoundParams:
             raise WrongBranchError(f"need finite q >= 1, got {self.q!r}")
 
 
-def hh_lhs(f: FunctionSpec, a: float, b: float, lam: float, mu: float, tol: float = DEFAULT_TOL) -> float:
+def hh_lhs(f: FunctionSpec, a: float, b: float, lam: float, mu: float) -> float:
     """Signed left-hand quantity on [a, b] at weights (λ, μ); zero for a = b
     by continuous extension.
 
     The mean is `f.mean(a, b)`, which every registry function carries in
-    closed form; only a spec built without one falls back to quadrature,
-    to relative tolerance `tol`.  Raises FunctionDomainError when a value
-    of f or the mean overflows or is not finite.
+    closed form, so no lhs runs a quadrature.  Raises WrongBranchError for
+    a spec built without a mean, and FunctionDomainError when a value of f
+    or the mean overflows or is not finite.
     """
+    if f.mean is None:
+        raise WrongBranchError(f"{f.fid} carries no closed-form mean")
     if a == b:
         return 0.0
     m = 0.5 * (a + b)
     try:
         weighted = 0.5 * lam * f.eval(a) + 0.5 * mu * f.eval(b) + 0.5 * (2.0 - lam - mu) * f.eval(m)
-        mean = mean_integral(f, a, b, tol) if f.mean is None else f.mean(a, b)
+        mean = f.mean(a, b)
     except OverflowError as exc:
         raise FunctionDomainError(f"{f.fid} overflows on [{a!r}, {b!r}]") from exc
     if not (math.isfinite(weighted) and math.isfinite(mean)):
@@ -87,4 +89,4 @@ def identity_rhs(f: FunctionSpec, p: BoundParams, tol: float = DEFAULT_TOL) -> f
 
 def check_identity(f: FunctionSpec, p: BoundParams, tol: float = DEFAULT_TOL) -> float:
     """|lhs - rhs|; at most ~10·tol for f with continuous f' on [a, b]."""
-    return abs(hh_lhs(f, p.a, p.b, p.lam, p.mu, tol) - identity_rhs(f, p, tol))
+    return abs(hh_lhs(f, p.a, p.b, p.lam, p.mu) - identity_rhs(f, p, tol))

@@ -7,6 +7,12 @@ derives through an extra power-sum collapse, so they sit above the parent
 value by design and only validity, not equality, can be checked.  Every
 q > 1 display takes its kernel norm from `moments.holder_norm`.
 
+Every display takes a, b, λ, μ and the |f'|^q samples as floats or as
+float64 arrays, one entry per row (s and q stay floats), as the case
+formulas in `bounds` do: every power of a per-row value goes through
+`moments.power` and the arithmetic runs in the float call's order, so each
+array entry has the bits of the float call for its row.
+
 Displays shipped here are corrected where the printed version demonstrably
 contradicts its own derivation (a sign slip, one wrong exponent, and the
 q = 1 prefactor family).  VERBATIM_DISPLAYS is the one table of as-printed
@@ -16,22 +22,26 @@ parent case itself.  Each entry is a PresetSpec (parent, pins, display)
 whose note is its erratum-scan note; the scan compares it with its parent.
 
 A preset row has one builder, `harness.add_interval_rows`, which the sweep
-and the CLI's `preset` command both call.  `eval_preset` is the scalar
-reference for one preset row, as `bounds.eval_case` is for a case row;
-its lhs is `identity.hh_lhs` at the weights its parent case bounds.
+and the CLI's `preset` command both call: per (s, q) branch it makes one
+display call over the rows that `PresetSpec.weights_match` admits.  The
+weight pins are read in one place, `PresetSpec.pinned_weights`.
+`eval_preset` is the scalar reference for one preset row, as
+`bounds.eval_case` is for a case row; its lhs is `identity.hh_lhs` at the
+weights its parent case bounds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Optional
 
 from .bounds import BoundCase, BoundResult, Q_BRANCH_EPS, derivative_values, deviation_weights, nonfinite_bound
 from .errors import PresetMismatchError
 from .functions import FunctionSpec
 from .identity import BoundParams, hh_lhs
-from .moments import holder_norm, kernel_mass
+from .moments import holder_norm, kernel_mass, power
 from .quadrature import DEFAULT_TOL
 
 __all__ = [
@@ -53,7 +63,7 @@ def _s2(s: float) -> float:
 def _p_outer(lam: float, s: float) -> float:
     """Coefficient 2(2-λ)^(s+2) + ((s+2)λ-2)2^(s+1) + (s+2)λ - s - 3."""
     return (
-        2.0 * (2.0 - lam) ** (s + 2.0)
+        2.0 * power(2.0 - lam, s + 2.0)
         + ((s + 2.0) * lam - 2.0) * 2.0 ** (s + 1.0)
         + (s + 2.0) * lam
         - s
@@ -63,20 +73,20 @@ def _p_outer(lam: float, s: float) -> float:
 
 def _p_inner(lam: float, s: float) -> float:
     """Coefficient 2λ^(s+2) - (s+2)λ + s + 1."""
-    return 2.0 * lam ** (s + 2.0) - (s + 2.0) * lam + s + 1.0
+    return 2.0 * power(lam, s + 2.0) - (s + 2.0) * lam + s + 1.0
 
 
 def _c_near(lam: float, s: float) -> float:
     """Coefficient 2(1-λ)^(s+2) + (s+2)λ - 1 (midpoint-pair family)."""
-    return 2.0 * (1.0 - lam) ** (s + 2.0) + (s + 2.0) * lam - 1.0
+    return 2.0 * power(1.0 - lam, s + 2.0) + (s + 2.0) * lam - 1.0
 
 
 def _poly_outer_s1(lam: float) -> float:
-    return 4.0 - 9.0 * lam + 12.0 * lam * lam - 2.0 * lam**3
+    return 4.0 - 9.0 * lam + 12.0 * lam * lam - 2.0 * power(lam, 3.0)
 
 
 def _poly_inner_s1(lam: float) -> float:
-    return 2.0 - 3.0 * lam + 2.0 * lam**3
+    return 2.0 - 3.0 * lam + 2.0 * power(lam, 3.0)
 
 
 def _rho(q: float) -> float:
@@ -84,20 +94,21 @@ def _rho(q: float) -> float:
 
 
 # Transcription displays ----------------------------------------------------
-# Signature: (a, b, lam, mu, s, q, qa, qb, qm) -> bound
+# Signature: (a, b, lam, mu, s, q, qa, qb, qm) -> bound, each argument but s
+# and q a float or a float64 array (see the module docstring).
 
 
 def _d_c31_q1(a, b, lam, mu, s, q, qa, qb, qm):
     coef_a = (
-        2.0 * (2.0 - lam) ** (s + 2.0)
-        + 2.0 * mu ** (s + 2.0)
+        2.0 * power(2.0 - lam, s + 2.0)
+        + 2.0 * power(mu, s + 2.0)
         + ((s + 2.0) * lam - 2.0) * 2.0 ** (s + 1.0)
         + (s + 2.0) * (lam - mu)
         - 2.0
     )
     coef_b = (
-        2.0 * lam ** (s + 2.0)
-        + 2.0 * (2.0 - mu) ** (s + 2.0)
+        2.0 * power(lam, s + 2.0)
+        + 2.0 * power(2.0 - mu, s + 2.0)
         + ((s + 2.0) * mu - 2.0) * 2.0 ** (s + 1.0)
         + (s + 2.0) * (mu - lam)
         - 2.0
@@ -111,20 +122,20 @@ def _d_c31_sm1_q1(a, b, lam, mu, s, q, qa, qb, qm):
 
 def _d_c32_lambda_eq_mu(a, b, lam, mu, s, q, qa, qb, qm):
     pa, pb = _p_outer(lam, s), _p_inner(lam, s)
-    m = kernel_mass(lam) ** _rho(q)
+    m = power(kernel_mass(lam), _rho(q))
     return (
         (b - a)
         / 2.0 ** (s / q + 2.0)
         * (1.0 / _s2(s)) ** (1.0 / q)
         * m
-        * ((pa * qa + pb * qb) ** (1.0 / q) + (pb * qa + pa * qb) ** (1.0 / q))
+        * (power(pa * qa + pb * qb, 1.0 / q) + power(pb * qa + pa * qb, 1.0 / q))
     )
 
 
 def _d_c32_q1(a, b, lam, mu, s, q, qa, qb, qm):
     brace = (
-        (2.0 - lam) ** (s + 2.0)
-        + lam ** (s + 2.0)
+        power(2.0 - lam, s + 2.0)
+        + power(lam, s + 2.0)
         + ((s + 2.0) * lam - 2.0) * 2.0**s
         - 1.0
     )
@@ -136,7 +147,7 @@ def _d_c32_trapezoid(a, b, lam, mu, s, q, qa, qb, qm):
         (b - a)
         / 4.0
         * ((4.0 + 2.0 ** (1.0 - s)) / _s2(s)) ** (1.0 / q)
-        * (qa + qb) ** (1.0 / q)
+        * power(qa + qb, 1.0 / q)
     )
 
 
@@ -149,22 +160,24 @@ def _d_c33_s1(a, b, lam, mu, s, q, qa, qb, qm):
         / 2.0 ** (1.0 / q + 2.0)
         * (1.0 / 6.0) ** (1.0 / q)
         * (
-            kernel_mass(lam) ** r * (p1l * qa + p2l * qb) ** (1.0 / q)
-            + kernel_mass(mu) ** r * (p2m * qa + p1m * qb) ** (1.0 / q)
+            power(kernel_mass(lam), r) * power(p1l * qa + p2l * qb, 1.0 / q)
+            + power(kernel_mass(mu), r) * power(p2m * qa + p1m * qb, 1.0 / q)
         )
     )
 
 
 def _d_c33_s1_q1(a, b, lam, mu, s, q, qa, qb, qm):
-    coef_a = 6.0 - 9.0 * lam + 12.0 * lam**2 - 2.0 * lam**3 - 3.0 * mu + 2.0 * mu**3
-    coef_b = 6.0 - 3.0 * lam + 2.0 * lam**3 - 9.0 * mu + 12.0 * mu**2 - 2.0 * mu**3
+    lam2, lam3, mu3 = power(lam, 2.0), power(lam, 3.0), power(mu, 3.0)
+    coef_a = 6.0 - 9.0 * lam + 12.0 * lam2 - 2.0 * lam3 - 3.0 * mu + 2.0 * mu3
+    coef_b = 6.0 - 3.0 * lam + 2.0 * lam3 - 9.0 * mu + 12.0 * power(mu, 2.0) - 2.0 * mu3
     return (b - a) / 48.0 * (coef_a * qa + coef_b * qb)
 
 
 def _d_c33_s1_q1_verbatim(a, b, lam, mu, s, q, qa, qb, qm):
     # As printed: "+3λ" in the qb coefficient where the derivation gives -3λ.
-    coef_a = 6.0 - 9.0 * lam + 12.0 * lam**2 - 2.0 * lam**3 - 3.0 * mu + 2.0 * mu**3
-    coef_b = 6.0 + 3.0 * lam + 2.0 * lam**3 - 9.0 * mu + 12.0 * mu**2 - 2.0 * mu**3
+    lam2, lam3, mu3 = power(lam, 2.0), power(lam, 3.0), power(mu, 3.0)
+    coef_a = 6.0 - 9.0 * lam + 12.0 * lam2 - 2.0 * lam3 - 3.0 * mu + 2.0 * mu3
+    coef_b = 6.0 + 3.0 * lam + 2.0 * lam3 - 9.0 * mu + 12.0 * power(mu, 2.0) - 2.0 * mu3
     return (b - a) / 48.0 * (coef_a * qa + coef_b * qb)
 
 
@@ -174,8 +187,8 @@ def _d_c33_s1_lambda_mu(a, b, lam, mu, s, q, qa, qb, qm):
         (b - a)
         / 4.0
         * (1.0 / 12.0) ** (1.0 / q)
-        * kernel_mass(lam) ** _rho(q)
-        * ((p1 * qa + p2 * qb) ** (1.0 / q) + (p2 * qa + p1 * qb) ** (1.0 / q))
+        * power(kernel_mass(lam), _rho(q))
+        * (power(p1 * qa + p2 * qb, 1.0 / q) + power(p2 * qa + p1 * qb, 1.0 / q))
     )
 
 
@@ -190,8 +203,8 @@ def _d_c35(w_hi: float, w_lo: float, denom: float, scale_num: float, scale_den: 
             * (b - a)
             / scale_den
             * (
-                ((w_hi * qa + w_lo * qb) / denom) ** (1.0 / q)
-                + ((w_lo * qa + w_hi * qb) / denom) ** (1.0 / q)
+                power((w_hi * qa + w_lo * qb) / denom, 1.0 / q)
+                + power((w_lo * qa + w_hi * qb) / denom, 1.0 / q)
             )
         )
 
@@ -208,7 +221,7 @@ def _d_e19(a, b, lam, mu, s, q, qa, qb, qm):
         / 2.0
         * 0.5 ** (1.0 - 1.0 / q)
         * ((2.0 + 0.5**s) / _s2(s)) ** (1.0 / q)
-        * (qa + qb) ** (1.0 / q)
+        * power(qa + qb, 1.0 / q)
     )
 
 
@@ -224,8 +237,8 @@ def _d_e112(a, b, lam, mu, s, q, qa, qb, qm):
 
 def _d_c32x_q1_tier1(a, b, lam, mu, s, q, qa, qb, qm):
     mid = (
-        2.0 * lam ** (s + 2.0)
-        + 2.0 * mu ** (s + 2.0)
+        2.0 * power(lam, s + 2.0)
+        + 2.0 * power(mu, s + 2.0)
         + (s + 2.0) * (1.0 - lam - mu)
         + s
     )
@@ -238,9 +251,9 @@ def _d_c32x_q1_tier1(a, b, lam, mu, s, q, qa, qb, qm):
 
 def _c32x_tier2_coef(lam: float, mu: float, s: float) -> float:
     return (
-        (1.0 - lam) ** (s + 2.0) * 2.0 ** (s + 1.0)
-        + 2.0 * lam ** (s + 2.0)
-        + 2.0 * mu ** (s + 2.0)
+        power(1.0 - lam, s + 2.0) * 2.0 ** (s + 1.0)
+        + 2.0 * power(lam, s + 2.0)
+        + 2.0 * power(mu, s + 2.0)
         + ((s + 2.0) * lam - 1.0) * 2.0**s
         + (s + 2.0) * (1.0 - lam - mu)
         + s
@@ -261,18 +274,18 @@ def _d_c32x_lambda_mu_tier1(a, b, lam, mu, s, q, qa, qb, qm):
         (b - a)
         / 4.0
         * (1.0 / _s2(s)) ** (1.0 / q)
-        * kernel_mass(lam) ** _rho(q)
-        * ((ca * qa + da * qm) ** (1.0 / q) + (da * qm + ca * qb) ** (1.0 / q))
+        * power(kernel_mass(lam), _rho(q))
+        * (power(ca * qa + da * qm, 1.0 / q) + power(da * qm + ca * qb, 1.0 / q))
     )
 
 
 def _c32x_lm_tier2_coef(lam: float, s: float, verbatim: bool = False) -> float:
     # Verbatim printing has 2λ^(s+1) once; symmetry and the mechanical
     # midpoint substitution both give 2λ^(s+2).
-    power = s + 1.0 if verbatim else s + 2.0
+    exponent = s + 1.0 if verbatim else s + 2.0
     return (
-        2.0 ** (s + 1.0) * (1.0 - lam) ** (s + 2.0)
-        + 2.0 * lam**power
+        2.0 ** (s + 1.0) * power(1.0 - lam, s + 2.0)
+        + 2.0 * power(lam, exponent)
         + ((s + 2.0) * lam - 1.0) * 2.0**s
         - (s + 2.0) * lam
         + s
@@ -280,65 +293,38 @@ def _c32x_lm_tier2_coef(lam: float, s: float, verbatim: bool = False) -> float:
     )
 
 
-def _d_c32x_lambda_mu_tier2(a, b, lam, mu, s, q, qa, qb, qm):
-    ea = _c32x_lm_tier2_coef(lam, s)
+def _d_c32x_lambda_mu_tier2(a, b, lam, mu, s, q, qa, qb, qm, verbatim=False):
+    ea = _c32x_lm_tier2_coef(lam, s, verbatim)
     da = _p_inner(lam, s)
     return (
         (b - a)
         / 2.0 ** (s / q + 2.0)
         * (1.0 / _s2(s)) ** (1.0 / q)
-        * kernel_mass(lam) ** _rho(q)
-        * ((ea * qa + da * qb) ** (1.0 / q) + (da * qa + ea * qb) ** (1.0 / q))
-    )
-
-
-def _d_c32x_lambda_mu_tier2_verbatim(a, b, lam, mu, s, q, qa, qb, qm):
-    ea = _c32x_lm_tier2_coef(lam, s, verbatim=True)
-    da = _p_inner(lam, s)
-    return (
-        (b - a)
-        / 2.0 ** (s / q + 2.0)
-        * (1.0 / _s2(s)) ** (1.0 / q)
-        * kernel_mass(lam) ** _rho(q)
-        * ((ea * qa + da * qb) ** (1.0 / q) + (da * qa + ea * qb) ** (1.0 / q))
+        * power(kernel_mass(lam), _rho(q))
+        * (power(ea * qa + da * qb, 1.0 / q) + power(da * qa + ea * qb, 1.0 / q))
     )
 
 
 def _poly_c1_s1(lam: float) -> float:
-    return 1.0 - 3.0 * lam + 6.0 * lam * lam - 2.0 * lam**3
+    return 1.0 - 3.0 * lam + 6.0 * lam * lam - 2.0 * power(lam, 3.0)
 
 
 def _poly_d1_s1(lam: float) -> float:
-    return 2.0 * lam**3 - 3.0 * lam + 2.0
+    return 2.0 * power(lam, 3.0) - 3.0 * lam + 2.0
 
 
-def _d_c32x_s1_tier1(a, b, lam, mu, s, q, qa, qb, qm):
+def _d_c32x_s1_tier1(a, b, lam, mu, s, q, qa, qb, qm, verbatim=False):
+    # As printed, the λ-block midpoint coefficient reads 2λ³ - 3λ + 3.  The
+    # shipped 2λ³ - 3λ + 2 is positive, so adding 0.0 to it changes no bit.
     r = _rho(q)
+    mid = _poly_d1_s1(lam) + (1.0 if verbatim else 0.0)
     return (
         (b - a)
         / 4.0
         * (1.0 / 6.0) ** (1.0 / q)
         * (
-            kernel_mass(lam) ** r
-            * (_poly_c1_s1(lam) * qa + _poly_d1_s1(lam) * qm) ** (1.0 / q)
-            + kernel_mass(mu) ** r
-            * (_poly_d1_s1(mu) * qm + _poly_c1_s1(mu) * qb) ** (1.0 / q)
-        )
-    )
-
-
-def _d_c32x_s1_tier1_verbatim(a, b, lam, mu, s, q, qa, qb, qm):
-    # As printed, the λ-block midpoint coefficient reads 2λ³ - 3λ + 3.
-    r = _rho(q)
-    return (
-        (b - a)
-        / 4.0
-        * (1.0 / 6.0) ** (1.0 / q)
-        * (
-            kernel_mass(lam) ** r
-            * (_poly_c1_s1(lam) * qa + (_poly_d1_s1(lam) + 1.0) * qm) ** (1.0 / q)
-            + kernel_mass(mu) ** r
-            * (_poly_d1_s1(mu) * qm + _poly_c1_s1(mu) * qb) ** (1.0 / q)
+            power(kernel_mass(lam), r) * power(_poly_c1_s1(lam) * qa + mid * qm, 1.0 / q)
+            + power(kernel_mass(mu), r) * power(_poly_d1_s1(mu) * qm + _poly_c1_s1(mu) * qb, 1.0 / q)
         )
     )
 
@@ -350,10 +336,8 @@ def _d_c32x_s1_tier2(a, b, lam, mu, s, q, qa, qb, qm):
         / 2.0 ** (1.0 / q + 2.0)
         * (1.0 / 6.0) ** (1.0 / q)
         * (
-            kernel_mass(lam) ** r
-            * (_poly_outer_s1(lam) * qa + _poly_d1_s1(lam) * qb) ** (1.0 / q)
-            + kernel_mass(mu) ** r
-            * (_poly_d1_s1(mu) * qa + _poly_outer_s1(mu) * qb) ** (1.0 / q)
+            power(kernel_mass(lam), r) * power(_poly_outer_s1(lam) * qa + _poly_d1_s1(lam) * qb, 1.0 / q)
+            + power(kernel_mass(mu), r) * power(_poly_d1_s1(mu) * qa + _poly_outer_s1(mu) * qb, 1.0 / q)
         )
     )
 
@@ -365,7 +349,7 @@ def _d_c33x_lambda_mu_qgt1(a, b, lam, mu, s, q, qa, qb, qm):
         / 2.0 ** (s / q + 2.0)
         * (1.0 / (s + 1.0)) ** (1.0 / q)
         * holder_norm(lam, q)
-        * ((w * qa + qb) ** (1.0 / q) + (qa + w * qb) ** (1.0 / q))
+        * (power(w * qa + qb, 1.0 / q) + power(qa + w * qb, 1.0 / q))
     )
 
 
@@ -376,7 +360,7 @@ def _d_c33x_boundary_qgt1(a, b, lam, mu, s, q, qa, qb, qm):
         / 2.0 ** (s / q + 2.0)
         * holder_norm(0.0, q)
         * (1.0 / (s + 1.0)) ** (1.0 / q)
-        * ((w * qa + qb) ** (1.0 / q) + (qa + w * qb) ** (1.0 / q))
+        * (power(w * qa + qb, 1.0 / q) + power(qa + w * qb, 1.0 / q))
     )
 
 
@@ -398,8 +382,8 @@ def _d_c33x_s1_qgt1(a, b, lam, mu, s, q, qa, qb, qm):
         (b - a)
         / 2.0 ** (2.0 / q + 2.0)
         * (
-            holder_norm(lam, q) * (3.0 * qa + qb) ** (1.0 / q)
-            + holder_norm(mu, q) * (qa + 3.0 * qb) ** (1.0 / q)
+            holder_norm(lam, q) * power(3.0 * qa + qb, 1.0 / q)
+            + holder_norm(mu, q) * power(qa + 3.0 * qb, 1.0 / q)
         )
     )
 
@@ -409,7 +393,7 @@ def _d_c33x_s1_q1_lambda_mu(a, b, lam, mu, s, q, qa, qb, qm):
 
 
 def _d_c33x_s1_qgt1_lambda_mu(a, b, lam, mu, s, q, qa, qb, qm):
-    return (b - a) / 2.0 ** (2.0 / q) * holder_norm(lam, q) * (qa + qb) ** (1.0 / q)
+    return (b - a) / 2.0 ** (2.0 / q) * holder_norm(lam, q) * power(qa + qb, 1.0 / q)
 
 
 def _d_c34x_q1_lambda_mu_tier1(a, b, lam, mu, s, q, qa, qb, qm):
@@ -432,7 +416,7 @@ def _d_c34x_qgt1_lambda_mu_tier1(a, b, lam, mu, s, q, qa, qb, qm):
         / 4.0
         * (1.0 / (s + 1.0)) ** (1.0 / q)
         * holder_norm(lam, q)
-        * ((qa + qm) ** (1.0 / q) + (qm + qb) ** (1.0 / q))
+        * (power(qa + qm, 1.0 / q) + power(qm + qb, 1.0 / q))
     )
 
 
@@ -443,7 +427,7 @@ def _d_c34x_qgt1_lambda_mu_tier2(a, b, lam, mu, s, q, qa, qb, qm):
         / 2.0 ** (s / q + 2.0)
         * (1.0 / (s + 1.0)) ** (1.0 / q)
         * holder_norm(lam, q)
-        * ((w * qa + qb) ** (1.0 / q) + (qa + w * qb) ** (1.0 / q))
+        * (power(w * qa + qb, 1.0 / q) + power(qa + w * qb, 1.0 / q))
     )
 
 
@@ -464,8 +448,8 @@ def _d_c34x_qgt1_s1_tier1(a, b, lam, mu, s, q, qa, qb, qm):
         (b - a)
         / 2.0 ** (1.0 / q + 2.0)
         * (
-            holder_norm(lam, q) * (qm + qa) ** (1.0 / q)
-            + holder_norm(mu, q) * (qm + qb) ** (1.0 / q)
+            holder_norm(lam, q) * power(qm + qa, 1.0 / q)
+            + holder_norm(mu, q) * power(qm + qb, 1.0 / q)
         )
     )
 
@@ -480,8 +464,8 @@ def _d_t32_tier2_verbatim(a, b, lam, mu, s, q, qa, qb, qm):
         / 2.0 ** (s / q + 2.0)
         * (1.0 / _s2(s)) ** (1.0 / q)
         * (
-            kernel_mass(lam) ** _rho(q) * (ea * qa + da * qb) ** (1.0 / q)
-            + kernel_mass(mu) ** _rho(q) * (db * qa + eb * qb) ** (1.0 / q)
+            power(kernel_mass(lam), _rho(q)) * power(ea * qa + da * qb, 1.0 / q)
+            + power(kernel_mass(mu), _rho(q)) * power(db * qa + eb * qb, 1.0 / q)
         )
     )
 
@@ -518,15 +502,26 @@ class PresetSpec:
     def branch_notes(self) -> str:
         return self.note or self.kind
 
+    def pinned_weights(self, lam, mu):
+        """(λ, μ) with each pinned weight set to its pin: λ to `pin_lam`, μ to
+        `pin_mu`, or to the given λ when μ is pinned to it.  This is the one
+        place the weight pins are read; floats or float64 arrays."""
+        pin_lam = lam if self.pin_lam is None else self.pin_lam
+        pin_mu = mu if self.pin_mu is None else lam if self.pin_mu == "lam" else self.pin_mu
+        return pin_lam, pin_mu
+
+    def weights_match(self, lam, mu):
+        """Whether (λ, μ) meet the weight pins to 1e-12; a bool array for arrays."""
+        pin_lam, pin_mu = self.pinned_weights(lam, mu)
+        return (abs(lam - pin_lam) <= 1e-12) & (abs(mu - pin_mu) <= 1e-12)
+
     def weight_mismatch(self, lam: float, mu: float) -> str:
         """Why (lambda, mu) contradict the weight pins, or "" when they match."""
-        if self.pin_lam is not None and abs(lam - self.pin_lam) > 1e-12:
+        pin_lam, pin_mu = self.pinned_weights(lam, mu)
+        if abs(lam - pin_lam) > 1e-12:
             return f"{self.pid} pins lambda = {self.pin_lam}"
-        if self.pin_mu == "lam":
-            if abs(mu - lam) > 1e-12:
-                return f"{self.pid} pins mu = lambda"
-        elif self.pin_mu is not None and abs(mu - self.pin_mu) > 1e-12:
-            return f"{self.pid} pins mu = {self.pin_mu}"
+        if abs(mu - pin_mu) > 1e-12:
+            return f"{self.pid} pins mu = {'lambda' if self.pin_mu == 'lam' else self.pin_mu}"
         return ""
 
     def branch_mismatch(self, s: float, q: float) -> str:
@@ -648,8 +643,8 @@ VERBATIM_DISPLAYS: dict[str, PresetSpec] = {
         pid: replace(PRESETS[pid], display=display, note="as-printed variant")
         for pid, display in [
             ("C33_s1_q1", _d_c33_s1_q1_verbatim),
-            ("C32x_lambda_mu_tier2", _d_c32x_lambda_mu_tier2_verbatim),
-            ("C32x_s1_tier1", _d_c32x_s1_tier1_verbatim),
+            ("C32x_lambda_mu_tier2", partial(_d_c32x_lambda_mu_tier2, verbatim=True)),
+            ("C32x_s1_tier1", partial(_d_c32x_s1_tier1, verbatim=True)),
             ("C33x_s1_q1", _d_c33x_s1_q1_verbatim),
         ]
     },
@@ -661,11 +656,12 @@ def eval_preset(pid: str, f: FunctionSpec, p: BoundParams, tol: float = DEFAULT_
 
     Raises PresetMismatchError when p contradicts the preset's pinned values.
     """
+    # `tol` is unused, since the lhs is exact; perfbench/checks.py still passes it.
     if pid not in PRESETS:
         raise PresetMismatchError(f"unknown preset {pid!r}")
     spec = PRESETS[pid]
     spec.validate(p)
-    lhs = abs(hh_lhs(f, p.a, p.b, *deviation_weights(spec.parent, p.lam, p.mu), tol))
+    lhs = abs(hh_lhs(f, p.a, p.b, *deviation_weights(spec.parent, p.lam, p.mu)))
     qa, qb, qm = derivative_values(f, p.a, p.b, p.q)
     bound = spec.display(p.a, p.b, p.lam, p.mu, p.s, p.q, qa, qb, qm)
     if not math.isfinite(bound):

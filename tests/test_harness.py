@@ -1,5 +1,6 @@
 import collections
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -16,7 +17,7 @@ from hhverify.functions import canonical_id, from_id, parse_id
 from hhverify.harness import CASE_KEYS, MEAN_KEYS, Report, SuiteConfig, erratum_scan, run_suite
 from hhverify.identity import BoundParams
 from hhverify.means import MEAN_THEOREMS, MeanParams, eval_mean_bound
-from hhverify.presets import PRESETS, eval_preset
+from hhverify.presets import PRESETS, PresetSpec, eval_preset
 
 
 def paired_x2_config():
@@ -724,6 +725,29 @@ def test_each_case_is_one_call_per_family_and_branch(monkeypatch):
                     expected[case, s, q] = len(cfg.families)
     assert calls == expected
     assert report.record_count > 30 * sum(calls.values())
+
+
+def test_each_preset_is_one_display_call_per_family_and_branch(monkeypatch):
+    # A preset's rows are one block per (family, s, q): its weight pins are
+    # matched as a mask over the columns, never row by row.
+    calls = collections.Counter()
+    cfg = seeded_draws_config()
+    for pid in cfg.presets:
+        def counted(*args, pid=pid, display=PRESETS[pid].display):
+            calls[pid, args[4], args[5]] += 1
+            return display(*args)
+
+        monkeypatch.setitem(PRESETS, pid, dataclasses.replace(PRESETS[pid], display=counted))
+    monkeypatch.setattr(PresetSpec, "weight_mismatch", None)
+    report = run_suite(cfg)
+    expected = collections.Counter()
+    for pid in cfg.presets:
+        for s in cfg.s_values:
+            for q in cfg.q_values:
+                if not PRESETS[pid].branch_mismatch(s, q):
+                    expected[pid, s, q] = len(cfg.families)
+    assert calls == expected
+    assert sum(report.summary[pid]["count"] for pid in cfg.presets) > 3 * sum(calls.values())
 
 
 def test_sweep_mean_rows_match_the_scalar_path():

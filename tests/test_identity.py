@@ -54,26 +54,37 @@ def test_lhs_is_affine_in_f():
         "combo", 0.0, 1.0,
         lambda x: alpha * f.eval(x) + beta * g.eval(x),
         lambda x: alpha * f.deriv(x) + beta * g.deriv(x),
+        lambda lo, hi: alpha * f.mean(lo, hi) + beta * g.mean(lo, hi),
     )
-    # combo carries no closed-form mean, so its lhs takes the quadrature fallback.
-    tol = 1e-12
-    lhs_combo = hh_lhs(combo, 0, 1, 0.25, 0.6, tol)
+    # Every mean is exact, so the two sides differ only by rounding.
+    lhs_combo = hh_lhs(combo, 0, 1, 0.25, 0.6)
     lhs_parts = alpha * hh_lhs(f, 0, 1, 0.25, 0.6) + beta * hh_lhs(g, 0, 1, 0.25, 0.6)
-    assert abs(lhs_combo - lhs_parts) <= 2.0 * tol * (1.0 + abs(lhs_combo))
+    assert abs(lhs_combo - lhs_parts) <= 1e-14 * (1.0 + abs(lhs_combo))
 
 
 def test_reflection_preserves_abs_lhs():
     f = make_power(3, 1, 2)
     a, b = 1.0, 2.0
+    # Reflection keeps the mean over [a, b].
     reflected = FunctionSpec(
         "reflected", a, b,
         lambda x: f.eval(a + b - x),
         lambda x: -f.deriv(a + b - x),
+        f.mean,
     )
-    tol = 1e-12
     direct = hh_lhs(f, a, b, 0.2, 0.9)
-    mirrored = hh_lhs(reflected, a, b, 0.9, 0.2, tol)
-    assert abs(abs(direct) - abs(mirrored)) <= 2.0 * tol * (1.0 + abs(direct))
+    mirrored = hh_lhs(reflected, a, b, 0.9, 0.2)
+    assert abs(abs(direct) - abs(mirrored)) <= 1e-14 * (1.0 + abs(direct))
+
+
+def test_a_spec_without_a_mean_is_refused():
+    # The lhs has no quadrature fallback: a spec built without a closed-form
+    # mean is refused by name, on every interval, rather than integrated.
+    f = make_power(2, 0, 1)
+    meanless = FunctionSpec("meanless", 0.0, 1.0, f.eval, f.deriv)
+    for a, b in ((0.0, 1.0), (0.5, 0.5)):
+        with pytest.raises(WrongBranchError, match="meanless carries no closed-form mean"):
+            hh_lhs(meanless, a, b, 0.5, 0.5)
 
 
 def test_degenerate_interval_returns_zero():

@@ -91,6 +91,44 @@ def test_validate_is_the_weight_and_order_halves():
                             spec.validate(p)
     assert PRESETS["C35_half"].weight_mismatch(0.4, 0.5) == "C35_half pins lambda = 0.5"
     assert PRESETS["E112"].branch_mismatch(-0.5, 1.0) == "E112 needs s in [1e-12, 1]"
+    # The sweep takes the weight half on arrays, as a mask; it must admit
+    # exactly the rows weight_mismatch admits, pins met to within 1e-12 too.
+    pairs = [(lam, mu) for lam in LAMS for mu in (lam, 0.0, 1.0, 0.5)]
+    pairs += [(0.5 + 5e-13, 0.5 - 5e-13), (0.5 + 2e-12, 0.5), (1.0 / 3.0, 1.0 / 3.0 + 2e-12)]
+    lam, mu = np.array(pairs).T
+    for spec in PRESETS.values():
+        assert spec.weights_match(lam, mu).tolist() == [not spec.weight_mismatch(l, m) for l, m in pairs], spec.pid
+
+
+ARRAY_QS = [1.0, 1.0 + 1e-6, 1.5, 2.0, 4.0]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [*PRESETS.values(), *VERBATIM_DISPLAYS.values()],
+    ids=[*PRESETS, *(f"{key}-verbatim" for key in VERBATIM_DISPLAYS)],
+)
+def test_display_on_arrays_has_the_bits_of_its_float_calls(spec):
+    # The sweep calls each display once over a block of rows; every entry
+    # must have the bits the float call for its row gives.  Seeded rows at
+    # the spec's weight pins, with λ and μ at 0 and 1 and zero samples among
+    # them, at every (s, q) the pins admit.
+    rng = np.random.default_rng(7)
+    n = 64
+    a = rng.uniform(0.05, 2.0, n)
+    b = a + rng.uniform(0.1, 3.0, n)
+    lam, mu = rng.uniform(size=(2, n))
+    lam[:4], mu[:4] = [0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 1.0, 1.0]
+    lam, mu = np.broadcast_arrays(*spec.pinned_weights(lam, mu), lam)[:2]
+    qa, qb, qm = rng.uniform(0.0, 4.0, size=(3, n))
+    qa[4:6], qb[5:7], qm[6:8] = 0.0, 0.0, 0.0
+    rows = list(zip(*(c.tolist() for c in (a, b, lam, mu, qa, qb, qm))))
+    admitted = [(s, q) for s in SVALS + [-1.0] for q in ARRAY_QS if not spec.branch_mismatch(s, q)]
+    assert admitted
+    for s, q in admitted:
+        got = spec.display(a, b, lam, mu, s, q, qa, qb, qm)
+        want = [spec.display(*r[:4], s, q, *r[4:]) for r in rows]
+        assert got.tobytes() == np.array(want, dtype=np.float64).tobytes(), (s, q)
 
 
 def test_e19_equals_trapezoid_preset():
