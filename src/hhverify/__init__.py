@@ -14,7 +14,6 @@ from .functions import (
 from .quadrature import QuadResult, integrate, mean_integral
 from .moments import (
     MomentSpec,
-    holder_weight_integral,
     moment_case,
     moment_general,
     moment_harmonic,

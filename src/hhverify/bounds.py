@@ -17,12 +17,12 @@ falsifiable and is `presets.VERBATIM_DISPLAYS["T33_q1"]`, which the
 erratum scan compares with this case.  T34_q1 ships as printed, because
 its spot values are pinned that way; the validity sweep exposes its defect.
 
-a, b, λ, μ and the derivative samples may be float64 arrays, one entry per
-row (s and q stay floats).  Every power of a per-row value then goes
-through `moments.power`, libm's pow on each element, and the arithmetic
-runs in the float call's order, so each entry has the bits of the float
-call for its row.  x·1.0 and x^1 are exact, so a weight, factor or power
-of 1 in the bracket changes no bit.
+a, b, λ, μ, s, q and the derivative samples may be float64 arrays, one
+entry per row (case rows pass s and q as floats, mean rows as columns).
+Every power goes through `moments.power`, libm's pow on each element, and
+the arithmetic runs in the float call's order, so each entry has the bits
+of the float call for its row.  x·1.0 and x^1 are exact, so a weight,
+factor or power of 1 in the bracket changes no bit.
 
 A case row has one builder, `harness.add_interval_rows`: the sweep and
 the CLI's `bound` command both call it, and it makes one array call per
@@ -113,19 +113,20 @@ class BoundResult:
 
 def midpoint_envelope(s: float, qa: float, qb: float) -> float:
     """Bound on |f'(m)|^q from the endpoint values: 2^(-s) (A + B)."""
-    return 2.0 ** (-s) * (qa + qb)
+    return power(2.0, -s) * (qa + qb)
 
 
-# Kernel steps: (λ, μ, q, pw) -> (K_λ, K_μ, p), the weights of the two
-# envelope blocks and the power the blocks are raised to.  The weights are
+# Kernel steps: (λ, μ, q) -> (K_λ, K_μ, p), the weights of the two envelope
+# blocks and the power the blocks are raised to.  The weights are
 # (∫|K|)^(1-1/q) for "power-mean", the conjugate-exponent norm
 # (∫|K|^(q/(q-1)))^(1-1/q) from `moments.holder_norm` for "holder", ∫|K|
 # for "product" (q = 1) and 1 for "harmonic" (s = -1).
 KERNEL_STEPS = {
-    "power-mean": lambda lam, mu, q, pw: (pw(kernel_mass(lam), 1.0 - 1.0 / q), pw(kernel_mass(mu), 1.0 - 1.0 / q), 1.0 / q),
-    "holder": lambda lam, mu, q, pw: (holder_norm(1.0 - lam, q), holder_norm(mu, q), 1.0 / q),
-    "product": lambda lam, mu, q, pw: (kernel_mass(lam), kernel_mass(mu), 1.0),
-    "harmonic": lambda lam, mu, q, pw: (1.0, 1.0, 1.0 / q),
+    "power-mean": lambda lam, mu, q: (power(kernel_mass(lam), 1.0 - 1.0 / q), power(kernel_mass(mu), 1.0 - 1.0 / q),
+                                      1.0 / q),
+    "holder": lambda lam, mu, q: (holder_norm(1.0 - lam, q), holder_norm(mu, q), 1.0 / q),
+    "product": lambda lam, mu, q: (kernel_mass(lam), kernel_mass(mu), 1.0),
+    "harmonic": lambda lam, mu, q: (1.0, 1.0, 1.0 / q),
 }
 
 
@@ -167,7 +168,7 @@ def _pair(weight):
 
 
 def _inv_s1(s, q):
-    return (1.0 / (s + 1.0)) ** (1.0 / q)
+    return power(1.0 / (s + 1.0), 1.0 / q)
 
 
 @dataclass(frozen=True)
@@ -181,28 +182,28 @@ class CaseRow:
     note: str
 
 
-_T33 = _pair(lambda s: 2.0 ** (s + 1.0) - 1.0)
-_T34 = _pair(lambda s: 2.0**s + 1.0)
+_T33 = _pair(lambda s: power(2.0, s + 1.0) - 1.0)
+_T34 = _pair(lambda s: power(2.0, s) + 1.0)
 _R = CaseRow
 CASES = {
-    BoundCase.T31_general: _R("", "power-mean", _whole, lambda s, q: (2.0 ** (s / q + 2.0), 1.0),
+    BoundCase.T31_general: _R("", "power-mean", _whole, lambda s, q: (power(2.0, s / q + 2.0), 1.0),
                               "general-s display via moment closed forms"),
     BoundCase.T31_s_minus1: _R("", "harmonic", _pair(lambda s: TWO_LN2_MINUS_1),
-                               lambda s, q: (2.0 ** (3.0 - 2.0 / q), 1.0), "s=-1 harmonic display"),
+                               lambda s, q: (power(2.0, 3.0 - 2.0 / q), 1.0), "s=-1 harmonic display"),
     BoundCase.T32_tier1: _R("", "power-mean", _split, lambda s, q: (4.0, 1.0), "tier1 moment display"),
     BoundCase.T32_tier2: _R("", "power-mean", _split_midpoint, lambda s, q: (4.0, 1.0),
                             "tier2 = tier1 with midpoint envelope (mechanical)"),
-    BoundCase.T33_q1: _R("1", "product", _T33, lambda s, q: (2.0 ** (s + 1.0) * (s + 1.0), 1.0),
+    BoundCase.T33_q1: _R("1", "product", _T33, lambda s, q: (power(2.0, s + 1.0) * (s + 1.0), 1.0),
                          "q=1 product display, corrected prefactor 2^(s+1)"),
-    BoundCase.T33_qgt1: _R(">1", "holder", _T33, lambda s, q: (2.0 ** (s / q + 2.0), _inv_s1(s, q)),
+    BoundCase.T33_qgt1: _R(">1", "holder", _T33, lambda s, q: (power(2.0, s / q + 2.0), _inv_s1(s, q)),
                            "conjugate-exponent display"),
     BoundCase.T34_q1_tier1: _R("1", "product", _halves, lambda s, q: (4.0 * (s + 1.0), 1.0),
                                "q=1 product display as printed (known-defective)"),
-    BoundCase.T34_q1_tier2: _R("1", "product", _T34, lambda s, q: (2.0 ** (s + 2.0) * (s + 1.0), 1.0),
+    BoundCase.T34_q1_tier2: _R("1", "product", _T34, lambda s, q: (power(2.0, s + 2.0) * (s + 1.0), 1.0),
                                "q=1 tier2 via midpoint envelope (known-defective tier1)"),
     BoundCase.T34_qgt1_tier1: _R(">1", "holder", _halves, lambda s, q: (4.0, _inv_s1(s, q)),
                                  "conjugate-exponent tier1 display"),
-    BoundCase.T34_qgt1_tier2: _R(">1", "holder", _T34, lambda s, q: (2.0 ** (s / q + 2.0), _inv_s1(s, q)),
+    BoundCase.T34_qgt1_tier2: _R(">1", "holder", _T34, lambda s, q: (power(2.0, s / q + 2.0), _inv_s1(s, q)),
                                  "conjugate-exponent tier2 via midpoint envelope"),
 }
 
@@ -269,14 +270,11 @@ def case_bound_from_values(
 def case_formula(case: BoundCase, a, b, lam, mu, s, q, qa, qb, qm) -> tuple[float, str]:
     """`case_bound_from_values` without its branch check, for a caller that
     settles the branch itself (the mean theorems, whose order may pass it)."""
-    # Every base of a power is built from lam, mu and the samples; when they
-    # are all floats, the builtin pow (x ** y) spares `power`'s call.
-    pw = pow if type(lam) is type(mu) is type(qa) is type(qb) is type(qm) is float else power
     row = CASES[case]
-    k_lam, k_mu, p = KERNEL_STEPS[row.step](lam, mu, q, pw)
+    k_lam, k_mu, p = KERNEL_STEPS[row.step](lam, mu, q)
     left, right = row.envelope(lam, mu, s, qa, qb, qm)
     divisor, factor = row.scale(s, q)
-    return (b - a) / divisor * factor * (k_lam * pw(left, p) + k_mu * pw(right, p)), row.note
+    return (b - a) / divisor * factor * (k_lam * power(left, p) + k_mu * power(right, p)), row.note
 
 
 def nonfinite_bound(name: str, fid: str, a: float, b: float) -> FunctionDomainError:

@@ -6,16 +6,16 @@ row.  `Report.records` and `Report.violations` are views built from the
 columns on demand; the report writer reads the columns directly and writes
 the same bytes `json.dumps(indent=2)` or `csv.writer` would.  `Report` is
 the one place that knows what a record looks like, and `Report.add` the
-one way a row enters it, one row at a time or a block of rows as columns.
-Each row kind has one builder, which `run_suite` and the CLI's single-row
-commands both call: `add_interval_rows` (case and preset rows) and
-`add_mean_rows`.  `add_interval_rows` evaluates each case, and each preset
-over the rows its weight pins admit, once per (s, q) branch over the
-columns of every interval and weight pair of a family, since the case
-formulas and the preset displays take float64 arrays and give each entry
-the bits the float call for that row would (`moments.libm`); mean rows are
-built one at a time.  Every row's lhs comes from `identity.hh_lhs` over
-the function's exact mean, so no sweep row runs a quadrature.
+one way rows enter it, as a block of columns.  Each row kind has one
+builder, which `run_suite` and the CLI's single-row commands both call:
+`add_interval_rows` (case and preset rows) evaluates each case, and each
+preset over the rows its weight pins admit, once per (s, q) branch over the
+columns of every interval and weight pair of a family; `add_mean_rows`
+each theorem once over the columns, s and q among them, of every tuple it
+admits.  The formulas take float64 arrays and give each entry the bits the
+float call for that row would (`moments.libm`).  Every row's lhs comes
+from `identity.hh_lhs` over the function's exact mean, so no sweep row
+runs a quadrature.
 `eval_case`, `eval_preset` and `eval_mean_bound` are the scalar reference
 the tests compare the builders with; they call the same `hh_lhs`.
 A row's `family` is the `fid` of the `FunctionSpec` it evaluated: the
@@ -320,30 +320,21 @@ class Report:
         certified: str | list[str],
         branch_notes: str | list[str],
     ) -> None:
-        """Append one row, or a block of rows given as columns.
+        """Append a block of rows given as columns.
 
         params is (a, b, lambda, mu, s, q); a param the record does not
         show (mu on a mean row) is passed as 0.0, which is where it sorts.
-        A float bound appends one row.  A float64 array bound appends one
-        row per entry, and every float given as a float (s and q, say) is
-        repeated down the block.  Each label (family, case, preset,
-        certified, branch_notes) is one value for every row, or a list
-        with one entry per row.
+        The block has one row per entry of the float64 array bound, and
+        every value given as a float (s and q, say) is repeated down it; a
+        float bound is a block of one row.  Each label (family, case,
+        preset, certified, branch_notes) is one value for every row, or a
+        list with one entry per row.
         """
-        if not isinstance(bound, np.ndarray):
-            self._floats.extend(params)
-            self._floats.extend((lhs, bound, bound - lhs))
-            self._family.append(family)
-            self._case.append(case)
-            self._preset.append(preset)
-            self._certified.append(certified)
-            self._notes.append(branch_notes)
-            return
-        columns = np.broadcast_arrays(*params, lhs, bound, bound - lhs)
-        self._floats.frombytes(np.column_stack(columns).reshape(-1).view(np.uint8))
+        rows = np.column_stack(np.broadcast_arrays(*params, lhs, bound, bound - lhs))
+        self._floats.frombytes(rows.reshape(-1).view(np.uint8))
         labels = (family, case, preset, certified, branch_notes)
         for column, label in zip(self._label_columns, labels):
-            column.extend(label if isinstance(label, list) else itertools.repeat(label, len(bound)))
+            column.extend(label if isinstance(label, list) else itertools.repeat(label, len(rows)))
 
     def _labels(self) -> dict[str, list]:
         return dict(zip(("family", "case", "preset", "certified", "branch_notes"), self._label_columns))
@@ -581,13 +572,11 @@ def _bound_intervals(cfg: SuiteConfig) -> dict[tuple[float, float], list[tuple[f
                 for mu in cfg.mu_values or (lam,):
                     pairs.append((lam, mu))
     if cfg.draws > 0:
-        rng = np.random.default_rng(cfg.seed)
-        for _ in range(cfg.draws):
-            a = rng.uniform(*cfg.a_range)
-            b = a + rng.uniform(*cfg.width_range)
-            lam = rng.uniform()
-            mu = rng.uniform()
-            intervals.setdefault((float(a), float(b)), []).append((float(lam), float(mu)))
+        # Row (a, width, lam, mu) per draw: the values four rng.uniform(lo, hi) calls give.
+        lo, hi = np.array([cfg.a_range, cfg.width_range, (0.0, 1.0), (0.0, 1.0)]).T
+        a, width, lam, mu = (lo + (hi - lo) * np.random.default_rng(cfg.seed).random((cfg.draws, 4))).T
+        for a, b, lam, mu in zip(a.tolist(), (a + width).tolist(), lam.tolist(), mu.tolist()):
+            intervals.setdefault((a, b), []).append((lam, mu))
     return intervals
 
 
@@ -627,9 +616,9 @@ def add_interval_rows(
     its (lambda, mu) weight pairs, and each (interval, pair) is a row.  A
     branch is (s, q, cases, presets), settled on (s, q) by the caller.  The
     lhs does not depend on (s, q), so it is two `hh_lhs` columns shared by
-    every branch: one at the rows' weights, and one at (0, 0) for the
-    `MIDPOINT_CASES`.  |f'|^q is computed once per interval and q, the
-    certificate once per interval and (s, q).
+    every branch: one at the rows' weights, and, when a branch admits one
+    of the `MIDPOINT_CASES`, one at (0, 0) for it.  |f'|^q is computed once
+    per interval and q, the certificate once per interval and (s, q).
 
     Case and preset rows take one block path.  Per branch, each case is one
     `case_bound_from_values` call over the columns of every row, and each
@@ -642,12 +631,14 @@ def add_interval_rows(
     error of each is returned.
     """
     q_values = dict.fromkeys(q for _, q, _, _ in branches)
+    midpoint = any(c in MIDPOINT_CASES for _, _, cases, specs in branches for c in (*cases, *(p.parent for p in specs)))
     kept, values, errors = [], [], []
     lhs_at: dict[bool, list[float]] = {False: [], True: []}  # keyed by `case in MIDPOINT_CASES`
     for f, pairs in intervals:
         try:
+            # Reads f at a, b and (a+b)/2 and its mean, as the (0, 0) lhs would.
             lhs = [abs(hh_lhs(f, f.lo, f.hi, l, m)) for l, m in pairs]
-            mid = abs(hh_lhs(f, f.lo, f.hi, 0.0, 0.0))
+            mid = abs(hh_lhs(f, f.lo, f.hi, 0.0, 0.0)) if midpoint else math.nan
             values.append({q: derivative_values(f, f.lo, f.hi, q) for q in q_values})
         except HHVerifyError as exc:
             errors.append(exc)
@@ -696,15 +687,17 @@ def add_mean_rows(
 
     f = x^s (whose id labels the rows), its lhs from `hh_lhs` at μ = λ,
     |f'|^q at a, b and the midpoint, and the analytic order of |f'|^q are
-    shared by every theorem of a tuple.  A tuple where x^s cannot be built
-    (a = b) or evaluated (an overflow) adds no rows, and a row whose bound
-    is not finite is left out; the error of each is returned.
+    computed once per tuple and shared by every theorem.  Each theorem is
+    then one `MeanSpec.bound` call and one `Report.add` over the columns of
+    the tuples it admits.  A tuple where x^s cannot be built (a = b) or
+    evaluated (an overflow) adds no rows, and a row whose bound is not
+    finite is left out; the error of each is returned.
     """
     specs = [MEAN_SPECS[theorem] for theorem in theorems]
-    add = report.add
-    errors = []
+    admits = [[] for _ in specs]  # the tuples (indices into columns) each theorem admits
+    columns, families, errors = [], [], []
     for a, b, s, q, lam in tuples:
-        admitted = [spec for spec in specs if not spec.branch_mismatch(s, q)]
+        admitted = [rows for spec, rows in zip(specs, admits) if not spec.branch_mismatch(s, q)]
         if not admitted:
             continue
         try:
@@ -714,13 +707,23 @@ def add_mean_rows(
         except HHVerifyError as exc:
             errors.append(exc)
             continue
-        order = analytic_order("pow", s, a, q)
-        for spec in admitted:
-            bound, note = spec.bound(a, b, s, q, lam, *values)
-            if not math.isfinite(bound):
-                errors.append(nonfinite_bound(spec.theorem, f.fid, a, b))
-                continue
-            add(f.fid, spec.theorem, None, (a, b, lam, 0.0, s, q), lhs, bound, spec.certificate(s, order), note)
+        for rows in admitted:
+            rows.append(len(columns))
+        families.append(f.fid)
+        # An analytic order of None (no order) reads NaN in its column.
+        columns.append((a, b, s, q, lam, *values, lhs, analytic_order("pow", s, a, q)))
+    a, b, s, q, lam, qa, qb, qm, lhs, order = np.array(columns, dtype=np.float64).reshape(len(columns), 10).T
+    for spec, rows in zip(specs, map(np.array, admits)):
+        if not rows.size:
+            continue
+        with np.errstate(over="ignore"):  # an overflowed bound is refused below
+            bound, notes = spec.bound(a[rows], b[rows], s[rows], q[rows], lam[rows], qa[rows], qb[rows], qm[rows])
+        ok = np.isfinite(bound)  # a bound that is not finite would read "holds"
+        errors += [nonfinite_bound(spec.theorem, families[i], *columns[i][:2]) for i in rows[~ok].tolist()]
+        rows = rows[ok]
+        report.add([families[i] for i in rows.tolist()], spec.theorem, None,
+                   (a[rows], b[rows], lam[rows], 0.0, s[rows], q[rows]), lhs[rows], bound[ok],
+                   spec.certificate(s[rows], order[rows]), np.array(notes)[ok].tolist())
     return errors
 
 
@@ -817,35 +820,33 @@ def _scan_item(item: str, kind: str, deviation: float, note: str = "") -> dict:
 
 
 def _max_gap(pairs, one_sided: bool = False) -> float:
-    """Max of (shown vs derived) / (1 + |derived|) over (shown, derived) pairs.
+    """Max of (shown vs derived) / (1 + |derived|) over (shown, derived) pairs of floats or columns.
 
     Two-sided measures |shown - derived|; one-sided only how far shown
     falls below derived (a weakening must dominate its parent).
     """
-    worst = 0.0
+    gaps = [0.0]
     for shown, derived in pairs:
         gap = derived - shown if one_sided else abs(shown - derived)
-        worst = max(worst, gap / (1.0 + abs(derived)))
-    return worst
+        gaps += np.atleast_1d(gap / (1.0 + abs(derived))).tolist()
+    return max(gaps)
 
 
 def _moment_pairs(case: tuple[float, float], verbatim: bool = False):
-    """(special-case display, general closed form) over the (ξ, s) grid."""
-    for xi in _SCAN_XI:
-        for s in _SCAN_S:
-            general = moment_general(MomentSpec(xi, case[0], case[1], s))
-            yield moment_case(case, xi, s, verbatim=verbatim), general
+    """(special-case display, general closed form) ξ columns of the (ξ, s) grid, per s."""
+    for s in _SCAN_S:
+        general = [moment_general(MomentSpec(xi, case[0], case[1], s)) for xi in _SCAN_XI]
+        yield moment_case(case, np.array(_SCAN_XI), s, verbatim=verbatim), np.array(general)
 
 
 def _display_pairs(spec: PresetSpec, s_list, q_list):
-    """(display, parent case) values on [0, 1] over the spec's pinned grid."""
+    """(display, parent case) columns on [0, 1] over the spec's pinned grid, per (s, q)."""
     weights = dict.fromkeys(spec.pinned_weights(lam, mu) for lam in _SCAN_LAM for mu in _SCAN_LAM)
+    lam, mu, qa, qb, qm = np.array([(*w, *samples) for w in weights for samples in _SCAN_SYNTH], dtype=np.float64).T
     for s in s_list:
         for q in q_list:
-            for lam, mu in weights:
-                for qa, qb, qm in _SCAN_SYNTH:
-                    derived, _ = case_bound_from_values(spec.parent, 0.0, 1.0, lam, mu, s, q, qa, qb, qm)
-                    yield spec.display(0.0, 1.0, lam, mu, s, q, qa, qb, qm), derived
+            derived, _ = case_bound_from_values(spec.parent, 0.0, 1.0, lam, mu, s, q, qa, qb, qm)
+            yield spec.display(0.0, 1.0, lam, mu, s, q, qa, qb, qm), derived
 
 
 def erratum_scan() -> Report:

@@ -16,12 +16,14 @@ otherwise `unchecked`; nothing is sampled.  A row at s' = s > 1 lies past
 its parent's s' <= 1 branch: it is evaluated but `unchecked`, and that is
 where the violations T43_q1 and T44_q1 inherit from their parents lie.
 A mean row has one builder, `harness.add_mean_rows`, which the sweep and
-the CLI's `means` command both call; `eval_mean_bound`, the scalar
-reference, takes its steps for one tuple: `MeanSpec.branch_mismatch`, f =
-x^s built once by `functions.make_power` (its id labels the row), the lhs
-from `identity.hh_lhs` on f (the routine case and preset rows use),
-|f'|^q from `bounds.derivative_values`, `MeanSpec.bound` (refused when not
-finite) and `MeanSpec.certificate`.  `MeanParams` needs 0 < a < b.
+the CLI's `means` command both call: one `MeanSpec.bound` call per theorem
+over the float64 columns, s and q among them, of every tuple it admits.
+`eval_mean_bound`, the scalar reference, takes its steps for one tuple:
+`MeanSpec.branch_mismatch`, f = x^s built once by `functions.make_power`
+(its id labels the row), the lhs from `identity.hh_lhs` on f (the routine
+case and preset rows use), |f'|^q from `bounds.derivative_values`,
+`MeanSpec.bound` (refused when not finite) and `MeanSpec.certificate`.
+`MeanParams` needs 0 < a < b.
 """
 
 from __future__ import annotations
@@ -30,12 +32,14 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .bounds import (BoundCase, BoundResult, Q_BRANCH_EPS, branch_mismatch, case_formula, derivative_values,
                      nonfinite_bound)
 from .errors import FunctionDomainError, WrongBranchError
 from .functions import analytic_order, make_power, power_rule_holds
 from .identity import hh_lhs
-from .moments import holder_norm
+from .moments import holder_norm, power
 from .presets import VERBATIM_DISPLAYS, Display
 
 __all__ = [
@@ -99,13 +103,13 @@ def _case_display(case: BoundCase) -> Display:
 
 def _d_t43_qgt1(a, b, lam, mu, s, q, qa, qb, qm):
     # As printed; no case has this weight and these prefactors together.
-    w = 2.0**s - 1.0
+    w = power(2.0, s) - 1.0
     return (
         (b - a)
-        / 2.0 ** (s / q + 2.0)
-        * (1.0 / (s + 1.0)) ** (1.0 / q)
+        / power(2.0, s / q + 2.0)
+        * power(1.0 / (s + 1.0), 1.0 / q)
         * holder_norm(lam, q)
-        * ((w * qa + qb) ** (1.0 / q) + (qa + w * qb) ** (1.0 / q))
+        * (power(w * qa + qb, 1.0 / q) + power(qa + w * qb, 1.0 / q))
     )
 
 
@@ -125,10 +129,6 @@ class MeanSpec:
     note: str
     power_rule: bool = False
 
-    def outside_parent(self, s: float) -> bool:
-        """True when the order s' lies past the parent's s' <= 1 branch."""
-        return self.parent is not None and s + self.s_shift > 1.0
-
     def branch_mismatch(self, s: float, q: float) -> str:
         """Why (s, q) lie off the theorem's branch, or "" when they lie on it."""
         if not 0.0 < s <= 2.0:
@@ -143,18 +143,20 @@ class MeanSpec:
             problem = f"{self.theorem} needs -1 < (s-1)q <= 1, got (s-1)q={(s - 1.0) * q!r}"
         return problem
 
-    def bound(self, a, b, s, q, lam, qa, qb, qm) -> tuple[float, str]:
-        """(bound, note) on [a, b] at (s, q, λ) from |f'|^q at a, b and m."""
+    def bound(self, a, b, s, q, lam, qa, qb, qm) -> tuple:
+        """(bound, note) on [a, b] at (s, q, λ) from |f'|^q at a, b and m,
+        floats or columns; the note says where s' passes the parent's branch."""
         bound = self.display(a, b, lam, lam, s + self.s_shift, q, qa, qb, qm)
-        if self.outside_parent(s):
-            return bound, f"{self.note}; parent {self.parent.value} at s' = s > 1 is outside its branch"
-        return bound, self.note
+        past = f"{self.note}; parent {self.parent and self.parent.value} at s' = s > 1 is outside its branch"
+        return bound, np.where((s + self.s_shift > 1.0) & (self.parent is not None), past, self.note).tolist()
 
-    def certificate(self, s: float, order: Optional[float]) -> str:
-        """`certified-analytic` when `order`, the `analytic_order` of |f'|^q,
-        reaches the theorem's order s + cert_shift, else `unchecked`."""
+    def certificate(self, s, order):
+        """`certified-analytic` where `order`, the `analytic_order` of |f'|^q
+        (None or NaN where it has none), reaches the theorem's order
+        s + cert_shift, else `unchecked`."""
         # No slack needed: s + cert_shift is the same float as the power rule's p - 1 at p = s.
-        return "certified-analytic" if order is not None and s + self.cert_shift <= order else "unchecked"
+        reached = s + self.cert_shift <= np.asarray(order, dtype=np.float64)
+        return np.where(reached, "certified-analytic", "unchecked").tolist()
 
 
 _M = MeanSpec

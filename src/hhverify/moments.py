@@ -9,15 +9,15 @@ general formula — and the verbatim transcription stays available behind a
 flag so the erratum scan can measure the discrepancy.
 
 `holder_norm` is the kernel's conjugate-exponent norm, the weight of every
-q > 1 Hölder display.  It, `kernel_mass`, `moment_case` and
-`holder_weight_integral` take ξ as a float or as a float64 array, one
-entry per row (s and q stay floats), so a sweep evaluates a whole block of
-rows in one call.  Each formula is written once for both: its arithmetic
-runs in the same order on a float as on every element of an array, and on
-an array every power of a per-row value goes through `power`, which maps
-the platform libm's pow over it element by element; on a float it is the
-float power itself, and powers of s and q alone are always floats.
-numpy's own power is a vectorised approximation that differs from libm in
+q > 1 Hölder display.  It, `kernel_mass` and `moment_case` take ξ, and
+`holder_norm` and `moment_case` take q and s, as floats or as float64
+arrays, one entry per row, so a sweep evaluates a whole block of rows in
+one call; an s or q too close to its pole is refused for the first row
+that has one.  Each formula is written once for both: its arithmetic runs
+in the same order on a float as on every element of an array, and every
+power goes through `power`, which maps the platform libm's pow over the
+broadcast base and exponent element by element; on floats it is the float
+power itself.  numpy's own power is a vectorised approximation that differs from libm in
 the last bit on a few percent of inputs (even x**2 and x**0.5 take their
 own fast paths), so only this keeps each array element bit-identical to the
 float the same row would give on its own.
@@ -48,7 +48,6 @@ __all__ = [
     "moment_case",
     "moment_harmonic",
     "moment_oracle",
-    "holder_weight_integral",
     "holder_norm",
     "libm",
     "power",
@@ -81,48 +80,42 @@ class MomentSpec:
             raise MomentParameterError(f"s must be >= -1, got {self.s!r}")
 
 
-def libm(fn, x, *args):
-    """fn(x, *args) for a float x; for a float64 array x, fn on each element
-    with the same float args, so each element has the bits the float gives."""
-    if not isinstance(x, np.ndarray):
-        return fn(x, *args)
-    values = map(fn, x.tolist(), *map(itertools.repeat, args))
-    return np.fromiter(values, np.float64, x.size).reshape(x.shape)
+def libm(fn, *args):
+    """fn(*args) for floats; where some arguments are float64 arrays (of one
+    shape), fn on each element with the floats repeated, so each element has
+    the bits the floats give."""
+    first = next((x for x in args if isinstance(x, np.ndarray)), None)
+    if first is None:
+        return fn(*args)
+    columns = (x.ravel().tolist() if isinstance(x, np.ndarray) else itertools.repeat(x) for x in args)
+    return np.fromiter(map(fn, *columns), np.float64, first.size).reshape(first.shape)
 
 
-def power(x, y: float):
-    """x ** y for a float x, or libm's pow on each element of an array x.
+def power(x, y):
+    """x ** y for floats, or libm's pow on each element where x or y is an array.
 
-    pow(x, 1) = x and pow(x, 0) = 1 exactly, so an array skips the calls
-    for those exponents (q = 1 gives both).
+    pow(x, 1) = x and pow(x, 0) = 1 exactly, so an array x skips the calls
+    for those float exponents (q = 1 gives both).
     """
-    if not isinstance(x, np.ndarray):
+    if not isinstance(x, np.ndarray) and not isinstance(y, np.ndarray):
         return x ** y
-    if y == 1.0:
-        return x
-    if y == 0.0:
-        return np.ones_like(x)
-    return libm(math.pow, x, y)
+    if isinstance(y, np.ndarray) or y not in (0.0, 1.0):
+        return libm(math.pow, x, y)
+    return x if y == 1.0 else np.ones_like(x)
+
+
+def _refuse(x, bad, error, message: str) -> None:
+    """Raise error(message) naming the first entry of x (a float or an
+    array) where bad holds, if there is one."""
+    first = x[bad(x)].tolist()[:1] if isinstance(x, np.ndarray) else [x] if bad(x) else []
+    if first:
+        raise error(message.format(first[0]))
 
 
 def _check_xi(xi) -> None:
     """Raise MomentParameterError naming the first ξ outside [0, 1]."""
-    if isinstance(xi, np.ndarray):
-        outside = ~((xi >= 0.0) & (xi <= 1.0))
-        if not outside.any():
-            return
-        xi = float(xi[outside][0])
-    elif 0.0 <= xi <= 1.0:
-        return
-    raise MomentParameterError(f"xi must lie in [0, 1], got {xi!r}")
-
-
-def _checked_pw(xi):
-    """`pow` for a float ξ in [0, 1], else `power` once ξ is checked."""
-    if isinstance(xi, float) and 0.0 <= xi <= 1.0:
-        return pow  # the float path of `power`, without its call
-    _check_xi(xi)
-    return power
+    # x != x holds for NaN alone, which lies outside too.
+    _refuse(xi, lambda x: (x < 0.0) | (x > 1.0) | (x != x), MomentParameterError, "xi must lie in [0, 1], got {!r}")
 
 
 def kernel_mass(xi: float) -> float:
@@ -149,33 +142,32 @@ def moment_general(m: MomentSpec) -> float:
 def moment_case(case: tuple[float, float], xi: float, s: float, verbatim: bool = False) -> float:
     """Special-case displays of `moment_general` for the four named (ω, η).
 
-    ξ is a float or a float64 array.  With ``verbatim=True`` the (-1, 2)
+    ξ and s are floats or float64 arrays.  With ``verbatim=True`` the (-1, 2)
     case reproduces the published bracket "(s+2)η" instead of the corrected
     "(s+2)ξ"; every other case is identical either way.  Must agree with
     `moment_general` (verbatim=False).
     """
-    pw = _checked_pw(xi)
-    if s < S_MIN:
-        raise MomentParameterError(f"s={s!r} too close to -1; use moment_harmonic")
+    _check_xi(xi)
+    _refuse(s, lambda s: s < S_MIN, MomentParameterError, "s={!r} too close to -1; use moment_harmonic")
     s2 = (s + 1.0) * (s + 2.0)
     key = tuple(case)  # (1, 0) == (1.0, 0.0)
     if key == (1.0, 0.0):
-        return (2.0 * pw(xi, s + 2.0) - (s + 2.0) * xi + s + 1.0) / s2
+        return (2.0 * power(xi, s + 2.0) - (s + 2.0) * xi + s + 1.0) / s2
     if key == (1.0, 1.0):
         return (
-            2.0 * pw(xi + 1.0, s + 2.0)
-            - ((s + 2.0) * xi - s) * 2.0 ** (s + 1.0)
+            2.0 * power(xi + 1.0, s + 2.0)
+            - ((s + 2.0) * xi - s) * power(2.0, s + 1.0)
             - (s + 2.0) * xi
             - 1.0
         ) / s2
     if key == (-1.0, 1.0):
-        return (2.0 * pw(1.0 - xi, s + 2.0) + (s + 2.0) * xi - 1.0) / s2
+        return (2.0 * power(1.0 - xi, s + 2.0) + (s + 2.0) * xi - 1.0) / s2
     if key == (-1.0, 2.0):
         # Corrected bracket is (s+2)ξ; the verbatim display prints (s+2)η with η = 2.
         last = (s + 2.0) * (2.0 if verbatim else xi)
         return (
-            2.0 * pw(2.0 - xi, s + 2.0)
-            + ((s + 2.0) * xi - 2.0) * 2.0 ** (s + 1.0)
+            2.0 * power(2.0 - xi, s + 2.0)
+            + ((s + 2.0) * xi - 2.0) * power(2.0, s + 1.0)
             + last
             - s
             - 3.0
@@ -242,36 +234,20 @@ def moment_oracle(
     return res.value
 
 
-def _holder_pw(xi, q: float):
-    """`_checked_pw(ξ)`, after refusing a q with no conjugate exponent."""
-    pw = _checked_pw(xi)
-    if q < 1.0 + Q_BRANCH_EPS:
-        raise HolderExponentError(f"q={q!r} too close to 1 for the conjugate exponent; use a q = 1 branch")
-    return pw
-
-
-def holder_weight_integral(xi: float, q: float) -> float:
-    """Closed form of ∫₀¹ |ξ - t|^(q/(q-1)) dt for q > 1, ξ a float or array.
-
-    Its bases lie in [0, 1], so the large exponent (2q-1)/(q-1) can only
-    underflow, to 0, never overflow.
-    """
-    pw = _holder_pw(xi, q)
-    r = (2.0 * q - 1.0) / (q - 1.0)
-    return (q - 1.0) / (2.0 * q - 1.0) * (pw(xi, r) + pw(1.0 - xi, r))
-
-
 def holder_norm(xi: float, q: float) -> float:
-    """(∫₀¹ |ξ - t|^(q/(q-1)) dt)^(1-1/q) for q > 1, ξ a float or array.
+    """(∫₀¹ |ξ - t|^(q/(q-1)) dt)^(1-1/q) for q > 1, ξ and q floats or arrays.
 
     With ρ = (q-1)/q, r = (2q-1)/(q-1), M = max(ξ, 1-ξ) and m = min(ξ, 1-ξ)
     it is ((q-1)/(2q-1))^ρ · M^((2q-1)/q) · (1 + (m/M)^r)^ρ, which tends to
     M as q -> 1; the integral itself underflows to 0 once q - 1 < ~1e-3.
     ρ is (q-1)/q because 1 - 1/q loses about 8 digits at q - 1 = 1e-8.
     """
-    pw = _holder_pw(xi, q)
+    _check_xi(xi)
+    _refuse(q, lambda q: q < 1.0 + Q_BRANCH_EPS, HolderExponentError,
+            "q={!r} too close to 1 for the conjugate exponent; use a q = 1 branch")
     hi, lo = (np.maximum, np.minimum) if isinstance(xi, np.ndarray) else (max, min)
     big, small = hi(xi, 1.0 - xi), lo(xi, 1.0 - xi)
     rho = (q - 1.0) / q
     r = (2.0 * q - 1.0) / (q - 1.0)
-    return ((q - 1.0) / (2.0 * q - 1.0)) ** rho * pw(big, (2.0 * q - 1.0) / q) * pw(1.0 + pw(small / big, r), rho)
+    return (power((q - 1.0) / (2.0 * q - 1.0), rho) * power(big, (2.0 * q - 1.0) / q)
+            * power(1.0 + power(small / big, r), rho))

@@ -8,10 +8,11 @@ value by design and only validity, not equality, can be checked.  Every
 q > 1 display takes its kernel norm from `moments.holder_norm`.
 
 Every display takes a, b, λ, μ and the |f'|^q samples as floats or as
-float64 arrays, one entry per row (s and q stay floats), as the case
-formulas in `bounds` do: every power of a per-row value goes through
-`moments.power` and the arithmetic runs in the float call's order, so each
-array entry has the bits of the float call for its row.
+float64 arrays, one entry per row (s and q stay floats, but for the mean
+rows' `_d_t33_q1_verbatim`), as the case formulas in `bounds` do: every
+power of a per-row value goes through `moments.power` and the arithmetic
+runs in the float call's order, so each array entry has the bits of the
+float call for its row.
 
 Displays shipped here are corrected where the printed version demonstrably
 contradicts its own derivation (a sign slip, one wrong exponent, and the
@@ -472,10 +473,10 @@ def _d_t32_tier2_verbatim(a, b, lam, mu, s, q, qa, qb, qm):
 
 def _d_t33_q1_verbatim(a, b, lam, mu, s, q, qa, qb, qm):
     # q = 1 display as printed: prefactor 2^(s+2) and swapped brackets.
-    w = 2.0 ** (s + 1.0) - 1.0
+    w = power(2.0, s + 1.0) - 1.0
     return (
         (b - a)
-        / (2.0 ** (s + 2.0) * (s + 1.0))
+        / (power(2.0, s + 2.0) * (s + 1.0))
         * (kernel_mass(lam) * (qa + w * qb) + kernel_mass(mu) * (w * qa + qb))
     )
 

@@ -16,6 +16,7 @@ from hhverify.bounds import (
     VIOLATION_TOL,
     branch_mismatch,
     case_bound_from_values,
+    case_formula,
     derivative_values,
     eval_case,
     midpoint_envelope,
@@ -266,6 +267,25 @@ def test_array_call_is_bit_identical_to_the_float_calls(case):
         for i, row in enumerate(zip(a.tolist(), b.tolist(), lam.tolist(), mu.tolist())):
             ref = case_bound_from_values(case, *row, s, q, qa[i].item(), qb[i].item(), qm[i].item())
             assert (bound[i].item(), note) == ref, (case, s, q, i)
+
+
+@pytest.mark.parametrize("case", list(BoundCase))
+def test_s_and_q_columns_are_bit_identical_to_the_float_calls(case):
+    # Mean rows pass s and q as columns: s' reaches 2, past the s' <= 1
+    # branch that `case_formula` leaves to its caller, and q mixes 1,
+    # 1 + 1e-6, 1.5, 2 and 4 as far as the case's q branch allows.
+    a, b, lam, mu, qa, qb, qm = _seeded_rows()
+    rng = np.random.default_rng(12)
+    harmonic = case is BoundCase.T31_s_minus1
+    s = np.full(a.size, -1.0) if harmonic else rng.uniform(-0.9, 2.0, a.size)
+    q_values = [q for q in (1.0, 1.0 + 1e-6, 1.5, 2.0, 4.0) if not branch_mismatch(case, -1.0 if harmonic else 0.5, q)]
+    q = rng.choice(q_values, a.size)
+    assert harmonic or (s > 1.0).any()
+    bound, note = case_formula(case, a, b, lam, mu, s, q, qa, qb, qm)
+    rows = zip(*(column.tolist() for column in (a, b, lam, mu, s, q, qa, qb, qm)))
+    floats = [case_formula(case, *row) for row in rows]
+    assert bound.tobytes() == np.array([value for value, _ in floats]).tobytes()
+    assert {note} == {row_note for _, row_note in floats}
 
 
 # sha256 of the array bounds and notes of `case_bound_from_values` over

@@ -447,8 +447,9 @@ def test_every_row_path_refuses(capsys, monkeypatch, kind, given, argv, scalar, 
     if (kind, given) == ("mean", "overflowing-bound"):
         # No mean tuple with a finite lhs has a bound that is not finite
         # (the exact mean of x^s overflows first), so a display that
-        # returns inf stands in for one.
-        monkeypatch.setitem(MEAN_SPECS, "T41", dataclasses.replace(MEAN_SPECS["T41"], display=lambda *_: math.inf))
+        # returns inf, a float or a column of them as a is, stands in for one.
+        overflowing = dataclasses.replace(MEAN_SPECS["T41"], display=lambda a, *_: a * math.inf)
+        monkeypatch.setitem(MEAN_SPECS, "T41", overflowing)
     code, out, err = run_cli(capsys, *argv.split())
     assert code == 2 and out == "" and err.startswith("error: ")
     assert re.search(message, err), err

@@ -16,7 +16,7 @@ from hhverify.errors import ConfigError, FunctionDomainError, PresetMismatchErro
 from hhverify.functions import canonical_id, from_id, parse_id
 from hhverify.harness import CASE_KEYS, MEAN_KEYS, Report, SuiteConfig, erratum_scan, run_suite
 from hhverify.identity import BoundParams
-from hhverify.means import MEAN_THEOREMS, MeanParams, eval_mean_bound
+from hhverify.means import MEAN_SPECS, MEAN_THEOREMS, MeanParams, eval_mean_bound
 from hhverify.presets import PRESETS, PresetSpec, eval_preset
 
 
@@ -783,3 +783,26 @@ def test_sweep_mean_rows_match_the_scalar_path():
         assert (rec["lhs"], rec["bound"], rec["slack"], rec["certified"], rec["branch_notes"]) == (
             res.lhs, res.bound, res.slack, res.certificate, res.branch_notes
         ), key
+
+
+def test_each_mean_theorem_is_one_display_call_and_one_add(monkeypatch):
+    # A theorem's rows are one block over every tuple it admits, with s and
+    # q as columns (the seeded draws give each tuple its own s), never row
+    # by row.
+    displays, adds = collections.Counter(), collections.Counter()
+    for theorem, spec in MEAN_SPECS.items():
+        def counted(*args, theorem=theorem, display=spec.display):
+            displays[theorem] += 1
+            return display(*args)
+
+        monkeypatch.setitem(MEAN_SPECS, theorem, dataclasses.replace(spec, display=counted))
+    add = Report.add
+
+    def counted_add(self, family, case, *args):
+        adds[case] += 1
+        return add(self, family, case, *args)
+
+    monkeypatch.setattr(Report, "add", counted_add)
+    report = run_suite(all_means_config())
+    assert displays == adds == collections.Counter(dict.fromkeys(MEAN_THEOREMS, 1))
+    assert report.record_count > 20 * len(MEAN_THEOREMS)

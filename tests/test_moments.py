@@ -15,7 +15,6 @@ from hhverify.moments import (
     MOMENT_CASES,
     MomentSpec,
     holder_norm,
-    holder_weight_integral,
     kernel_mass,
     libm,
     moment_case,
@@ -48,15 +47,16 @@ def test_harmonic_spot_values():
 
 
 def test_holder_spot_values():
-    assert math.isclose(holder_weight_integral(0.0, 2.0), 1.0 / 3.0, rel_tol=1e-14)
-    assert math.isclose(holder_weight_integral(0.5, 2.0), 1.0 / 12.0, rel_tol=1e-13)
-    assert math.isclose(holder_weight_integral(1.0, 2.0), 1.0 / 3.0, rel_tol=1e-14)
+    # At q = 2 the norm is the square root of ∫|ξ - t|² dt: 1/3, 1/12, 1/3.
+    assert math.isclose(holder_norm(0.0, 2.0), math.sqrt(1.0 / 3.0), rel_tol=1e-14)
+    assert math.isclose(holder_norm(0.5, 2.0), math.sqrt(1.0 / 12.0), rel_tol=1e-14)
+    assert math.isclose(holder_norm(1.0, 2.0), math.sqrt(1.0 / 3.0), rel_tol=1e-14)
 
 
 def test_holder_extreme_exponent_underflows_cleanly():
+    # The integral underflows to 0 here; the norm tends to max(ξ, 1 - ξ).
     q = 1.0 + 1e-8
-    val = holder_weight_integral(0.5, q)
-    assert 0.0 <= val < 1e-9
+    assert math.isclose(holder_norm(0.5, q), 0.5, rel_tol=1e-6)
 
 
 def _holder_norm_exact(xi, q):
@@ -135,7 +135,8 @@ def test_s_zero_collapses_to_kernel_mass_for_any_weight():
 def test_holder_against_oracle(q, xi):
     r = q / (q - 1.0)
     res = integrate(lambda t: abs(xi - t) ** r, 0.0, 1.0, breakpoints=[xi])
-    assert abs(holder_weight_integral(xi, q) - res.value) <= 1e-9 * (1.0 + abs(res.value))
+    norm = res.value ** ((q - 1.0) / q)
+    assert abs(holder_norm(xi, q) - norm) <= 1e-9 * (1.0 + norm)
 
 
 def test_verbatim_case_deviates():
@@ -158,8 +159,6 @@ def test_parameter_errors():
         MomentSpec(0.5, -2, 1, 1)  # omega + eta < 0
     with pytest.raises(MomentParameterError):
         moment_general(MomentSpec(0.5, 1, 1, -1.0))
-    with pytest.raises(HolderExponentError):
-        holder_weight_integral(0.5, 1.0)
     with pytest.raises(HolderExponentError):
         holder_norm(0.5, 1.0)
 
@@ -205,9 +204,7 @@ def test_moment_case_array_is_bit_identical(case, verbatim):
 def test_holder_weight_and_kernel_mass_arrays_are_bit_identical():
     xi = _xi_column()
     for q in (1.5, 2.0, 4.0, 1.0 + 1e-6):
-        for fn in (holder_weight_integral, holder_norm):
-            values = fn(xi, q)
-            assert values.tolist() == [fn(x, q) for x in xi.tolist()], (fn, q)
+        assert holder_norm(xi, q).tolist() == [holder_norm(x, q) for x in xi.tolist()], q
     assert kernel_mass(xi).tolist() == [kernel_mass(x) for x in xi.tolist()]
 
 
@@ -230,7 +227,6 @@ def test_array_xi_outside_unit_interval_raises_like_the_float(bad):
     xi[6] = bad
     for call in (
         lambda x: moment_case((1, 1), x, 0.5),
-        lambda x: holder_weight_integral(x, 2.0),
         lambda x: holder_norm(x, 2.0),
     ):
         with pytest.raises(MomentParameterError) as scalar:
@@ -245,3 +241,34 @@ def test_oracle_refuses_a_nonconverged_value():
     # before the tolerance, so the oracle has no value to give.
     with pytest.raises(QuadratureNonConvergenceError, match="did not converge"):
         moment_oracle(0.3, 1.0, 0.0, -0.99)
+
+
+def _q_column(n=2000, seed=6):
+    """Seeded q > 1 (down to 1 + 1e-6) with 1.5, 2 and 4 at its head."""
+    q = 1.0 + 10.0 ** np.random.default_rng(seed).uniform(-6.0, 1.0, n)
+    q[:3] = (1.5, 2.0, 4.0)
+    return q
+
+
+def test_s_and_q_columns_are_bit_identical():
+    # Mean rows pass s and q as columns, alone or with a ξ column.
+    xi, q = _xi_column(), _q_column()
+    s = np.random.default_rng(8).uniform(-0.9, 1.0, xi.size)
+    for case in MOMENT_CASES:
+        for x in (xi, 0.3):
+            expected = [moment_case(case, v, w) for v, w in zip(np.broadcast_to(x, s.shape).tolist(), s.tolist())]
+            assert moment_case(case, x, s).tolist() == expected, case
+    for x in (xi, 0.3):
+        expected = [holder_norm(v, w) for v, w in zip(np.broadcast_to(x, q.shape).tolist(), q.tolist())]
+        assert holder_norm(x, q).tolist() == expected
+    assert power(2.0, s).tolist() == [2.0**v for v in s.tolist()]
+    assert power(xi, q).tolist() == [v**w for v, w in zip(xi.tolist(), q.tolist())]
+
+
+def test_s_and_q_columns_refuse_their_first_bad_entry_like_the_float():
+    s, q = np.full(5, 0.5), np.full(5, 2.0)
+    s[2:4], q[3:] = -0.9999999, 1.0
+    with pytest.raises(MomentParameterError, match=r"^s=-0\.9999999 too close"):
+        moment_case((1, 0), 0.5, s)
+    with pytest.raises(HolderExponentError, match=r"^q=1\.0 too close"):
+        holder_norm(0.5, q)

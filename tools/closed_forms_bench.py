@@ -9,15 +9,19 @@ draws are drawn, then evaluates each of the ten bound cases on all of them:
 once as one `case_bound_from_values` call over the columns, and once as
 one float call per row.  Each case runs at one (s, q) on its branch.  Each
 of the 36 preset displays is evaluated the same way, on the same rows with
-their weights set to its pins, at one (s, q) its pins admit.
-Prints one JSON line: seconds for each path, summed over the cases and
-(`preset_*`) over the presets, and whether every array entry has the bits
-of its float call.  Exits 1 when one does not.
+their weights set to its pins, at one (s, q) its pins admit.  Each of the
+six mean-theorem displays is evaluated over the same rows with s and q as
+seeded columns, as the mean draws of a sweep give them (s uniform in
+[0.05, 2], q in {1, 1.5, 2, 4}), on the rows whose (s, q) lie on its branch.
+Prints one JSON line: seconds for each path, summed over the cases,
+(`preset_*`) the presets and (`mean_*`) the mean theorems, and whether
+every array entry has the bits of its float call.  Exits 1 when one does not.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 import time
@@ -29,6 +33,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hhverify.bounds import CASES, BoundCase, case_bound_from_values  # noqa: E402
+from hhverify.functions import power_rule_holds  # noqa: E402
+from hhverify.means import MEAN_SPECS, MeanSpec  # noqa: E402
 from hhverify.presets import PRESETS, PresetSpec  # noqa: E402
 
 
@@ -47,17 +53,22 @@ def case_bound(case: BoundCase, *args) -> float:
     return case_bound_from_values(case, *args)[0]
 
 
-def timed(evaluate, s: float, q: float, columns) -> tuple[float, float, bool]:
-    """Seconds for one array call of evaluate(a, b, lam, mu, s, q, qa, qb, qm)
-    and for one float call per row, and whether each array entry has the
-    bits of its float call."""
-    a, b, lam, mu, qa, qb, qm = columns
+def mean_display(spec: MeanSpec, a, b, lam, mu, s, q, qa, qb, qm):
+    """The theorem's display at μ = λ and its case order s + s_shift."""
+    return spec.display(a, b, lam, lam, s + spec.s_shift, q, qa, qb, qm)
+
+
+def timed(evaluate, args) -> tuple[float, float, bool]:
+    """Seconds for one array call of evaluate(a, b, lam, mu, s, q, qa, qb, qm),
+    each argument a column or a float, and for one float call per row, and
+    whether each array entry has the bits of its float call."""
     start = time.perf_counter()
-    bound = evaluate(a, b, lam, mu, s, q, qa, qb, qm)
+    bound = evaluate(*args)
     array_s = time.perf_counter() - start
-    rows = list(zip(*(c.tolist() for c in columns)))
+    n = len(args[0])
+    rows = list(zip(*(x.tolist() if isinstance(x, np.ndarray) else itertools.repeat(x, n) for x in args)))
     start = time.perf_counter()
-    floats = [evaluate(*r[:4], s, q, *r[4:]) for r in rows]
+    floats = [evaluate(*row) for row in rows]
     float_s = time.perf_counter() - start
     return array_s, float_s, bound.tobytes() == np.array(floats, dtype=np.float64).tobytes()
 
@@ -72,21 +83,32 @@ def main(argv=None) -> int:
     b = a + rng.uniform(0.1, 3.0, args.rows)
     lam, mu = rng.uniform(size=(2, args.rows))
     qa, qb, qm = rng.uniform(0.0, 4.0, size=(3, args.rows))
+    s = rng.uniform(0.05, 2.0, args.rows)
+    q = rng.choice([1.0, 1.5, 2.0, 4.0], args.rows)
+    q[[not power_rule_holds(x, y) for x, y in zip(s.tolist(), q.tolist())]] = 1.0
+    columns = (a, b, lam, mu, s, q, qa, qb, qm)
+
+    def mean_rows(spec: MeanSpec) -> tuple:
+        on_branch = np.array([not spec.branch_mismatch(x, y) for x, y in zip(s.tolist(), q.tolist())])
+        return tuple(column[on_branch] for column in columns)
+
     jobs = {
-        "": [(partial(case_bound, case), *branch(case), lam, mu) for case in BoundCase],
+        "": [(partial(case_bound, case), (a, b, lam, mu, *branch(case), qa, qb, qm)) for case in BoundCase],
         # Each preset's weights at its pins, broadcast to a column.
-        "preset_": [(spec.display, *preset_branch(spec), *np.broadcast_arrays(*spec.pinned_weights(lam, mu), lam)[:2])
+        "preset_": [(spec.display, (a, b, *np.broadcast_arrays(*spec.pinned_weights(lam, mu), lam)[:2],
+                                    *preset_branch(spec), qa, qb, qm))
                     for spec in PRESETS.values()],
+        "mean_": [(partial(mean_display, spec), mean_rows(spec)) for spec in MEAN_SPECS.values()],
     }
     out = {}
     identical = True
     for prefix, evaluations in jobs.items():
         array_s = float_s = 0.0
-        for evaluate, s, q, weights_lam, weights_mu in evaluations:
-            took_array, took_float, same = timed(evaluate, s, q, (a, b, weights_lam, weights_mu, qa, qb, qm))
+        for evaluate, call in evaluations:
+            took_array, took_float, same = timed(evaluate, call)
             array_s, float_s, identical = array_s + took_array, float_s + took_float, identical and same
-        out |= {f"{prefix}evaluations": args.rows * len(evaluations), f"{prefix}array_s": round(array_s, 4),
-                f"{prefix}float_s": round(float_s, 4)}
+        out |= {f"{prefix}evaluations": sum(len(call[0]) for _, call in evaluations),
+                f"{prefix}array_s": round(array_s, 4), f"{prefix}float_s": round(float_s, 4)}
     print(json.dumps({**out, "bit_identical": identical}))
     return 0 if identical else 1
 
