@@ -727,6 +727,12 @@ def add_mean_rows(
     return errors
 
 
+# The q a mean draw picks from, uniformly.  Indexing by rng.integers draws the
+# same stream as rng.choice over these values, which converts them to an array
+# on every call.
+_MEAN_DRAW_Q = (1.0, 1.5, 2.0, 4.0)
+
+
 def run_suite(cfg: SuiteConfig) -> Report:
     """Evaluate the configured cases/presets/theorems over the grid.
 
@@ -757,7 +763,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
             a = rng.uniform(*cfg.a_range)
             b = a + rng.uniform(*cfg.width_range)
             s = rng.uniform(0.05, 2.0)
-            q = rng.choice([1.0, 1.5, 2.0, 4.0])
+            q = _MEAN_DRAW_Q[rng.integers(len(_MEAN_DRAW_Q))]
             if not power_rule_holds(s, q):
                 q = 1.0
             lam = rng.uniform()

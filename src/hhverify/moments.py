@@ -57,6 +57,10 @@ __all__ = [
 S_MIN = -1.0 + 1e-6
 # q < 1 + Q_BRANCH_EPS has no conjugate exponent and takes the q = 1 branches.
 Q_BRANCH_EPS = 1e-9
+# moment_oracle's substitution t = u^m at a weight vanishing at 0: the least
+# m with m(s+1) >= SUBST_ORDER, but no more than SUBST_CAP (see there for why).
+SUBST_ORDER = 4.0
+SUBST_CAP = 48
 
 MOMENT_CASES = ((1.0, 0.0), (1.0, 1.0), (-1.0, 1.0), (-1.0, 2.0))
 
@@ -212,20 +216,46 @@ def moment_oracle(
     """Adaptive-quadrature evaluation of ∫₀¹ |ξ - t| (ωt + η)^s dt.
 
     Independent cross-check for the closed forms.  A weight vanishing at
-    t = 1 is reflected (u = 1 - t) so the singular point lands at 0, where
-    float resolution is effectively unbounded.  Raises
-    QuadratureNonConvergenceError when the quadrature stops short of `tol`
-    (for s near -1 the panels reach their width floor first): its error
-    estimate then understates the missing tail, so no value is returned.
+    t = 1 is reflected (u = 1 - t) so the zero lands at 0, where float
+    resolution is effectively unbounded.
+
+    A weight ωt vanishing at 0 (η = 0, s > -1) is integrated in u, with
+    t = u^m: (ωt)^s dt = m ω^s u^(m(s+1)-1) du, an exact change of
+    variables, so the integrand is m ω^s |ξ - u^m| u^(m(s+1)-1), with its
+    kink at u = ξ^(1/m).  m is the least integer with m(s+1) >= SUBST_ORDER
+    = 4, so the power of u is at least 3 and the integrand is at least C³
+    at 0: GK15 converges on it without grading, where t^s itself would be
+    graded toward 0 at ratio 0.25, each cut gaining only 4^(s+1) (~1.15 at
+    s = -0.9).  m is capped at SUBST_CAP = 48 for correctness: as s -> -1
+    an uncapped m grows without bound (40,000 at s = -0.9999), u^m
+    underflows at every node, and the quadrature returns ~0 as converged.
+    Capped, the power of u is below 3 once s + 1 < 1/12 and negative once
+    s + 1 < 1/48, where `integrate` grades toward the singularity as before.
+
+    Raises QuadratureNonConvergenceError when the quadrature stops short of
+    `tol` (for s near -1 the panels reach their width floor first): its
+    error estimate then understates the missing tail, so no value is
+    returned.
     """
     if omega + eta == 0.0:
         # |ξ - (1-u)| ((ω+η) - ωu)^s = |(1-ξ) - u| (-ω u)^s exactly.
         return moment_oracle(1.0 - xi, -omega, 0.0, s, tol)
 
-    def f(t: float) -> float:
-        return abs(xi - t) * (omega * t + eta) ** s
+    if eta == 0.0 and s > -1.0:
+        m = min(SUBST_CAP, math.ceil(SUBST_ORDER / (s + 1.0)))
+        scale, e = m * omega ** s, m * (s + 1.0) - 1.0
 
-    res = integrate(f, 0.0, 1.0, tol, breakpoints=(xi,))
+        def f(u: float) -> float:
+            return scale * abs(xi - u ** m) * u ** e
+
+        kink = xi ** (1.0 / m)
+    else:
+        def f(t: float) -> float:
+            return abs(xi - t) * (omega * t + eta) ** s
+
+        kink = xi
+
+    res = integrate(f, 0.0, 1.0, tol, breakpoints=(kink,))
     if not res.converged:
         raise QuadratureNonConvergenceError(
             f"moment oracle did not converge to tol={tol!r} (error estimate "

@@ -35,7 +35,7 @@ def test_moment_command(capsys):
 
 
 def test_moment_command_refuses_a_nonconverged_oracle(capsys):
-    code, out, err = run_cli(capsys, "moment", "--xi", "0.3", "--omega", "1", "--eta", "0", "--s", "-0.99")
+    code, out, err = run_cli(capsys, "moment", "--xi", "0.3", "--omega", "1", "--eta", "0", "--s", "-0.9999")
     assert code == 2 and out == ""
     assert err.startswith("error: moment oracle did not converge to tol=1e-12 (error estimate ")
 

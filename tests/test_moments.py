@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hhverify import moments
 from hhverify.errors import (
     HolderExponentError,
     MomentParameterError,
@@ -240,7 +241,54 @@ def test_oracle_refuses_a_nonconverged_value():
     # Near the harmonic pole the singular panel reaches its width floor
     # before the tolerance, so the oracle has no value to give.
     with pytest.raises(QuadratureNonConvergenceError, match="did not converge"):
-        moment_oracle(0.3, 1.0, 0.0, -0.99)
+        moment_oracle(0.3, 1.0, 0.0, -0.9999)
+
+
+def _vanishing_moment_exact(xi, s):
+    """∫₀¹ |ξ - t| t^s dt at 50 digits, on the float ξ and s as given."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        x, s = mpmath.mpf(xi), mpmath.mpf(s)
+        return float((2 * x ** (s + 2) + (s + 1) - (s + 2) * x) / ((s + 1) * (s + 2)))
+
+
+def _vanishing_weights(xi, s, om=1.3):
+    """(ω, η, exact) for the weights ωt, zero at t = 0, and ω(1 - t), zero at
+    t = 1; exact is ω^s ∫₀¹ |ξ' - t| t^s dt with ξ' = ξ or 1 - ξ."""
+    scale = om ** s
+    return [(om, 0.0, scale * _vanishing_moment_exact(xi, s)),
+            (-om, om, scale * _vanishing_moment_exact(1.0 - xi, s))]
+
+
+@pytest.mark.parametrize("s", [-0.5, -0.9, -0.95, -0.99, -0.999, -0.9999, -0.99999, -1.0 + 1e-6])
+def test_oracle_is_never_silently_wrong_near_the_pole(s):
+    # A value within tolerance, or a refusal, which only s <= -0.9999 may
+    # give.  An uncapped m would make u^m underflow at every node and
+    # return ~0 as converged.
+    for xi in (0.0, 0.3, 1.0):
+        for om, eta, exact in _vanishing_weights(xi, s):
+            try:
+                value = moment_oracle(xi, om, eta, s)
+            except QuadratureNonConvergenceError:
+                assert s <= -0.9999, (xi, om, s)
+                continue
+            assert abs(value - exact) <= 1e-12 * (1.0 + abs(exact)), (xi, om, s)
+
+
+def test_oracle_substitution_cuts_the_panels_at_a_vanishing_weight(monkeypatch):
+    # Graded toward t = 0 at ratio 0.25, t^-0.8 took 5,340 evaluations.
+    evaluations = []
+
+    def counted(*args, **kwargs):
+        res = integrate(*args, **kwargs)
+        evaluations.append(res.evaluations)
+        return res
+
+    monkeypatch.setattr(moments, "integrate", counted)
+    value = moment_oracle(0.37, 1.3, 0.0, -0.8)
+    assert abs(value - moment_general(MomentSpec(0.37, 1.3, 0.0, -0.8))) <= 1e-12 * (1.0 + abs(value))
+    assert len(evaluations) == 1 and evaluations[0] <= 400
 
 
 def _q_column(n=2000, seed=6):
