@@ -37,15 +37,18 @@ and both refuse a bound that is not finite (`nonfinite_bound`).
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+import numpy as np
+
 from .errors import FunctionDomainError, WrongBranchError
 from .functions import FunctionSpec
 from .identity import BoundParams, hh_lhs
-from .moments import Q_BRANCH_EPS, holder_norm, kernel_mass, moment_case, power
+from .moments import Q_BRANCH_EPS, _refuse_nonfinite, holder_norm, kernel_mass, moment_case, power
 from .quadrature import DEFAULT_TOL
 
 __all__ = [
@@ -58,6 +61,7 @@ __all__ = [
     "VIOLATION_TOL",
     "Q_BRANCH_EPS",
     "S_BRANCH_EPS",
+    "BRANCH_CHECKS",
     "branch_mismatch",
     "case_bound_from_values",
     "case_formula",
@@ -65,9 +69,11 @@ __all__ = [
     "deviation_weights",
     "derivative_values",
     "eval_case",
+    "first_mismatch",
     "is_violation",
     "midpoint_envelope",
     "nonfinite_bound",
+    "on_branch",
 ]
 
 VIOLATION_TOL = 1e-10
@@ -212,24 +218,52 @@ CASES = {
 MIDPOINT_CASES = frozenset(case for case, row in CASES.items() if row.step == "harmonic")
 
 
+# A branch rule is a tuple of checks (off, why): (s, q) lie on the branch
+# where no off(s, q) holds, and why(s, q) of the first that does says why.
+# off takes floats or columns; why, which formats a message, runs only on
+# floats and only when asked.
+BranchChecks = tuple[tuple[Callable, Callable], ...]
+
+
+def _case_checks(case: BoundCase) -> BranchChecks:
+    row, name = CASES[case], case.value
+    if row.step == "harmonic":  # the s = -1 display
+        return ((lambda s, q: s != -1.0, lambda s, q: f"{name} needs s = -1 exactly, got {s!r}"),)
+    checks = [
+        (lambda s, q: s < -1.0 + S_BRANCH_EPS,
+         lambda s, q: f"{name} needs s > -1 + 1e-6, got s={s!r}; s = -1 is T31_s_minus1 only"),
+        (lambda s, q: s > 1.0, lambda s, q: f"{name} needs s <= 1, got s={s!r}"),
+    ]
+    if row.q_branch == "1":
+        checks.append((lambda s, q: q >= 1.0 + Q_BRANCH_EPS, lambda s, q: f"{name} is a q = 1 branch, got q={q!r}"))
+    if row.q_branch == ">1":
+        checks.append((lambda s, q: q < 1.0 + Q_BRANCH_EPS, lambda s, q: f"{name} needs q >= 1 + 1e-9, got q={q!r}"))
+    return tuple(checks)
+
+
+BRANCH_CHECKS: dict[BoundCase, BranchChecks] = {case: _case_checks(case) for case in BoundCase}
+
+
+def first_mismatch(checks: BranchChecks, s: float, q: float) -> str:
+    """Why float (s, q) fail the branch rule `checks`, or "" when they pass."""
+    return next((why(s, q) for off, why in checks if off(s, q)), "")
+
+
+def on_branch(checks: BranchChecks, s, q) -> np.ndarray:
+    """Where the columns (s, q) pass the branch rule `checks`, as a mask."""
+    off = np.zeros(np.broadcast(s, q).shape, dtype=bool)
+    for check, _ in checks:
+        off |= check(s, q)
+    return ~off
+
+
 def branch_mismatch(case: BoundCase, s: float, q: float) -> str:
     """Why (s, q) lie off the branch of `case`, or "" when they lie on it.
 
     It depends on (s, q) alone, so a sweep settles it once per (s, q)
     instead of once per row.
     """
-    row = CASES[case]
-    if row.step == "harmonic":  # the s = -1 display
-        return "" if s == -1.0 else f"{case.value} needs s = -1 exactly, got {s!r}"
-    if s < -1.0 + S_BRANCH_EPS:
-        return f"{case.value} needs s > -1 + 1e-6, got s={s!r}; s = -1 is T31_s_minus1 only"
-    if s > 1.0:
-        return f"{case.value} needs s <= 1, got s={s!r}"
-    if row.q_branch == "1" and q >= 1.0 + Q_BRANCH_EPS:
-        return f"{case.value} is a q = 1 branch, got q={q!r}"
-    if row.q_branch == ">1" and q < 1.0 + Q_BRANCH_EPS:
-        return f"{case.value} needs q >= 1 + 1e-9, got q={q!r}"
-    return ""
+    return first_mismatch(BRANCH_CHECKS[case], s, q)
 
 
 def check_branch(case: BoundCase, s: float, q: float) -> None:
@@ -285,17 +319,23 @@ def nonfinite_bound(name: str, fid: str, a: float, b: float) -> FunctionDomainEr
 def derivative_values(f: FunctionSpec, a: float, b: float, q: float) -> tuple[float, float, float]:
     """(|f'(a)|^q, |f'(b)|^q, |f'(m)|^q), m = (a+b)/2, for the bound formulas.
 
-    Raises FunctionDomainError when one of them overflows or is not finite.
+    a, b and q may be columns when f was built from columns
+    (`functions.make_power`), one entry per row.  Raises FunctionDomainError
+    when one of them overflows or is not finite: for the first row with a
+    value that is not finite, and for a block of rows as a whole when libm's
+    pow overflows on one of them.
     """
     df = f.deriv
     if df is None:
         raise WrongBranchError(f"{f.fid} carries no derivative")
+    pw = power if isinstance(a, np.ndarray) or isinstance(q, np.ndarray) else operator.pow
     try:
-        qa, qb, qm = abs(df(a)) ** q, abs(df(b)) ** q, abs(df(0.5 * (a + b))) ** q
+        qa, qb, qm = pw(abs(df(a)), q), pw(abs(df(b)), q), pw(abs(df(0.5 * (a + b))), q)
     except OverflowError as exc:
-        raise FunctionDomainError(f"|{f.fid}'|^{q:g} overflows on [{a!r}, {b!r}]") from exc
-    if not (math.isfinite(qa) and math.isfinite(qb) and math.isfinite(qm)):
-        raise FunctionDomainError(f"|{f.fid}'|^{q:g} is not finite on [{a!r}, {b!r}]")
+        raise FunctionDomainError(f"|f'|^q overflows on one of {a.size} rows" if isinstance(a, np.ndarray)
+                                  else f"|{f.fid}'|^{q:g} overflows on [{a!r}, {b!r}]") from exc
+    if isinstance(qa, np.ndarray) or not (math.isfinite(qa) and math.isfinite(qb) and math.isfinite(qm)):
+        _refuse_nonfinite((qa, qb, qm), FunctionDomainError, "|{}'|^{:g} is not finite on [{!r}, {!r}]", f.fid, q, a, b)
     return qa, qb, qm
 
 

@@ -23,11 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import FunctionDomainError
+from .moments import _refuse, libm, power
 
 __all__ = [
     "FunctionSpec",
@@ -94,39 +96,41 @@ def _spell(family: str, value: Optional[float]) -> str:
 
 
 def make_power(p: float, lo: float, hi: float) -> FunctionSpec:
-    """x ↦ x^p on [lo, hi] with derivative p·x^(p-1)."""
-    if lo >= hi:
-        raise FunctionDomainError(f"need lo < hi, got [{lo!r}, {hi!r}]")
-    if p < 1.0 and lo <= 0.0:
-        raise FunctionDomainError(f"power p={p!r} < 1 needs lo > 0, got lo={lo!r}")
-    if p != int(p) and lo < 0.0:
-        raise FunctionDomainError(f"non-integer power p={p!r} needs lo >= 0")
+    """x ↦ x^p on [lo, hi] with derivative p·x^(p-1).
 
-    def f(x: float) -> float:
-        return x**p
+    p, lo and hi may be float64 columns, one function per entry: each is
+    checked at its first bad entry, `fid` is then the list of each entry's
+    id, and eval, deriv and mean take columns too, each entry with the bits
+    of its own float spec (`moments.power` and `moments.libm`).
+    """
+    _refuse(lo >= hi, FunctionDomainError, "need lo < hi, got [{!r}, {!r}]", lo, hi)
+    _refuse((p < 1.0) & (lo <= 0.0), FunctionDomainError, "power p={!r} < 1 needs lo > 0, got lo={!r}", p, lo)
+    _refuse((p % 1.0 != 0.0) & (lo < 0.0), FunctionDomainError, "non-integer power p={!r} needs lo >= 0", p)
+    if isinstance(p, np.ndarray):
+        spelled = {value: _spell("pow", value) for value in set(p.tolist())}
+        return FunctionSpec([spelled[value] for value in p.tolist()], lo, hi, lambda x: power(x, p),
+                            lambda x: p * power(x, p - 1.0), partial(libm, _mean_of_power, p))
+    # `power` is ** on floats; a float spec binds ** itself.
+    return FunctionSpec(_spell("pow", p), float(lo), float(hi), lambda x: x**p, lambda x: p * x ** (p - 1.0),
+                        partial(_mean_of_power, p))
 
-    def df(x: float) -> float:
-        if p == 1.0:
-            return 1.0
-        return p * x ** (p - 1.0)
 
-    def mean(a: float, b: float) -> float:
-        if b <= 0.0:
-            # Mirrored: x ↦ -x maps [a, b] onto [-b, -a]; p is an integer here.
-            return (-1.0) ** p * _power_mean(p, -b, -a)
-        if a < 0.0:
-            # Summed over [a, 0] and [0, b]; p is an integer >= 1 here.  Where
-            # that overflows, each term is divided by b - a first, as in
-            # `_power_mean`, through halves: b - a itself may overflow.
-            half = 0.5 * b - 0.5 * a
-            try:
-                direct = (b ** (p + 1.0) - a ** (p + 1.0)) / ((p + 1.0) * (b - a))
-            except OverflowError:
-                direct = math.inf
-            return direct if math.isfinite(direct) else (b**p * (0.5 * b / half) - a**p * (0.5 * a / half)) / (p + 1.0)
-        return _power_mean(p, a, b)
-
-    return FunctionSpec(_spell("pow", p), float(lo), float(hi), f, df, mean)
+def _mean_of_power(p: float, a: float, b: float) -> float:
+    """(1/(b-a))∫ₐᵇ x^p dx for a < b, on either side of 0."""
+    if b <= 0.0:
+        # Mirrored: x ↦ -x maps [a, b] onto [-b, -a]; p is an integer here.
+        return (-1.0) ** p * _power_mean(p, -b, -a)
+    if a < 0.0:
+        # Summed over [a, 0] and [0, b]; p is an integer >= 1 here.  Where
+        # that overflows, each term is divided by b - a first, as in
+        # `_power_mean`, through halves: b - a itself may overflow.
+        half = 0.5 * b - 0.5 * a
+        try:
+            direct = (b ** (p + 1.0) - a ** (p + 1.0)) / ((p + 1.0) * (b - a))
+        except OverflowError:
+            direct = math.inf
+        return direct if math.isfinite(direct) else (b**p * (0.5 * b / half) - a**p * (0.5 * a / half)) / (p + 1.0)
+    return _power_mean(p, a, b)
 
 
 def _power_mean(p: float, a: float, b: float) -> float:
@@ -227,21 +231,25 @@ def derivative_q_envelope(f: FunctionSpec, q: float) -> FunctionSpec:
 
 
 def power_rule_holds(p: float, q: float) -> bool:
-    """The power rule: -1 < (p-1)q <= 1 and -1 < p-1 <= 1."""
+    """The power rule: -1 < (p-1)q <= 1 and -1 < p-1 <= 1 (floats, or a
+    mask over columns)."""
     gamma = (p - 1.0) * q
-    return -1.0 < gamma <= 1.0 and -1.0 < p - 1.0 <= 1.0
+    return (-1.0 < gamma) & (gamma <= 1.0) & (-1.0 < p - 1.0) & (p - 1.0 <= 1.0)
 
 
 def convex_power_envelope(p: float, q: float, lo: float) -> bool:
     """True when |d(x^p)|^q, a multiple of x^γ with γ = (p-1)q, is convex
-    on [lo, ∞): γ >= 1, γ = 0, or γ < 0 with lo > 0."""
+    on [lo, ∞): γ >= 1, γ = 0, or γ < 0 with lo > 0 (floats, or a mask
+    over columns)."""
     gamma = (p - 1.0) * q
-    return gamma >= 1.0 or gamma == 0.0 or (gamma < 0.0 and lo > 0.0)
+    return (gamma >= 1.0) | (gamma == 0.0) | ((gamma < 0.0) & (lo > 0.0))
 
 
 def analytic_order(family: str, p: Optional[float], lo: float, q: float) -> Optional[float]:
     """Highest order s* at which an analytic rule certifies |f'|^q of the
     parsed registry id (family, p) on every interval starting at lo, or None.
+    p, lo and q may be columns of a pow family: the orders are then a
+    column, NaN where there is none.
 
     A certificate at order s* covers every order s <= s* (the nesting of
     s-convex classes, Hudzik & Maligranda, Aequationes Math. 48, 1994).
@@ -253,13 +261,20 @@ def analytic_order(family: str, p: Optional[float], lo: float, q: float) -> Opti
     `power_rule_holds`, on an interval with lo > 0, or lo = 0 with p >= 1
     (a nonnegative exponent, so x = 0 is harmless).
     """
-    if not 1.0 <= q < math.inf:
-        raise FunctionDomainError(f"need finite q >= 1, got {q!r}")
-    if family != "pow" or convex_power_envelope(p, q, lo):
+    if isinstance(q, np.ndarray) or not 1.0 <= q < math.inf:
+        _refuse((q < 1.0) | (q == math.inf) | (q != q), FunctionDomainError, "need finite q >= 1, got {!r}", q)
+    if family != "pow":
         return 1.0
-    if power_rule_holds(p, q) and (lo > 0.0 or (lo == 0.0 and p >= 1.0)):
-        return p - 1.0
-    return None
+    convex = convex_power_envelope(p, q, lo)
+    if isinstance(convex, np.ndarray):
+        return np.where(convex, 1.0, np.where(_power_rule_covers(p, q, lo), p - 1.0, np.nan))
+    return 1.0 if convex else p - 1.0 if _power_rule_covers(p, q, lo) else None
+
+
+def _power_rule_covers(p: float, q: float, lo: float) -> bool:
+    """The power rule holds and covers [lo, ∞): lo > 0, or lo = 0 with
+    p >= 1 (a nonnegative exponent, so x = 0 is harmless)."""
+    return power_rule_holds(p, q) & ((lo > 0.0) | ((lo == 0.0) & (p >= 1.0)))
 
 
 def certify_power_extended_s(p: float, q: float) -> ConvexityCertificate:

@@ -11,8 +11,11 @@ builder, which `run_suite` and the CLI's single-row commands both call:
 `add_interval_rows` (case and preset rows) evaluates each case, and each
 preset over the rows its weight pins admit, once per (s, q) branch over the
 columns of every interval and weight pair of a family; `add_mean_rows`
-each theorem once over the columns, s and q among them, of every tuple it
-admits.  The formulas take float64 arrays and give each entry the bits the
+takes the mean tuples as columns: each theorem's branch is a mask, x^s,
+its lhs, |f'|^q and the analytic order are one `means.mean_values` call
+over every admitted tuple, and each theorem one bound call over the tuples
+it admits.  The moment oracle's draws are one `moments.moment_oracle`
+call.  The formulas take float64 arrays and give each entry the bits the
 float call for that row would (`moments.libm`).  Every row's lhs comes
 from `identity.hh_lhs` over the function's exact mean, so no sweep row
 runs a quadrature.
@@ -57,13 +60,12 @@ from .functions import (
     check_extended_s_convex,
     derivative_q_envelope,
     from_id,
-    make_power,
     parse_id,
     power_rule_holds,
 )
 from .identity import hh_lhs
 # `eval_mean_bound` is not called here either; `perfbench/tracer.py` patches it here.
-from .means import MEAN_SPECS, MEAN_THEOREMS, eval_mean_bound, t42_verbatim_gap
+from .means import MEAN_SPECS, MEAN_THEOREMS, eval_mean_bound, mean_values, t42_verbatim_gap
 from .moments import (
     MOMENT_CASES,
     MomentSpec,
@@ -75,7 +77,7 @@ from .moments import (
 from .presets import PRESETS, VERBATIM_DISPLAYS, PresetSpec
 
 __all__ = ["SuiteConfig", "Report", "certificate_status", "add_interval_rows", "add_mean_rows",
-           "run_suite", "erratum_scan"]
+           "run_suite", "oracle_draws", "erratum_scan"]
 
 ALL_CASES = tuple(c.value for c in BoundCase)
 
@@ -685,41 +687,50 @@ def add_mean_rows(
     """Append the row of each theorem at each (a, b, s, q, lambda) in
     `tuples` whose (s, q) lie on the theorem's branch.
 
-    f = x^s (whose id labels the rows), its lhs from `hh_lhs` at μ = λ,
-    |f'|^q at a, b and the midpoint, and the analytic order of |f'|^q are
-    computed once per tuple and shared by every theorem.  Each theorem is
-    then one `MeanSpec.bound` call and one `Report.add` over the columns of
-    the tuples it admits.  A tuple where x^s cannot be built (a = b) or
-    evaluated (an overflow) adds no rows, and a row whose bound is not
-    finite is left out; the error of each is returned.
+    The tuples are columns.  Each theorem's branch is a mask over them
+    (`MeanSpec.admits`), and one `means.mean_values` call over the tuples
+    some theorem admits gives f = x^s (whose id labels the rows), its lhs
+    at μ = λ, |f'|^q at a, b and the midpoint, and the analytic order of
+    |f'|^q, shared by every theorem.  Each theorem is then one
+    `MeanSpec.bound` call and one `Report.add` over the columns of the
+    tuples it admits.  When the block is refused (x^s, its mean or |f'|^q
+    overflows or is not finite on some tuple), its tuples are redone one
+    by one: each such tuple adds no rows, with the error its float call
+    gives, and every other tuple its rows.  A row whose bound is not finite
+    is left out too; the error of each is returned.
     """
     specs = [MEAN_SPECS[theorem] for theorem in theorems]
-    admits = [[] for _ in specs]  # the tuples (indices into columns) each theorem admits
-    columns, families, errors = [], [], []
-    for a, b, s, q, lam in tuples:
-        admitted = [rows for spec, rows in zip(specs, admits) if not spec.branch_mismatch(s, q)]
-        if not admitted:
-            continue
-        try:
-            f = make_power(s, a, b)
-            lhs = abs(hh_lhs(f, a, b, lam, lam))
-            values = derivative_values(f, a, b, q)
-        except HHVerifyError as exc:
-            errors.append(exc)
-            continue
-        for rows in admitted:
-            rows.append(len(columns))
-        families.append(f.fid)
-        # An analytic order of None (no order) reads NaN in its column.
-        columns.append((a, b, s, q, lam, *values, lhs, analytic_order("pow", s, a, q)))
-    a, b, s, q, lam, qa, qb, qm, lhs, order = np.array(columns, dtype=np.float64).reshape(len(columns), 10).T
-    for spec, rows in zip(specs, map(np.array, admits)):
+    a, b, s, q, lam = np.array(tuples, dtype=np.float64).reshape(len(tuples), 5).T
+    admits = [spec.admits(s, q) for spec in specs]
+    kept = np.flatnonzero(np.logical_or.reduce(admits))
+    a, b, s, q, lam = (column[kept] for column in (a, b, s, q, lam))
+    admits = [mask[kept] for mask in admits]
+    errors: list[HHVerifyError] = []
+    try:
+        families, *values = mean_values(a, b, s, q, lam)
+    except HHVerifyError:
+        # Some tuple is refused: redo them one by one to find which.
+        results = []
+        for row in zip(a.tolist(), b.tolist(), s.tolist(), q.tolist(), lam.tolist()):
+            try:
+                results.append(mean_values(*row))
+            except HHVerifyError as exc:
+                errors.append(exc)
+                results.append(None)
+        ok = np.array([result is not None for result in results], dtype=bool)
+        a, b, s, q, lam = (column[ok] for column in (a, b, s, q, lam))
+        admits = [mask[ok] for mask in admits]
+        results = [result for result in results if result is not None]
+        families, values = [result[0] for result in results], [result[1:] for result in results]
+        values = np.array(values, dtype=np.float64).reshape(len(results), 5).T
+    lhs, qa, qb, qm, order = np.array(values, dtype=np.float64).reshape(5, len(families))
+    for spec, rows in zip(specs, map(np.flatnonzero, admits)):
         if not rows.size:
             continue
         with np.errstate(over="ignore"):  # an overflowed bound is refused below
             bound, notes = spec.bound(a[rows], b[rows], s[rows], q[rows], lam[rows], qa[rows], qb[rows], qm[rows])
         ok = np.isfinite(bound)  # a bound that is not finite would read "holds"
-        errors += [nonfinite_bound(spec.theorem, families[i], *columns[i][:2]) for i in rows[~ok].tolist()]
+        errors += [nonfinite_bound(spec.theorem, families[i], float(a[i]), float(b[i])) for i in rows[~ok].tolist()]
         rows = rows[ok]
         report.add([families[i] for i in rows.tolist()], spec.theorem, None,
                    (a[rows], b[rows], lam[rows], 0.0, s[rows], q[rows]), lhs[rows], bound[ok],
@@ -759,15 +770,17 @@ def run_suite(cfg: SuiteConfig) -> Report:
     mean_tuples = [(a, b, s, q, lam) for a, b, s, q, lam in grid if b > a]
     if cfg.mean_draws > 0:
         rng = np.random.default_rng(cfg.seed + 1)
+        # lo + (hi - lo) * rng.random() is rng.uniform(lo, hi), as numpy
+        # computes it, without its per-call overhead.
+        (a_lo, a_hi), (w_lo, w_hi) = cfg.a_range, cfg.width_range
         for _ in range(cfg.mean_draws):
-            a = rng.uniform(*cfg.a_range)
-            b = a + rng.uniform(*cfg.width_range)
-            s = rng.uniform(0.05, 2.0)
+            a = a_lo + (a_hi - a_lo) * rng.random()
+            b = a + (w_lo + (w_hi - w_lo) * rng.random())
+            s = 0.05 + 1.95 * rng.random()
             q = _MEAN_DRAW_Q[rng.integers(len(_MEAN_DRAW_Q))]
             if not power_rule_holds(s, q):
                 q = 1.0
-            lam = rng.uniform()
-            mean_tuples.append((float(a), float(b), float(s), float(q), float(lam)))
+            mean_tuples.append((a, b, s, q, rng.random()))
     add_mean_rows(report, cfg.mean_theorems, mean_tuples)
 
     if cfg.moment_oracle_draws > 0:
@@ -776,31 +789,45 @@ def run_suite(cfg: SuiteConfig) -> Report:
     return report.finalize()
 
 
-def _oracle_suite(draws: int, seed: int, tol: float) -> dict:
-    """Max closed-form-vs-quadrature residuals over seeded moment draws."""
+# The three s = -1 moments the oracle checks against `moment_harmonic`.
+_HARMONIC_CHECKS = ((1.0, 1.0, 1.0), (0.0, 1.0, 0.0), (0.0, -1.0, 2.0))
+
+
+def oracle_draws(draws: int, seed: int) -> np.ndarray:
+    """The seeded moment draws of the oracle audit, as columns (ξ, ω, η, s)."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    rows = []
+    # lo + (hi - lo) * rng.random() is rng.uniform(lo, hi), as numpy computes
+    # it, without its per-call overhead.
     for _ in range(draws):
-        xi = float(rng.uniform())
-        s = float(rng.uniform(-0.9, 1.0))
-        om = float(rng.uniform(0.25, 2.0)) * (1.0 if rng.uniform() < 0.5 else -1.0)
-        u = rng.uniform()
-        if u < 0.15:
+        xi = rng.random()
+        s = -0.9 + 1.9 * rng.random()
+        om = (0.25 + 1.75 * rng.random()) * (1.0 if rng.random() < 0.5 else -1.0)
+        if rng.random() < 0.15:
             eta = 0.0 if om > 0 else -om
         else:
-            eta = float(rng.uniform(max(0.0, -om), max(0.0, -om) + 2.0))
-        closed = moment_general(MomentSpec(xi, om, eta, s))
-        orc = moment_oracle(xi, om, eta, s, tol)
-        worst = max(worst, abs(closed - orc) / (1.0 + abs(orc)))
-    harmonic_checks = (
-        abs(moment_harmonic(1, 1, 1) - moment_oracle(1, 1, 1, -1.0, tol)),
-        abs(moment_harmonic(0, 1, 0) - moment_oracle(0, 1, 0, -1.0, tol)),
-        abs(moment_harmonic(0, -1, 2) - moment_oracle(0, -1, 2, -1.0, tol)),
-    )
+            lo = max(0.0, -om)
+            eta = lo + ((lo + 2.0) - lo) * rng.random()
+        rows.append((xi, om, eta, s))
+    return np.array(rows, dtype=np.float64).reshape(-1, 4).T
+
+
+def _oracle_suite(draws: int, seed: int, tol: float) -> dict:
+    """Max closed-form-vs-quadrature residuals over seeded moment draws.
+
+    The closed forms of the draws are one `moment_general` call, and the
+    draws with the harmonic checks one `moment_oracle` call, over columns.
+    """
+    xi, om, eta, s = oracle_draws(draws, seed)
+    harmonic = np.array([(*check, -1.0) for check in _HARMONIC_CHECKS]).T
+    oracle = moment_oracle(*np.concatenate([(xi, om, eta, s), harmonic], axis=1), tol)
+    closed = moment_general(MomentSpec(xi, om, eta, s))
+    residuals = abs(closed - oracle[:draws]) / (1.0 + abs(oracle[:draws]))
+    misses = [abs(moment_harmonic(*check) - value) for check, value in zip(_HARMONIC_CHECKS, oracle[draws:].tolist())]
     return {
         "draws": draws,
-        "max_moment_residual": worst,
-        "max_harmonic_residual": max(harmonic_checks),
+        "max_moment_residual": max([0.0, *residuals.tolist()]),
+        "max_harmonic_residual": max(misses),
     }
 
 
@@ -840,9 +867,9 @@ def _max_gap(pairs, one_sided: bool = False) -> float:
 
 def _moment_pairs(case: tuple[float, float], verbatim: bool = False):
     """(special-case display, general closed form) ξ columns of the (ξ, s) grid, per s."""
+    xi = np.array(_SCAN_XI)
     for s in _SCAN_S:
-        general = [moment_general(MomentSpec(xi, case[0], case[1], s)) for xi in _SCAN_XI]
-        yield moment_case(case, np.array(_SCAN_XI), s, verbatim=verbatim), np.array(general)
+        yield moment_case(case, xi, s, verbatim=verbatim), moment_general(MomentSpec(xi, *case, s))
 
 
 def _display_pairs(spec: PresetSpec, s_list, q_list):

@@ -8,8 +8,9 @@ For differentiable f on [a, b] and weights λ, μ:
 with m = (a+b)/2.  The left side (`hh_lhs`) is the quantity every bound in
 the catalog controls, and this is the one place it is written: case,
 preset and mean rows (the Section 4 means are it at f = x^s) all take their
-lhs from `hh_lhs`, over the exact mean the function carries.  It is kept
-signed here, callers take absolute values.  `BoundParams` needs a < b.
+lhs from `hh_lhs`, over the exact mean the function carries, mean rows
+over the columns of every tuple at once.  It is kept signed here, callers
+take absolute values.  `BoundParams` needs a < b.
 """
 
 from __future__ import annotations
@@ -17,8 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import FunctionDomainError, WrongBranchError
+import numpy as np
+
+from .errors import DegenerateIntervalError, FunctionDomainError, WrongBranchError
 from .functions import FunctionSpec
+from .moments import _refuse, _refuse_nonfinite
 from .quadrature import DEFAULT_TOL, integrate
 
 __all__ = ["BoundParams", "hh_lhs", "identity_rhs", "check_identity"]
@@ -51,22 +55,30 @@ def hh_lhs(f: FunctionSpec, a: float, b: float, lam: float, mu: float) -> float:
     by continuous extension.
 
     The mean is `f.mean(a, b)`, which every registry function carries in
-    closed form, so no lhs runs a quadrature.  Raises WrongBranchError for
-    a spec built without a mean, and FunctionDomainError when a value of f
-    or the mean overflows or is not finite.
+    closed form, so no lhs runs a quadrature.  a, b, λ and μ may be
+    columns, one entry per row, when f was built from columns
+    (`functions.make_power`); each entry then has the bits of its float
+    call, and every row needs a != b.  Raises WrongBranchError for a spec
+    built without a mean, and FunctionDomainError when a value of f or the
+    mean overflows or is not finite: for the first row with a value that is
+    not finite, and for a block of rows as a whole when libm's pow overflows
+    on one of them.
     """
     if f.mean is None:
         raise WrongBranchError(f"{f.fid} carries no closed-form mean")
-    if a == b:
+    if isinstance(a, np.ndarray):
+        _refuse(a == b, DegenerateIntervalError, "hh_lhs on columns needs a != b, got a = b = {!r}", a)
+    elif a == b:
         return 0.0
     m = 0.5 * (a + b)
     try:
         weighted = 0.5 * lam * f.eval(a) + 0.5 * mu * f.eval(b) + 0.5 * (2.0 - lam - mu) * f.eval(m)
         mean = f.mean(a, b)
     except OverflowError as exc:
-        raise FunctionDomainError(f"{f.fid} overflows on [{a!r}, {b!r}]") from exc
-    if not (math.isfinite(weighted) and math.isfinite(mean)):
-        raise FunctionDomainError(f"{f.fid} is not finite on [{a!r}, {b!r}]")
+        raise FunctionDomainError(f"a value of f or its mean overflows on one of {a.size} rows" if isinstance(a, np.ndarray)
+                                  else f"{f.fid} overflows on [{a!r}, {b!r}]") from exc
+    if isinstance(weighted, np.ndarray) or not (math.isfinite(weighted) and math.isfinite(mean)):
+        _refuse_nonfinite((weighted, mean), FunctionDomainError, "{} is not finite on [{!r}, {!r}]", f.fid, a, b)
     return weighted - mean
 
 

@@ -16,26 +16,30 @@ otherwise `unchecked`; nothing is sampled.  A row at s' = s > 1 lies past
 its parent's s' <= 1 branch: it is evaluated but `unchecked`, and that is
 where the violations T43_q1 and T44_q1 inherit from their parents lie.
 A mean row has one builder, `harness.add_mean_rows`, which the sweep and
-the CLI's `means` command both call: one `MeanSpec.bound` call per theorem
-over the float64 columns, s and q among them, of every tuple it admits.
-`eval_mean_bound`, the scalar reference, takes its steps for one tuple:
-`MeanSpec.branch_mismatch`, f = x^s built once by `functions.make_power`
-(its id labels the row), the lhs from `identity.hh_lhs` on f (the routine
-case and preset rows use), |f'|^q from `bounds.derivative_values`,
-`MeanSpec.bound` (refused when not finite) and `MeanSpec.certificate`.
-`MeanParams` needs 0 < a < b.
+the CLI's `means` command both call, over the float64 columns of every
+tuple: `MeanSpec.admits` (the branch rule as a mask), one `mean_values`
+call over the tuples some theorem admits, then one `MeanSpec.bound` call
+per theorem over the tuples it admits.  `eval_mean_bound`, the scalar
+reference, takes the same steps for one tuple of floats:
+`MeanSpec.branch_mismatch` (the same rule, with its message), then
+`mean_values` (f = x^s from `functions.make_power`, whose id labels the
+row; the lhs from `identity.hh_lhs` on f, the routine case and preset rows
+use; |f'|^q from `bounds.derivative_values`; the order from
+`functions.analytic_order`), `MeanSpec.bound` (refused when not finite)
+and `MeanSpec.certificate`.  `MeanParams` needs 0 < a < b.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .bounds import (BoundCase, BoundResult, Q_BRANCH_EPS, branch_mismatch, case_formula, derivative_values,
-                     nonfinite_bound)
+from .bounds import (BRANCH_CHECKS, BoundCase, BoundResult, BranchChecks, Q_BRANCH_EPS, case_formula,
+                     derivative_values, first_mismatch, nonfinite_bound, on_branch)
 from .errors import FunctionDomainError, WrongBranchError
 from .functions import analytic_order, make_power, power_rule_holds
 from .identity import hh_lhs
@@ -49,6 +53,7 @@ __all__ = [
     "MEAN_THEOREMS",
     "generalized_log_mean",
     "mean_lhs",
+    "mean_values",
     "eval_mean_bound",
 ]
 
@@ -129,19 +134,33 @@ class MeanSpec:
     note: str
     power_rule: bool = False
 
+    @cached_property
+    def branch_checks(self) -> BranchChecks:
+        """The theorem's branch rule (see `bounds.BranchChecks`): 0 < s <= 2,
+        then the parent's branch short of s' <= 1 (rows past it are
+        evaluated and labelled rather than dropped) or, with no parent,
+        q > 1, then the power rule where the theorem needs it."""
+        checks = [(lambda s, q: (s <= 0.0) | (s > 2.0) | (s != s),
+                   lambda s, q: f"mean bounds need 0 < s <= 2, got {s!r}")]
+        if self.parent is None:
+            checks.append((lambda s, q: q < 1.0 + Q_BRANCH_EPS,
+                           lambda s, q: f"{self.theorem} needs q > 1, got q={q!r}"))
+        else:
+            checks += [(lambda s, q, off=off: off(np.minimum(s + self.s_shift, 1.0), q),
+                        lambda s, q, why=why: why(min(s + self.s_shift, 1.0), q))
+                       for off, why in BRANCH_CHECKS[self.parent]]
+        if self.power_rule:
+            checks.append((lambda s, q: np.logical_not(power_rule_holds(s, q)),
+                           lambda s, q: f"{self.theorem} needs -1 < (s-1)q <= 1, got (s-1)q={(s - 1.0) * q!r}"))
+        return tuple(checks)
+
     def branch_mismatch(self, s: float, q: float) -> str:
         """Why (s, q) lie off the theorem's branch, or "" when they lie on it."""
-        if not 0.0 < s <= 2.0:
-            return f"mean bounds need 0 < s <= 2, got {s!r}"
-        if self.parent is None:
-            problem = f"{self.theorem} needs q > 1, got q={q!r}" if q < 1.0 + Q_BRANCH_EPS else ""
-        else:
-            # The parent's branch short of s' <= 1: rows past it are
-            # evaluated and labelled rather than dropped.
-            problem = branch_mismatch(self.parent, min(s + self.s_shift, 1.0), q)
-        if not problem and self.power_rule and not power_rule_holds(s, q):
-            problem = f"{self.theorem} needs -1 < (s-1)q <= 1, got (s-1)q={(s - 1.0) * q!r}"
-        return problem
+        return first_mismatch(self.branch_checks, s, q)
+
+    def admits(self, s, q) -> np.ndarray:
+        """Where the columns (s, q) lie on the theorem's branch, as a mask."""
+        return on_branch(self.branch_checks, s, q)
 
     def bound(self, a, b, s, q, lam, qa, qb, qm) -> tuple:
         """(bound, note) on [a, b] at (s, q, λ) from |f'|^q at a, b and m,
@@ -198,6 +217,18 @@ def t42_verbatim_gap() -> float:
     return worst
 
 
+def mean_values(a, b, s, q, lam) -> tuple:
+    """(id, lhs, |f'|^q at a, b and m, analytic order) of f = x^s on [a, b]
+    at μ = λ, for one tuple of floats or for columns with one entry per
+    tuple: f from `functions.make_power`, the lhs from `identity.hh_lhs`,
+    |f'|^q from `bounds.derivative_values` and the order from
+    `functions.analytic_order` (None, or NaN in a column, where there is
+    none).  Raises as those do; on columns, for the block."""
+    f = make_power(s, a, b)
+    lhs = abs(hh_lhs(f, a, b, lam, lam))
+    return (f.fid, lhs, *derivative_values(f, a, b, q), analytic_order("pow", s, a, q))
+
+
 def eval_mean_bound(theorem: str, mp: MeanParams) -> BoundResult:
     """The theorem's lhs, bound, certificate and note at `mp`: the scalar
     reference for one mean row.
@@ -209,10 +240,8 @@ def eval_mean_bound(theorem: str, mp: MeanParams) -> BoundResult:
     problem = spec.branch_mismatch(mp.s, mp.q) if spec else f"unknown mean theorem {theorem!r}"
     if problem:
         raise WrongBranchError(problem)
-    f = make_power(mp.s, mp.a, mp.b)
-    lhs = abs(hh_lhs(f, mp.a, mp.b, mp.lam, mp.lam))
-    bound, note = spec.bound(mp.a, mp.b, mp.s, mp.q, mp.lam, *derivative_values(f, mp.a, mp.b, mp.q))
+    fid, lhs, qa, qb, qm, order = mean_values(mp.a, mp.b, mp.s, mp.q, mp.lam)
+    bound, note = spec.bound(mp.a, mp.b, mp.s, mp.q, mp.lam, qa, qb, qm)
     if not math.isfinite(bound):
-        raise nonfinite_bound(theorem, f.fid, mp.a, mp.b)
-    certificate = spec.certificate(mp.s, analytic_order("pow", mp.s, mp.a, mp.q))
-    return BoundResult(lhs, bound, bound - lhs, theorem, certificate, note)
+        raise nonfinite_bound(theorem, fid, mp.a, mp.b)
+    return BoundResult(lhs, bound, bound - lhs, theorem, spec.certificate(mp.s, order), note)

@@ -13,7 +13,11 @@ q > 1 Hölder display.  It, `kernel_mass` and `moment_case` take ξ, and
 `holder_norm` and `moment_case` take q and s, as floats or as float64
 arrays, one entry per row, so a sweep evaluates a whole block of rows in
 one call; an s or q too close to its pole is refused for the first row
-that has one.  Each formula is written once for both: its arithmetic runs
+that has one.  `MomentSpec` fields, and so `moment_general`, and
+`moment_oracle`'s ξ, ω, η and s take columns too, validated once
+(`_check_moment`) for both: the oracle integrates all the moments of a
+column in one `quadrature.integrate_batch` call, its integrand written
+through `power`.  Each formula is written once for both: its arithmetic runs
 in the same order on a float as on every element of an array, and every
 power goes through `power`, which maps the platform libm's pow over the
 broadcast base and exponent element by element; on floats it is the float
@@ -37,7 +41,8 @@ from .errors import (
     NonIntegrableSingularityError,
     QuadratureNonConvergenceError,
 )
-from .quadrature import DEFAULT_TOL, integrate
+# `integrate` is not called here; `perfbench/tracer.py` patches it here.
+from .quadrature import DEFAULT_TOL, integrate, integrate_batch  # noqa: F401
 
 __all__ = [
     "MomentSpec",
@@ -67,21 +72,15 @@ MOMENT_CASES = ((1.0, 0.0), (1.0, 1.0), (-1.0, 1.0), (-1.0, 2.0))
 
 @dataclass(frozen=True)
 class MomentSpec:
+    """(ξ, ω, η, s), each a float or a float64 column, one entry per moment."""
+
     xi: float
     omega: float
     eta: float
     s: float
 
     def __post_init__(self) -> None:
-        _check_xi(self.xi)
-        if self.omega == 0.0 or not math.isfinite(self.omega):
-            raise MomentParameterError("omega must be nonzero and finite")
-        if self.eta < 0.0:
-            raise MomentParameterError(f"eta must be >= 0, got {self.eta!r}")
-        if self.omega + self.eta < 0.0:
-            raise MomentParameterError("need omega + eta >= 0 so the weight is nonnegative")
-        if self.s < -1.0:
-            raise MomentParameterError(f"s must be >= -1, got {self.s!r}")
+        _check_moment(self.xi, self.omega, self.eta, self.s)
 
 
 def libm(fn, *args):
@@ -108,18 +107,48 @@ def power(x, y):
     return x if y == 1.0 else np.ones_like(x)
 
 
-def _refuse(x, bad, error, message: str) -> None:
-    """Raise error(message) naming the first entry of x (a float or an
-    array) where bad holds, if there is one."""
-    first = x[bad(x)].tolist()[:1] if isinstance(x, np.ndarray) else [x] if bad(x) else []
-    if first:
-        raise error(message.format(first[0]))
+def _refuse(bad, error, message: str, *columns) -> None:
+    """Raise error(message) formatted with the entries of columns at the
+    first place where bad holds, if there is one.  bad is a bool, or a bool
+    array with one entry per row; each column is a float, one value for
+    every row, or an array or list with one entry per row."""
+    if bad is False:  # a float check that holds nowhere
+        return
+    if isinstance(bad, np.ndarray):
+        if not bad.any():
+            return
+        at = int(np.flatnonzero(bad)[0])
+        columns = [c.ravel()[at].item() if isinstance(c, np.ndarray) else c[at] if isinstance(c, list) else c
+                   for c in columns]
+    elif not bad:
+        return
+    raise error(message.format(*columns))
+
+
+def _refuse_nonfinite(values: tuple, error, message: str, *columns) -> None:
+    """`_refuse` where some entry of values (floats, or arrays of one shape)
+    is not finite."""
+    if isinstance(values[0], np.ndarray):
+        _refuse(~np.logical_and.reduce([np.isfinite(v) for v in values]), error, message, *columns)
+    elif not all(map(math.isfinite, values)):
+        raise error(message.format(*columns))
 
 
 def _check_xi(xi) -> None:
     """Raise MomentParameterError naming the first ξ outside [0, 1]."""
     # x != x holds for NaN alone, which lies outside too.
-    _refuse(xi, lambda x: (x < 0.0) | (x > 1.0) | (x != x), MomentParameterError, "xi must lie in [0, 1], got {!r}")
+    _refuse((xi < 0.0) | (xi > 1.0) | (xi != xi), MomentParameterError, "xi must lie in [0, 1], got {!r}", xi)
+
+
+def _check_moment(xi, omega, eta, s) -> None:
+    """Raise MomentParameterError for the first entry of the first of
+    ξ, ω, η, ω + η and s outside the domain of ∫₀¹ |ξ - t| (ωt + η)^s dt."""
+    _check_xi(xi)
+    _refuse(omega == 0.0, MomentParameterError, "omega must be nonzero and finite")
+    _refuse_nonfinite((omega,), MomentParameterError, "omega must be nonzero and finite")
+    _refuse(eta < 0.0, MomentParameterError, "eta must be >= 0, got {!r}", eta)
+    _refuse(omega + eta < 0.0, MomentParameterError, "need omega + eta >= 0 so the weight is nonnegative")
+    _refuse(s < -1.0, MomentParameterError, "s must be >= -1, got {!r}", s)
 
 
 def kernel_mass(xi: float) -> float:
@@ -128,18 +157,17 @@ def kernel_mass(xi: float) -> float:
 
 
 def moment_general(m: MomentSpec) -> float:
-    """Closed form of ∫₀¹ |ξ - t| (ωt + η)^s dt for s > -1.
+    """Closed form of ∫₀¹ |ξ - t| (ωt + η)^s dt for s > -1, on floats or
+    on the columns of `m`.
 
     Terms 0^(s+1) with s+1 > 0 evaluate to 0 (eta = 0 or omega + eta = 0).
     """
-    if m.s < S_MIN:
-        raise MomentParameterError(
-            f"s={m.s!r} is within 1e-6 of the harmonic pole; use moment_harmonic for s = -1"
-        )
     xi, om, eta, s = m.xi, m.omega, m.eta, m.s
-    t1 = 2.0 * (om * xi + eta) ** (s + 2.0)
-    t2 = (eta + (s + 2.0) * om * xi) * eta ** (s + 1.0)
-    t3 = (2.0 * om * xi + eta + s * om * (xi - 1.0) - om) * (om + eta) ** (s + 1.0)
+    _refuse(s < S_MIN, MomentParameterError,
+            "s={!r} is within 1e-6 of the harmonic pole; use moment_harmonic for s = -1", s)
+    t1 = 2.0 * power(om * xi + eta, s + 2.0)
+    t2 = (eta + (s + 2.0) * om * xi) * power(eta, s + 1.0)
+    t3 = (2.0 * om * xi + eta + s * om * (xi - 1.0) - om) * power(om + eta, s + 1.0)
     return (t1 - t2 - t3) / (om * om * (s + 1.0) * (s + 2.0))
 
 
@@ -152,7 +180,7 @@ def moment_case(case: tuple[float, float], xi: float, s: float, verbatim: bool =
     `moment_general` (verbatim=False).
     """
     _check_xi(xi)
-    _refuse(s, lambda s: s < S_MIN, MomentParameterError, "s={!r} too close to -1; use moment_harmonic")
+    _refuse(s < S_MIN, MomentParameterError, "s={!r} too close to -1; use moment_harmonic", s)
     s2 = (s + 1.0) * (s + 2.0)
     key = tuple(case)  # (1, 0) == (1.0, 0.0)
     if key == (1.0, 0.0):
@@ -210,14 +238,17 @@ def moment_harmonic(xi: float, omega: float, eta: float) -> float:
     return g(0.0, xi) - g(xi, 1.0)
 
 
-def moment_oracle(
-    xi: float, omega: float, eta: float, s: float, tol: float = DEFAULT_TOL
-) -> float:
+def moment_oracle(xi: float, omega: float, eta: float, s: float, tol: float = DEFAULT_TOL) -> float:
     """Adaptive-quadrature evaluation of ∫₀¹ |ξ - t| (ωt + η)^s dt.
 
-    Independent cross-check for the closed forms.  A weight vanishing at
-    t = 1 is reflected (u = 1 - t) so the zero lands at 0, where float
-    resolution is effectively unbounded.
+    Independent cross-check for the closed forms.  ξ, ω, η and s are
+    floats, or float64 columns with one entry per moment, validated as
+    `MomentSpec` validates them (a column is refused at its first bad
+    entry).  All moments of a column are one `integrate_batch` call, each
+    with its own panels, and each entry has the bits of its float call.
+
+    A weight vanishing at t = 1 is reflected (u = 1 - t) so the zero lands
+    at 0, where float resolution is effectively unbounded.
 
     A weight ωt vanishing at 0 (η = 0, s > -1) is integrated in u, with
     t = u^m: (ωt)^s dt = m ω^s u^(m(s+1)-1) du, an exact change of
@@ -230,38 +261,48 @@ def moment_oracle(
     an uncapped m grows without bound (40,000 at s = -0.9999), u^m
     underflows at every node, and the quadrature returns ~0 as converged.
     Capped, the power of u is below 3 once s + 1 < 1/12 and negative once
-    s + 1 < 1/48, where `integrate` grades toward the singularity as before.
+    s + 1 < 1/48, where the quadrature grades toward the singularity as
+    before.  Every other moment is integrated in t; both integrands are
+    scale·|ξ - u^m|·(w·u + c)^e, with (scale, m, w, c, e) = (1, 1, ω, η, s)
+    in t and (m ω^s, m, 1, 0, m(s+1) - 1) in u.
 
-    Raises QuadratureNonConvergenceError when the quadrature stops short of
-    `tol` (for s near -1 the panels reach their width floor first): its
-    error estimate then understates the missing tail, so no value is
-    returned.
+    Raises QuadratureNonConvergenceError, for the first moment that has
+    one, when the quadrature stops short of `tol` (for s near -1 the panels
+    reach their width floor first): its error estimate then understates
+    the missing tail, so no value is returned.
     """
-    if omega + eta == 0.0:
-        # |ξ - (1-u)| ((ω+η) - ωu)^s = |(1-ξ) - u| (-ω u)^s exactly.
-        return moment_oracle(1.0 - xi, -omega, 0.0, s, tol)
+    _check_moment(xi, omega, eta, s)
+    columns = np.array(np.broadcast_arrays(xi, omega, eta, s), dtype=np.float64)
+    shape = columns.shape[1:]
+    xi, omega, eta, s = columns.reshape(4, -1)
+    # |ξ - (1-u)| ((ω+η) - ωu)^s = |(1-ξ) - u| (-ω u)^s exactly.
+    flip = omega + eta == 0.0
+    xi[flip], omega[flip], eta[flip] = 1.0 - xi[flip], -omega[flip], 0.0
 
-    if eta == 0.0 and s > -1.0:
-        m = min(SUBST_CAP, math.ceil(SUBST_ORDER / (s + 1.0)))
-        scale, e = m * omega ** s, m * (s + 1.0) - 1.0
+    subst = (eta == 0.0) & (s > -1.0)
+    m, scale = np.ones_like(s), np.ones_like(s)
+    m[subst] = np.minimum(SUBST_CAP, np.ceil(SUBST_ORDER / (s[subst] + 1.0)))
+    scale[subst] = m[subst] * power(omega[subst], s[subst])
+    w, c, e = np.where(subst, 1.0, omega), np.where(subst, 0.0, eta), np.where(subst, m * (s + 1.0) - 1.0, s)
 
-        def f(u: float) -> float:
-            return scale * abs(xi - u ** m) * u ** e
+    def f(rows, u):
+        # t = u^m on the rows integrated in u; elsewhere m = 1 and t = u.
+        t, sub = u, subst[rows]
+        if sub.any():
+            t = u.copy()
+            t[sub] = power(u[sub], m[rows[sub]])
+        return scale[rows] * abs(xi[rows] - t) * power(w[rows] * u + c[rows], e[rows])
 
-        kink = xi ** (1.0 / m)
-    else:
-        def f(t: float) -> float:
-            return abs(xi - t) * (omega * t + eta) ** s
-
-        kink = xi
-
-    res = integrate(f, 0.0, 1.0, tol, breakpoints=(kink,))
-    if not res.converged:
-        raise QuadratureNonConvergenceError(
-            f"moment oracle did not converge to tol={tol!r} (error estimate "
-            f"{res.err_estimate!r} after {res.evaluations} evaluations)"
-        )
-    return res.value
+    kinks = power(xi, 1.0 / m)
+    results = integrate_batch(f, [0.0] * xi.size, [1.0] * xi.size, kinks[:, None].tolist(), tol)
+    for res in results:
+        if not res.converged:
+            raise QuadratureNonConvergenceError(
+                f"moment oracle did not converge to tol={tol!r} (error estimate "
+                f"{res.err_estimate!r} after {res.evaluations} evaluations)"
+            )
+    values = [res.value for res in results]
+    return np.array(values).reshape(shape) if shape else values[0]
 
 
 def holder_norm(xi: float, q: float) -> float:
@@ -273,8 +314,8 @@ def holder_norm(xi: float, q: float) -> float:
     ρ is (q-1)/q because 1 - 1/q loses about 8 digits at q - 1 = 1e-8.
     """
     _check_xi(xi)
-    _refuse(q, lambda q: q < 1.0 + Q_BRANCH_EPS, HolderExponentError,
-            "q={!r} too close to 1 for the conjugate exponent; use a q = 1 branch")
+    _refuse(q < 1.0 + Q_BRANCH_EPS, HolderExponentError,
+            "q={!r} too close to 1 for the conjugate exponent; use a q = 1 branch", q)
     hi, lo = (np.maximum, np.minimum) if isinstance(xi, np.ndarray) else (max, min)
     big, small = hi(xi, 1.0 - xi), lo(xi, 1.0 - xi)
     rho = (q - 1.0) / q

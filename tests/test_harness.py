@@ -11,12 +11,13 @@ import re
 import pytest
 
 import hhverify.harness as harness
+import hhverify.means as means
 from hhverify.bounds import BoundCase, branch_mismatch, eval_case
 from hhverify.errors import ConfigError, FunctionDomainError, PresetMismatchError, WrongBranchError
 from hhverify.functions import canonical_id, from_id, parse_id
 from hhverify.harness import CASE_KEYS, MEAN_KEYS, Report, SuiteConfig, erratum_scan, run_suite
 from hhverify.identity import BoundParams
-from hhverify.means import MEAN_SPECS, MEAN_THEOREMS, MeanParams, eval_mean_bound
+from hhverify.means import MEAN_SPECS, MEAN_THEOREMS, MeanParams, eval_mean_bound, mean_values
 from hhverify.presets import PRESETS, PresetSpec, eval_preset
 
 
@@ -806,3 +807,52 @@ def test_each_mean_theorem_is_one_display_call_and_one_add(monkeypatch):
     report = run_suite(all_means_config())
     assert displays == adds == collections.Counter(dict.fromkeys(MEAN_THEOREMS, 1))
     assert report.record_count > 20 * len(MEAN_THEOREMS)
+
+
+def test_mean_tuples_are_one_prologue_call_not_one_per_tuple(monkeypatch):
+    # x^s and its lhs are built once over the columns of every tuple, and the
+    # branch masks format no refusal message.
+    calls = collections.Counter()
+    for module in (harness, means):
+        for name in ("make_power", "hh_lhs"):
+            if hasattr(module, name):
+                def counted(*args, name=name, original=getattr(module, name)):
+                    calls[name] += 1
+                    return original(*args)
+
+                monkeypatch.setattr(module, name, counted)
+    mismatch = means.MeanSpec.branch_mismatch
+
+    def counted_mismatch(self, s, q):
+        calls["branch_mismatch"] += 1
+        return mismatch(self, s, q)
+
+    monkeypatch.setattr(means.MeanSpec, "branch_mismatch", counted_mismatch)
+    report = run_suite(all_means_config())
+    assert calls == collections.Counter({"make_power": 1, "hh_lhs": 1})
+    assert report.record_count > 20 * len(MEAN_THEOREMS)
+
+
+def test_a_mean_tuple_that_overflows_is_refused_alone():
+    # x^2 overflows at 1e200 (the float call names it), |f'|^4 of x^0.1 at
+    # 1e-100; every other tuple keeps the rows it gets on its own.
+    ordinary = [(0.5, 2.0, s, q, lam) for s in (0.1, 0.5, 1.5, 2.0) for q in (1.0, 2.0, 4.0) for lam in (0.0, 0.7)]
+    bad = [(1e200, 1e300, 2.0, 1.0, 0.5), (1e-100, 1.0, 0.1, 4.0, 0.5)]
+    tuples = ordinary[:7] + bad[:1] + ordinary[7:20] + bad[1:] + ordinary[20:]
+    report = Report()
+    errors = harness.add_mean_rows(report, MEAN_THEOREMS, tuples)
+    expected_errors = []
+    for row in bad:
+        with pytest.raises(FunctionDomainError) as info:
+            mean_values(*row)
+        expected_errors.append(str(info.value))
+    assert [str(e) for e in errors] == expected_errors
+    assert "pow:2 overflows on [1e+200, 1e+300]" in expected_errors
+    one_by_one = Report()
+    for row in ordinary:
+        assert not harness.add_mean_rows(one_by_one, MEAN_THEOREMS, [row])
+    def key(record):
+        return record["case"], tuple(record["params"].values())
+
+    assert sorted(report.records, key=key) == sorted(one_by_one.records, key=key)
+    assert report.record_count > len(ordinary)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from hhverify.moments import (
     moment_oracle,
     power,
 )
-from hhverify.quadrature import integrate
+from hhverify.quadrature import integrate, integrate_batch
 
 TWO_LN2_MINUS_1 = 2.0 * math.log(2.0) - 1.0
 
@@ -281,14 +282,14 @@ def test_oracle_substitution_cuts_the_panels_at_a_vanishing_weight(monkeypatch):
     evaluations = []
 
     def counted(*args, **kwargs):
-        res = integrate(*args, **kwargs)
-        evaluations.append(res.evaluations)
-        return res
+        results = integrate_batch(*args, **kwargs)
+        evaluations.append([res.evaluations for res in results])
+        return results
 
-    monkeypatch.setattr(moments, "integrate", counted)
+    monkeypatch.setattr(moments, "integrate_batch", counted)
     value = moment_oracle(0.37, 1.3, 0.0, -0.8)
     assert abs(value - moment_general(MomentSpec(0.37, 1.3, 0.0, -0.8))) <= 1e-12 * (1.0 + abs(value))
-    assert len(evaluations) == 1 and evaluations[0] <= 400
+    assert len(evaluations) == 1 and len(evaluations[0]) == 1 and evaluations[0][0] <= 400
 
 
 def _q_column(n=2000, seed=6):
@@ -320,3 +321,79 @@ def test_s_and_q_columns_refuse_their_first_bad_entry_like_the_float():
         moment_case((1, 0), 0.5, s)
     with pytest.raises(HolderExponentError, match=r"^q=1\.0 too close"):
         holder_norm(0.5, q)
+
+
+@pytest.mark.parametrize("args", [(1.5, 1.0, 1.0, 0.5), (0.3, -1.0, 0.0, 0.5), (0.3, -1.0, 0.5, 0.5),
+                                  (0.3, 0.0, 1.0, 0.5), (0.3, 1.0, -0.5, 0.5), (0.3, 1.0, 1.0, -1.5)])
+def test_oracle_refuses_what_moment_spec_refuses(args):
+    # ξ = 1.5 used to return 0.6, and a weight negative on (0, 1) escaped as
+    # a bare TypeError from the quadrature.
+    with pytest.raises(MomentParameterError) as spec:
+        MomentSpec(*args)
+    with pytest.raises(MomentParameterError) as oracle:
+        moment_oracle(*args)
+    assert str(oracle.value) == str(spec.value)
+    # On columns the first bad entry is refused, with the same message.
+    good = np.array([0.3, 1.0, 1.0, 0.5])
+    columns = np.array([good, args, good, args]).T
+    with pytest.raises(MomentParameterError) as column:
+        moment_oracle(*columns)
+    assert str(column.value) == str(spec.value)
+
+
+def _oracle_column(n=60, seed=9):
+    """Seeded (ξ, ω, η, s) rows: smooth weights, weights vanishing at 0 and
+    at 1 (ω t and ω (1 - t)), s = -1 rows, and ξ at 0 and 1."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for k in range(n):
+        xi, s, om = float(rng.uniform()), float(rng.uniform(-0.9, 1.0)), float(rng.uniform(0.25, 2.0))
+        kind = k % 4
+        if kind == 0:
+            rows.append((xi, -om, om + float(rng.uniform(0.1, 2.0)), s))
+        elif kind == 1:
+            rows.append((xi, om, 0.0, s))
+        elif kind == 2:
+            rows.append((xi, -om, om, s))
+        else:
+            rows.append((xi, om, float(rng.uniform(0.1, 2.0)), -1.0))
+    rows += [(0.0, 1.0, 0.0, -1.0), (1.0, 1.0, 1.0, -1.0), (0.0, 1.3, 0.0, -0.5), (1.0, -0.7, 0.7, 0.25)]
+    return np.array(rows).T
+
+
+# sha256 of the float64 bytes of `_oracle_column()`'s moments, one float
+# oracle call each, as the per-draw loop over `integrate` gave them.
+ORACLE_COLUMN_DIGEST = "9ce8161025d06a2a5eacd15d739cbba2cf998180a4622c7a96d86bd07d2ead72"
+
+
+def test_oracle_column_is_bit_identical_to_its_float_calls():
+    xi, om, eta, s = _oracle_column()
+    column = moment_oracle(xi, om, eta, s)
+    floats = [moment_oracle(*row) for row in zip(xi.tolist(), om.tolist(), eta.tolist(), s.tolist())]
+    assert column.tobytes() == np.array(floats).tobytes()
+    assert hashlib.sha256(column.tobytes()).hexdigest() == ORACLE_COLUMN_DIGEST
+    # Floats broadcast against the columns, as in moment_case.
+    assert moment_oracle(0.3, om, np.abs(om) + 0.5, 0.5).tolist() == [
+        moment_oracle(0.3, w, abs(w) + 0.5, 0.5) for w in om.tolist()]
+
+
+def test_oracle_column_refuses_its_nonconverged_draw_like_the_float_call():
+    xi, om, eta, s = _oracle_column(n=12)
+    xi, om, eta, s = (np.insert(c, 5, v) for c, v in zip((xi, om, eta, s), (0.3, 1.0, 0.0, -0.9999)))
+    with pytest.raises(QuadratureNonConvergenceError) as single:
+        moment_oracle(0.3, 1.0, 0.0, -0.9999)
+    with pytest.raises(QuadratureNonConvergenceError) as column:
+        moment_oracle(xi, om, eta, s)
+    assert str(column.value) == str(single.value)
+    assert "error estimate" in str(column.value) and "evaluations" in str(column.value)
+
+
+def test_moment_general_columns_are_bit_identical():
+    xi, om, eta, s = _oracle_column(n=400, seed=4)
+    keep = s > -1.0
+    xi, om, eta, s = xi[keep], om[keep], eta[keep], s[keep]
+    column = moment_general(MomentSpec(xi, om, eta, s))
+    floats = [moment_general(MomentSpec(*row)) for row in zip(xi.tolist(), om.tolist(), eta.tolist(), s.tolist())]
+    assert column.tobytes() == np.array(floats).tobytes()
+    with pytest.raises(MomentParameterError, match=r"^eta must be >= 0, got -0\.5$"):
+        MomentSpec(xi[:3], om[:3], np.array([1.0, -0.5, -0.7]), s[:3])

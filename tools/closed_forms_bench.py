@@ -13,6 +13,12 @@ their weights set to its pins, at one (s, q) its pins admit.  Each of the
 six mean-theorem displays is evaluated over the same rows with s and q as
 seeded columns, as the mean draws of a sweep give them (s uniform in
 [0.05, 2], q in {1, 1.5, 2, 4}), on the rows whose (s, q) lie on its branch.
+Two more checks compare whole row builders with their scalar reference:
+(`oracle_*`) the moment oracle over the oracle audit's seeded draws (as
+many as `rows`, at most 3,000), one column call against one float call per
+draw; and (`mean_rows_*`) the mean rows of all six theorems over the first
+(at most 5,000) of the same (a, b, s, q, λ) tuples, one
+`harness.add_mean_rows` call against one `means.eval_mean_bound` call per row.
 Prints one JSON line: seconds for each path, summed over the cases,
 (`preset_*`) the presets and (`mean_*`) the mean theorems, and whether
 every array entry has the bits of its float call.  Exits 1 when one does not.
@@ -34,7 +40,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from hhverify.bounds import CASES, BoundCase, case_bound_from_values  # noqa: E402
 from hhverify.functions import power_rule_holds  # noqa: E402
-from hhverify.means import MEAN_SPECS, MeanSpec  # noqa: E402
+from hhverify.harness import Report, add_mean_rows, oracle_draws  # noqa: E402
+from hhverify.means import MEAN_SPECS, MEAN_THEOREMS, MeanParams, MeanSpec, eval_mean_bound  # noqa: E402
+from hhverify.moments import moment_oracle  # noqa: E402
 from hhverify.presets import PRESETS, PresetSpec  # noqa: E402
 
 
@@ -109,6 +117,31 @@ def main(argv=None) -> int:
             array_s, float_s, identical = array_s + took_array, float_s + took_float, identical and same
         out |= {f"{prefix}evaluations": sum(len(call[0]) for _, call in evaluations),
                 f"{prefix}array_s": round(array_s, 4), f"{prefix}float_s": round(float_s, 4)}
+    draws = oracle_draws(min(args.rows, 3000), args.seed)
+    start = time.perf_counter()
+    column = moment_oracle(*draws)
+    out["oracle_array_s"] = round(time.perf_counter() - start, 4)
+    start = time.perf_counter()
+    floats = [moment_oracle(*row) for row in draws.T.tolist()]
+    out["oracle_float_s"] = round(time.perf_counter() - start, 4)
+    out["oracle_draws"] = len(floats)
+    identical = identical and column.tobytes() == np.array(floats, dtype=np.float64).tobytes()
+
+    tuples = list(zip(*(column[:5000].tolist() for column in (a, b, s, q, lam))))
+    report = Report()
+    start = time.perf_counter()
+    errors = add_mean_rows(report, MEAN_THEOREMS, tuples)
+    out["mean_rows_array_s"] = round(time.perf_counter() - start, 4)
+    records = report.records
+    start = time.perf_counter()
+    results = [eval_mean_bound(r["case"], MeanParams(*r["params"].values())) for r in records]
+    out["mean_rows_float_s"] = round(time.perf_counter() - start, 4)
+    out["mean_rows"] = len(records)
+    swept = np.array([(r["lhs"], r["bound"]) for r in records], dtype=np.float64)
+    expected = np.array([(res.lhs, res.bound) for res in results], dtype=np.float64)
+    identical = (identical and not errors and swept.tobytes() == expected.tobytes()
+                 and [(r["certified"], r["branch_notes"]) for r in records]
+                 == [(res.certificate, res.branch_notes) for res in results])
     print(json.dumps({**out, "bit_identical": identical}))
     return 0 if identical else 1
 
